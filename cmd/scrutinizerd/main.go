@@ -39,12 +39,11 @@
 // every accepted mutation — corpus create/delete, relation upload,
 // verifier training, session create/answer/delete — is appended to a
 // write-ahead journal in that directory before the HTTP response
-// acknowledges it, and trained models are parked as snapshot blobs. On
-// boot the daemon replays the journal: corpora are rebuilt from their
-// journaled relations, verifiers are re-materialized from their model
-// snapshots (falling back to a deterministic retrain from the journaled
-// training document), and interactive sessions are re-parked by replaying
-// their answer logs — all bit-identical to the pre-crash state. A torn
+// acknowledges it. The journal is the only durable state. On boot the
+// daemon replays it: corpora are rebuilt from their journaled relations,
+// verifiers are deterministically retrained from their journaled training
+// documents, and interactive sessions are re-parked by replaying their
+// answer logs — all bit-identical to the pre-crash state. A torn
 // final record (crash mid-append) is detected by checksum and truncated:
 // it was never acknowledged, so losing it is correct. Without -data-dir
 // the daemon is ephemeral, exactly as before.
@@ -283,8 +282,7 @@ func main() {
 		rec := s.recovered
 		daemonLog.Info("journal recovered", "dir", *dataDir,
 			"records", rec.Records, "corpora", rec.Corpora,
-			"verifiers", rec.Verifiers, "from_snapshot", rec.VerifiersFromSnapshot,
-			"retrained", rec.VerifiersRetrained, "sessions", rec.Sessions,
+			"verifiers", rec.Verifiers, "sessions", rec.Sessions,
 			"skipped", rec.SessionsSkipped)
 	}
 	stats := s.corpus.Stats()

@@ -9,6 +9,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"github.com/repro/scrutinizer"
+	istore "github.com/repro/scrutinizer/internal/store"
 )
 
 // recoveryTestWorld keeps replay cheap: the crashed journal is replayed on
@@ -235,10 +237,27 @@ func TestRecoveryCrashMidWriteHTTP(t *testing.T) {
 	}
 }
 
+// journalTail replays st and returns its last n records as "op corpus
+// verifier relation" lines, in journal order.
+func journalTail(t *testing.T, st scrutinizer.Store, n int) []string {
+	t.Helper()
+	var all []string
+	if err := st.Replay(func(rec *istore.Record) error {
+		all = append(all, fmt.Sprintf("%s %s %s %s", rec.Op, rec.Corpus, rec.Verifier, rec.Relation))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(all) < n {
+		t.Fatalf("journal holds %d records, want at least %d: %q", len(all), n, all)
+	}
+	return all[len(all)-n:]
+}
+
 // TestRecoveryCorpusDeleteLeavesNoOrphans: DELETE /v1/corpora/{id} cascades
-// into the persistence layer — the dropped verifiers' model snapshots are
-// deleted and a restart materializes nothing of the corpus, its relations
-// or its verifiers.
+// into the persistence layer — the journal records the corpus's whole
+// lifecycle ending in its delete, and a restart materializes nothing of the
+// corpus, its relations or its verifiers.
 func TestRecoveryCorpusDeleteLeavesNoOrphans(t *testing.T) {
 	w := recoveryTestWorld(t)
 	mem := scrutinizer.NewMemoryStore()
@@ -268,17 +287,22 @@ func TestRecoveryCorpusDeleteLeavesNoOrphans(t *testing.T) {
 	}
 	var created verifierResponse
 	decodeJSON(t, resp, &created)
-	if mem.Stats().Snapshots != 1 {
-		t.Fatalf("verifier creation should park one model snapshot: %+v", mem.Stats())
-	}
 
 	if resp := do(t, "DELETE", ts.URL+"/v1/corpora/tmp", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete corpus: status %d", resp.StatusCode)
 	} else {
 		resp.Body.Close()
 	}
-	if st := mem.Stats(); st.Snapshots != 0 {
-		t.Fatalf("cascade left an orphaned snapshot: %+v", st)
+	// One corpus.delete record carries the cascade: replay drops the
+	// corpus's verifiers with it.
+	want := []string{
+		"corpus.create tmp  ",
+		"relation.put tmp  " + names[1],
+		"verifier.create tmp " + created.ID + " ",
+		"corpus.delete tmp  ",
+	}
+	if got := journalTail(t, mem, len(want)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("journal tail = %q, want %q", got, want)
 	}
 
 	// A restart over the same store materializes only the default corpus:
@@ -299,28 +323,34 @@ func TestRecoveryCorpusDeleteLeavesNoOrphans(t *testing.T) {
 	}
 }
 
-// TestRecoveryVerifierDeletePersisted: DELETE /v1/verifiers/{id} removes
-// the model snapshot and the verifier stays gone across a restart.
+// TestRecoveryVerifierDeletePersisted: DELETE /v1/verifiers/{id} is
+// journaled and the verifier stays gone across a restart.
 func TestRecoveryVerifierDeletePersisted(t *testing.T) {
 	w := recoveryTestWorld(t)
 	mem := scrutinizer.NewMemoryStore()
 	_, ts := storedServer(t, w, mem)
 
 	vid := createVerifier(t, ts.URL, w)
-	if mem.Stats().Snapshots != 1 {
-		t.Fatalf("expected one parked snapshot: %+v", mem.Stats())
-	}
 	if resp := do(t, "DELETE", ts.URL+"/v1/verifiers/"+vid, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete verifier: status %d", resp.StatusCode)
 	} else {
 		resp.Body.Close()
 	}
-	if st := mem.Stats(); st.Snapshots != 0 {
-		t.Fatalf("delete left an orphaned snapshot: %+v", st)
+	want := []string{
+		"verifier.create default " + vid + " ",
+		"verifier.delete default " + vid + " ",
+	}
+	if got := journalTail(t, mem, len(want)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("journal tail = %q, want %q", got, want)
 	}
 
-	s2, _ := storedServer(t, w, mem)
+	s2, ts2 := storedServer(t, w, mem)
 	if s2.recovered.Verifiers != 0 {
 		t.Fatalf("deleted verifier resurrected: %+v", s2.recovered)
+	}
+	if resp := do(t, "GET", ts2.URL+"/v1/verifiers/"+vid, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("verifier %s survived restart: status %d", vid, resp.StatusCode)
+	} else {
+		resp.Body.Close()
 	}
 }

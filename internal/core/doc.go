@@ -44,6 +44,11 @@
 // buffers, per-run caches keep their capacity — so a service handling many
 // short runs allocates the engine machinery once, not per request.
 //
+// A ModelSnapshot lives in memory only and has no serialized form. The
+// trained state is a deterministic function of the training claims and the
+// configuration, so a restarted service rebuilds its engines by retraining
+// from its journal.
+//
 // # Parallelism
 //
 // One claim batch is verified across VerifyConfig.Parallelism goroutines,

@@ -1,9 +1,8 @@
 // Package store is the pluggable persistence layer behind the durable
-// multi-tenant service: a write-ahead journal of accepted mutations plus a
-// side store of model snapshots, abstracted as the Store interface so the
-// registry can run against an embedded single-node backend (File), an
-// in-memory backend for tests (Memory), or a fault-injecting wrapper for
-// crash-recovery tests (Faulty).
+// multi-tenant service: a write-ahead journal of accepted mutations,
+// abstracted as the Store interface so the registry can run against an
+// embedded single-node backend (File), an in-memory backend for tests
+// (Memory), or a fault-injecting wrapper for crash-recovery tests (Faulty).
 //
 // # Journal
 //
@@ -15,9 +14,11 @@
 // after the mutation is applied and before the request is acknowledged, so
 // on restart, replaying the journal in order rebuilds exactly the
 // acknowledged state: corpora are reconstructed from their relation CSV,
-// verifiers are re-materialized from their latest model snapshot (or
-// deterministically retrained from the journaled training document when no
-// snapshot survives), and live sessions are re-parked by answer-log replay.
+// verifiers are deterministically retrained from the journaled training
+// document, and live sessions are re-parked by answer-log replay. The
+// journal is the only durable state: a classifier is a deterministic
+// function of its training document and options, so no model blob is
+// stored beside it.
 //
 // # Record framing
 //
@@ -31,12 +32,4 @@
 // record or an error (io.EOF at a clean end, ErrTorn for a truncated tail,
 // ErrCorrupt for checksum/format damage), and it never panics on arbitrary
 // input (pinned by FuzzJournalDecode).
-//
-// # Snapshots
-//
-// SaveSnapshot/LoadSnapshot store opaque blobs keyed by (kind, id) — the
-// service uses them for encoded verifier model snapshots so recovery can
-// skip retraining. Snapshots are an optimization, not the source of truth:
-// deleting them only makes the next recovery fall back to deterministic
-// retraining from the journal.
 package store

@@ -43,8 +43,8 @@ type FaultPlan struct {
 	// Torn makes the first failing append leave a truncated frame in the
 	// underlying journal before reporting the fault.
 	Torn bool
-	// FailReads makes Replay and LoadSnapshot fail with ErrInjected —
-	// recovery-time faults rather than write-time ones.
+	// FailReads makes Replay fail with ErrInjected — a recovery-time fault
+	// (a corrupt or unreachable journal) rather than a write-time one.
 	FailReads bool
 	// Latency is added to every store operation, reads included. Recovery
 	// replay pays it per record, which is what keeps a booting daemon
@@ -124,34 +124,6 @@ func (s *Faulty) Replay(fn func(*Record) error) error {
 		s.delay()
 		return fn(rec)
 	})
-}
-
-func (s *Faulty) SaveSnapshot(kind, id string, data []byte) error {
-	s.mu.Lock()
-	tripped := s.tripped || s.remaining <= 0
-	s.mu.Unlock()
-	if tripped {
-		return fmt.Errorf("%w: snapshot save", ErrInjected)
-	}
-	return s.inner.SaveSnapshot(kind, id, data)
-}
-
-func (s *Faulty) LoadSnapshot(kind, id string) ([]byte, error) {
-	s.delay()
-	if s.failReads {
-		return nil, fmt.Errorf("%w: snapshot load", ErrInjected)
-	}
-	return s.inner.LoadSnapshot(kind, id)
-}
-
-func (s *Faulty) DeleteSnapshot(kind, id string) error {
-	s.mu.Lock()
-	tripped := s.tripped || s.remaining <= 0
-	s.mu.Unlock()
-	if tripped {
-		return fmt.Errorf("%w: snapshot delete", ErrInjected)
-	}
-	return s.inner.DeleteSnapshot(kind, id)
 }
 
 func (s *Faulty) Stats() Stats {

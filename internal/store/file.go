@@ -6,22 +6,16 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 )
 
-const (
-	journalName  = "journal.wal"
-	snapshotsDir = "snapshots"
-	snapshotExt  = ".snap"
-)
+const journalName = "journal.wal"
 
-// File is the embedded single-node Store: one append-only journal file plus
-// a snapshots directory, all under a data directory. Appends are fsynced
-// before they return, so an acknowledged mutation survives a crash; torn
-// tails from a crash mid-append are detected by the frame checksums and
-// truncated away on the next open.
+// File is the embedded single-node Store: one append-only journal file under
+// a data directory. Appends are fsynced before they return, so an
+// acknowledged mutation survives a crash; torn tails from a crash mid-append
+// are detected by the frame checksums and truncated away on the next open.
 type File struct {
 	dir string
 
@@ -40,7 +34,7 @@ type File struct {
 // truncated back to the last intact record before the store is returned;
 // Stats().TornTailRecovered reports that this happened.
 func OpenFileStore(dir string) (*File, error) {
-	if err := os.MkdirAll(filepath.Join(dir, snapshotsDir), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating data dir: %w", err)
 	}
 	path := filepath.Join(dir, journalName)
@@ -120,97 +114,16 @@ func (s *File) Replay(fn func(*Record) error) error {
 	return err
 }
 
-func (s *File) SaveSnapshot(kind, id string, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	path, err := s.snapshotPath(kind, id)
-	if err != nil {
-		return err
-	}
-	// Write-then-rename so a crash mid-save leaves the previous snapshot
-	// (or none) rather than a half-written file.
-	tmp, err := os.CreateTemp(filepath.Join(s.dir, snapshotsDir), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: creating snapshot temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: writing snapshot: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: syncing snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: closing snapshot temp file: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("store: installing snapshot: %w", err)
-	}
-	return nil
-}
-
-func (s *File) LoadSnapshot(kind, id string) ([]byte, error) {
-	s.mu.Lock()
-	path, err := s.snapshotPath(kind, id)
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w: %s/%s", ErrNoSnapshot, kind, id)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: reading snapshot: %w", err)
-	}
-	return data, nil
-}
-
-func (s *File) DeleteSnapshot(kind, id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	path, err := s.snapshotPath(kind, id)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("store: deleting snapshot: %w", err)
-	}
-	return nil
-}
-
 func (s *File) Stats() Stats {
 	s.mu.Lock()
-	st := Stats{
+	defer s.mu.Unlock()
+	return Stats{
 		Backend:           "file",
 		Records:           s.records,
 		JournalBytes:      s.bytes,
 		LastAppend:        s.last,
 		TornTailRecovered: s.torn,
 	}
-	s.mu.Unlock()
-	entries, err := os.ReadDir(filepath.Join(s.dir, snapshotsDir))
-	if err != nil {
-		return st
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), snapshotExt) {
-			continue
-		}
-		st.Snapshots++
-		if info, err := e.Info(); err == nil {
-			st.SnapshotBytes += info.Size()
-		}
-	}
-	return st
 }
 
 func (s *File) Close() error {
@@ -252,15 +165,4 @@ func (s *File) appendTorn(rec *Record) error {
 	// Deliberately leave records/bytes unchanged: the record was not
 	// acknowledged and Replay must not see it.
 	return nil
-}
-
-// snapshotPath maps (kind, id) to a file under snapshots/. Kind and id come
-// from validated service identifiers, but the path check keeps a store user
-// from escaping the data directory regardless.
-func (s *File) snapshotPath(kind, id string) (string, error) {
-	name := kind + "-" + id + snapshotExt
-	if kind == "" || id == "" || name != filepath.Base(name) || strings.ContainsAny(name, "/\\") {
-		return "", fmt.Errorf("store: invalid snapshot key %q/%q", kind, id)
-	}
-	return filepath.Join(s.dir, snapshotsDir, name), nil
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 )
@@ -11,22 +10,19 @@ import (
 var ErrClosed = errors.New("store: closed")
 
 // Memory is a Store held entirely in memory. It honours the full journal
-// contract (append order, deep-copied records, snapshot keys) without any
-// durability — it exists for tests and for running the service "as before"
-// when no data directory is configured.
+// contract (append order, deep-copied records) without any durability — it
+// exists for tests and for running the service "as before" when no data
+// directory is configured.
 type Memory struct {
 	mu      sync.Mutex
 	records []*Record
 	bytes   int64
-	snaps   map[string][]byte
 	last    time.Time
 	closed  bool
 }
 
 // NewMemoryStore returns an empty in-memory store.
-func NewMemoryStore() *Memory {
-	return &Memory{snaps: make(map[string][]byte)}
-}
+func NewMemoryStore() *Memory { return &Memory{} }
 
 func (m *Memory) Append(rec *Record) error {
 	// Encode outside the critical section only to size-check; the frame
@@ -62,50 +58,15 @@ func (m *Memory) Replay(fn func(*Record) error) error {
 	return nil
 }
 
-func (m *Memory) SaveSnapshot(kind, id string, data []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	m.snaps[snapKey(kind, id)] = append([]byte(nil), data...)
-	return nil
-}
-
-func (m *Memory) LoadSnapshot(kind, id string) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	data, ok := m.snaps[snapKey(kind, id)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrNoSnapshot, kind, id)
-	}
-	return append([]byte(nil), data...), nil
-}
-
-func (m *Memory) DeleteSnapshot(kind, id string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	delete(m.snaps, snapKey(kind, id))
-	return nil
-}
-
 func (m *Memory) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := Stats{
+	return Stats{
 		Backend:      "memory",
 		Records:      uint64(len(m.records)),
 		JournalBytes: m.bytes,
-		Snapshots:    len(m.snaps),
 		LastAppend:   m.last,
 	}
-	for _, data := range m.snaps {
-		st.SnapshotBytes += int64(len(data))
-	}
-	return st
 }
 
 func (m *Memory) Close() error {
@@ -116,9 +77,9 @@ func (m *Memory) Close() error {
 }
 
 // CloneWithPrefix returns a fresh Memory store holding the first n journal
-// records (and no snapshots). Recovery property tests use it to assert that
-// any journal prefix recovers to the same state as replaying that prefix
-// against a fresh service.
+// records. Recovery property tests use it to assert that any journal prefix
+// recovers to the same state as replaying that prefix against a fresh
+// service.
 func (m *Memory) CloneWithPrefix(n int) *Memory {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -131,5 +92,3 @@ func (m *Memory) CloneWithPrefix(n int) *Memory {
 	}
 	return cp
 }
-
-func snapKey(kind, id string) string { return kind + "/" + id }

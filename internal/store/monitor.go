@@ -23,7 +23,7 @@ type Monitored struct {
 
 // Monitor wraps st and registers its metrics on reg. The scrape hook added
 // here reads st.Stats() (cheap: in-memory counters guarded by the store's
-// own lock) so journal size, record count and snapshot bytes are current
+// own lock) so journal size and record count are current
 // on every scrape without polling.
 func Monitor(st Store, reg *obs.Registry) *Monitored {
 	m := &Monitored{
@@ -35,15 +35,11 @@ func Monitor(st Store, reg *obs.Registry) *Monitored {
 	}
 	records := reg.NewGauge("scrutinizer_store_journal_records", "Intact journal records in the store.")
 	journalBytes := reg.NewGauge("scrutinizer_store_journal_bytes", "Journal size in bytes.")
-	snapshots := reg.NewGauge("scrutinizer_store_snapshots", "Stored model snapshots.")
-	snapshotBytes := reg.NewGauge("scrutinizer_store_snapshot_bytes", "Total size of stored snapshots in bytes.")
 	tornTail := reg.NewGauge("scrutinizer_store_torn_tail_recovered", "1 when opening the journal truncated a torn tail, else 0.")
 	reg.OnScrape(func() {
 		st := m.inner.Stats()
 		records.Set(float64(st.Records))
 		journalBytes.Set(float64(st.JournalBytes))
-		snapshots.Set(float64(st.Snapshots))
-		snapshotBytes.Set(float64(st.SnapshotBytes))
 		if st.TornTailRecovered {
 			tornTail.Set(1)
 		} else {
@@ -76,21 +72,6 @@ func (m *Monitored) Replay(fn func(*Record) error) error {
 	err := m.inner.Replay(fn)
 	m.recovery.Set(time.Since(start).Seconds())
 	return err
-}
-
-// SaveSnapshot implements Store.
-func (m *Monitored) SaveSnapshot(kind, id string, data []byte) error {
-	return m.inner.SaveSnapshot(kind, id, data)
-}
-
-// LoadSnapshot implements Store.
-func (m *Monitored) LoadSnapshot(kind, id string) ([]byte, error) {
-	return m.inner.LoadSnapshot(kind, id)
-}
-
-// DeleteSnapshot implements Store.
-func (m *Monitored) DeleteSnapshot(kind, id string) error {
-	return m.inner.DeleteSnapshot(kind, id)
 }
 
 // Stats implements Store.

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -16,9 +15,6 @@ func TestMonitoredCounts(t *testing.T) {
 		if err := st.Append(&Record{Op: OpRelationPut, Corpus: "c"}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := st.SaveSnapshot("model", "m1", []byte("blob")); err != nil {
-		t.Fatal(err)
 	}
 	n := 0
 	if err := st.Replay(func(*Record) error { n++; return nil }); err != nil {
@@ -38,8 +34,6 @@ func TestMonitoredCounts(t *testing.T) {
 		"scrutinizer_store_append_errors_total 0",
 		"scrutinizer_store_append_seconds_count 3",
 		"scrutinizer_store_journal_records 3",
-		"scrutinizer_store_snapshots 1",
-		"scrutinizer_store_snapshot_bytes 4",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
@@ -81,18 +75,9 @@ func TestMonitoredPassthrough(t *testing.T) {
 	if st.Inner() == nil {
 		t.Fatal("Inner() lost the wrapped store")
 	}
-	if err := st.SaveSnapshot("k", "id", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.LoadSnapshot("k", "id")
-	if err != nil || string(got) != "v" {
-		t.Fatalf("LoadSnapshot = %q, %v", got, err)
-	}
-	if err := st.DeleteSnapshot("k", "id"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.LoadSnapshot("k", "id"); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("expected ErrNoSnapshot, got %v", err)
+	appendAll(t, st, testRecord(OpCorpusCreate, "c1", ""))
+	if got := replayAll(t, st); len(got) != 1 || got[0].Corpus != "c1" {
+		t.Fatalf("Replay passthrough = %+v, want the one appended record", got)
 	}
 	if st.Stats().Backend != "memory" {
 		t.Fatalf("Stats passthrough broken: %+v", st.Stats())

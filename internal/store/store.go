@@ -1,12 +1,6 @@
 package store
 
-import (
-	"errors"
-	"time"
-)
-
-// ErrNoSnapshot reports a LoadSnapshot miss.
-var ErrNoSnapshot = errors.New("store: no such snapshot")
+import "time"
 
 // Stats is a point-in-time store summary, surfaced by /healthz.
 type Stats struct {
@@ -16,10 +10,6 @@ type Stats struct {
 	Records uint64 `json:"journal_records"`
 	// JournalBytes is the journal size in bytes.
 	JournalBytes int64 `json:"journal_bytes"`
-	// Snapshots counts stored model snapshots; SnapshotBytes their total
-	// size.
-	Snapshots     int   `json:"snapshots"`
-	SnapshotBytes int64 `json:"snapshot_bytes"`
 	// LastAppend is when the journal last grew (zero before any append
 	// this process).
 	LastAppend time.Time `json:"last_append,omitempty"`
@@ -29,22 +19,16 @@ type Stats struct {
 }
 
 // Store is the pluggable persistence backend: an append-only journal of
-// accepted mutations plus keyed snapshot blobs. Append must be durable
-// before it returns (for backends with a durability story); Replay streams
-// the journal in append order. All methods are safe for concurrent use.
+// accepted mutations. Append must be durable before it returns (for backends
+// with a durability story); Replay streams the journal in append order. All
+// methods are safe for concurrent use.
 type Store interface {
 	// Append durably journals one record, assigning Record.Seq.
 	Append(rec *Record) error
-	// Replay streams every intact journal record in order. An error from
-	// fn aborts the replay and is returned.
+	// Replay streams every intact journal record in order. Each record
+	// passed to fn is freshly allocated, so fn may retain it. An error
+	// from fn aborts the replay and is returned.
 	Replay(fn func(*Record) error) error
-	// SaveSnapshot stores (or replaces) an opaque blob under (kind, id).
-	SaveSnapshot(kind, id string, data []byte) error
-	// LoadSnapshot returns the blob under (kind, id), or ErrNoSnapshot.
-	LoadSnapshot(kind, id string) ([]byte, error)
-	// DeleteSnapshot removes the blob under (kind, id); removing an
-	// absent snapshot is a no-op.
-	DeleteSnapshot(kind, id string) error
 	// Stats summarises the store.
 	Stats() Stats
 	// Close releases the backend. A closed store rejects writes.

@@ -85,36 +85,6 @@ func storeContract(t *testing.T, open func(t *testing.T) Store) {
 		}
 	})
 
-	t.Run("Snapshots", func(t *testing.T) {
-		s := open(t)
-		defer s.Close()
-		if _, err := s.LoadSnapshot("verifier", "v1"); !errors.Is(err, ErrNoSnapshot) {
-			t.Fatalf("LoadSnapshot on empty store: %v, want ErrNoSnapshot", err)
-		}
-		if err := s.SaveSnapshot("verifier", "v1", []byte("blob-1")); err != nil {
-			t.Fatalf("SaveSnapshot: %v", err)
-		}
-		if err := s.SaveSnapshot("verifier", "v1", []byte("blob-2")); err != nil {
-			t.Fatalf("SaveSnapshot replace: %v", err)
-		}
-		data, err := s.LoadSnapshot("verifier", "v1")
-		if err != nil || string(data) != "blob-2" {
-			t.Fatalf("LoadSnapshot = %q, %v; want blob-2", data, err)
-		}
-		if st := s.Stats(); st.Snapshots != 1 || st.SnapshotBytes != int64(len("blob-2")) {
-			t.Errorf("Stats = %+v, want 1 snapshot of %d bytes", st, len("blob-2"))
-		}
-		if err := s.DeleteSnapshot("verifier", "v1"); err != nil {
-			t.Fatalf("DeleteSnapshot: %v", err)
-		}
-		if err := s.DeleteSnapshot("verifier", "v1"); err != nil {
-			t.Fatalf("DeleteSnapshot absent: %v, want nil", err)
-		}
-		if _, err := s.LoadSnapshot("verifier", "v1"); !errors.Is(err, ErrNoSnapshot) {
-			t.Fatalf("LoadSnapshot after delete: %v, want ErrNoSnapshot", err)
-		}
-	})
-
 	t.Run("ClosedRejectsWrites", func(t *testing.T) {
 		s := open(t)
 		if err := s.Close(); err != nil {
@@ -122,9 +92,6 @@ func storeContract(t *testing.T, open func(t *testing.T) Store) {
 		}
 		if err := s.Append(testRecord(OpCorpusCreate, "c1", "")); !errors.Is(err, ErrClosed) {
 			t.Errorf("Append after Close: %v, want ErrClosed", err)
-		}
-		if err := s.SaveSnapshot("verifier", "v1", nil); !errors.Is(err, ErrClosed) {
-			t.Errorf("SaveSnapshot after Close: %v, want ErrClosed", err)
 		}
 	})
 }
@@ -165,9 +132,6 @@ func TestFileStoreReopenPreservesJournal(t *testing.T) {
 		testRecord(OpRelationPut, "c1", `{"name":"r","csv":"k\n"}`),
 	}
 	appendAll(t, s, recs...)
-	if err := s.SaveSnapshot("verifier", "v1", []byte("model")); err != nil {
-		t.Fatalf("SaveSnapshot: %v", err)
-	}
 	s.Close()
 
 	s2, err := OpenFileStore(dir)
@@ -179,9 +143,9 @@ func TestFileStoreReopenPreservesJournal(t *testing.T) {
 	if st := s2.Stats(); st.TornTailRecovered {
 		t.Error("clean reopen reported a torn tail")
 	}
-	data, err := s2.LoadSnapshot("verifier", "v1")
-	if err != nil || string(data) != "model" {
-		t.Fatalf("LoadSnapshot after reopen = %q, %v", data, err)
+	// The journal is the store's only file: no side directories appear.
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 || entries[0].Name() != journalName {
+		t.Errorf("data dir holds %v (%v), want only %s", entries, err, journalName)
 	}
 	// Appends continue the sequence.
 	next := testRecord(OpCorpusDelete, "c1", "")
@@ -298,9 +262,6 @@ func TestFaultyStoreCutsAfterBudget(t *testing.T) {
 	}
 	if !s.Tripped() {
 		t.Fatal("fault did not report tripped")
-	}
-	if err := s.SaveSnapshot("verifier", "v1", nil); !errors.Is(err, ErrInjected) {
-		t.Errorf("SaveSnapshot after trip: %v, want ErrInjected", err)
 	}
 	// Only the two acknowledged records survive.
 	if got := replayAll(t, s); len(got) != 2 {

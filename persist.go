@@ -1,17 +1,17 @@
 package scrutinizer
 
 // This file is the durability layer behind Service: a pluggable Store
-// (write-ahead journal + model-snapshot blobs, package internal/store)
-// attached to the registry so every accepted /v1 mutation is journaled
-// before it is acknowledged, and a Recover pass that replays the journal on
-// boot to rebuild exactly the acknowledged state:
+// (write-ahead journal, package internal/store) attached to the registry so
+// every accepted /v1 mutation is journaled before it is acknowledged, and a
+// Recover pass that replays the journal on boot to rebuild exactly the
+// acknowledged state:
 //
 //   - corpora are reconstructed from their journaled relation CSV dumps
 //     (WriteCSV round-trips cells and NULLs exactly; metadata rides in the
 //     payload),
-//   - verifiers are re-materialized from their stored model snapshot, or —
-//     when no snapshot survives — deterministically retrained from the
-//     journaled training document (both paths verify bit-identically),
+//   - verifiers are deterministically retrained from the journaled training
+//     document and options — the classifiers are a pure function of those,
+//     so no model state is stored beside the journal,
 //   - interactive sessions are re-parked by replaying their journaled
 //     answer logs against fresh spawns (verification is deterministic in
 //     (engine, document, answers)).
@@ -35,7 +35,7 @@ import (
 )
 
 // Store is the pluggable persistence backend (see internal/store): an
-// append-only journal of accepted mutations plus keyed snapshot blobs.
+// append-only journal of accepted mutations.
 type Store = store.Store
 
 // StoreStats is a point-in-time store summary (served by /healthz).
@@ -75,12 +75,8 @@ func NewFaultyStorePlan(inner Store, plan StoreFaultPlan) *store.Faulty {
 	return store.NewFaultyPlan(inner, plan)
 }
 
-// snapshotKind is the store snapshot namespace for verifier model blobs.
-const snapshotKind = "verifier"
-
 // verifierPayload is the OpVerifierCreate journal body: everything needed
-// to deterministically rebuild the verifier (the model snapshot is only an
-// optimization over retraining from this).
+// to deterministically rebuild the verifier by retraining.
 type verifierPayload struct {
 	// Training is the training document, in the claims JSON archive form.
 	Training json.RawMessage `json:"training"`
@@ -210,21 +206,6 @@ func (s *Service) journalSessionCreate(verifierID, sessionID string, doc *Docume
 	})
 }
 
-// saveVerifierSnapshot parks the verifier's encoded model state in the
-// store. Best-effort by contract: the journal record is the source of truth
-// and recovery falls back to deterministic retraining, so snapshot failures
-// must not fail the request that triggered them.
-func (s *Service) saveVerifierSnapshot(v *Verifier) error {
-	if s.store == nil {
-		return nil
-	}
-	blob, err := v.snapshot().EncodeModels()
-	if err != nil {
-		return err
-	}
-	return s.store.SaveSnapshot(snapshotKind, v.id, blob)
-}
-
 // RecoveryStats summarises one Recover pass (served by /healthz).
 type RecoveryStats struct {
 	// Records is the number of journal records replayed.
@@ -232,11 +213,6 @@ type RecoveryStats struct {
 	// Corpora and Verifiers count the recovered registry.
 	Corpora   int `json:"corpora"`
 	Verifiers int `json:"verifiers"`
-	// VerifiersFromSnapshot were re-materialized from a stored model
-	// snapshot; VerifiersRetrained fell back to deterministic retraining
-	// from the journaled training document (missing/corrupt snapshot).
-	VerifiersFromSnapshot int `json:"verifiers_from_snapshot"`
-	VerifiersRetrained    int `json:"verifiers_retrained"`
 	// Sessions were re-parked by answer-log replay; SessionsSkipped
 	// referenced resources deleted later in the journal or failed replay.
 	Sessions        int `json:"sessions_restored"`
@@ -271,11 +247,11 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 	}
 	var stats RecoveryStats
 
-	// Pass 1: fold the journal into the surviving resource set. Corpora
-	// are materialized eagerly (relation ops mutate them in place);
-	// verifiers and sessions are collected and materialized after, so a
-	// resource deleted later in the journal is never built at all.
-	corpora := make(map[string]*Corpus)
+	// Pass 1: fold the journal into the surviving resource set. Nothing is
+	// materialized yet, so a resource deleted later in the journal is never
+	// built at all. Each surviving corpus keeps its create record and the
+	// relation puts and deletes that followed, in journal order.
+	corpora := make(map[string][]*store.Record)
 	var corpusOrder []string
 	verifiers := make(map[string]*recVerifier)
 	var verifierOrder []string
@@ -287,26 +263,10 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 		stats.Records++
 		switch rec.Op {
 		case store.OpCorpusCreate:
-			var p store.CorpusPayload
-			if len(rec.Payload) > 0 {
-				if err := json.Unmarshal(rec.Payload, &p); err != nil {
-					return fmt.Errorf("corpus %q payload: %w", rec.Corpus, err)
-				}
-			}
-			c := NewCorpus()
-			for _, rp := range p.Relations {
-				rel, err := decodeRelation(rp)
-				if err != nil {
-					return fmt.Errorf("corpus %q relation %q: %w", rec.Corpus, rp.Name, err)
-				}
-				if err := c.Add(rel); err != nil {
-					return fmt.Errorf("corpus %q: %w", rec.Corpus, err)
-				}
-			}
 			if _, dup := corpora[rec.Corpus]; dup {
 				return fmt.Errorf("corpus %q created twice", rec.Corpus)
 			}
-			corpora[rec.Corpus] = c
+			corpora[rec.Corpus] = []*store.Record{rec}
 			corpusOrder = append(corpusOrder, rec.Corpus)
 			bumpSeq(&corpusSeq, rec.Corpus, 'c')
 
@@ -321,26 +281,15 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 			}
 
 		case store.OpRelationPut:
-			c, ok := corpora[rec.Corpus]
+			recs, ok := corpora[rec.Corpus]
 			if !ok {
 				return fmt.Errorf("relation put on unknown corpus %q", rec.Corpus)
 			}
-			var rp store.RelationPayload
-			if err := json.Unmarshal(rec.Payload, &rp); err != nil {
-				return fmt.Errorf("relation %q payload: %w", rec.Relation, err)
-			}
-			rel, err := decodeRelation(rp)
-			if err != nil {
-				return fmt.Errorf("relation %q: %w", rec.Relation, err)
-			}
-			c.Remove(rel.Name())
-			if err := c.Add(rel); err != nil {
-				return fmt.Errorf("relation %q: %w", rec.Relation, err)
-			}
+			corpora[rec.Corpus] = append(recs, rec)
 
 		case store.OpRelationDelete:
-			if c, ok := corpora[rec.Corpus]; ok {
-				c.Remove(rec.Relation)
+			if recs, ok := corpora[rec.Corpus]; ok {
+				corpora[rec.Corpus] = append(recs, rec)
 			}
 
 		case store.OpVerifierCreate:
@@ -396,21 +345,33 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 		return stats, fmt.Errorf("scrutinizer: replaying journal: %w", err)
 	}
 
-	// Pass 2: materialize into the registry, mutating state directly —
-	// the store is not attached yet, so nothing re-journals.
+	// Pass 2: materialize the surviving corpora, then register them,
+	// mutating state directly — the store is not attached yet, so nothing
+	// re-journals. Deleting each corpus's records once taken frees their
+	// raw CSV before verifier retraining, and skips the second entry of an
+	// ID deleted and created again (only its last incarnation survived).
+	built := make(map[string]*Corpus, len(corpora))
+	for _, id := range corpusOrder {
+		recs, ok := corpora[id]
+		if !ok {
+			continue
+		}
+		delete(corpora, id)
+		c, err := buildCorpus(id, recs)
+		if err != nil {
+			return stats, fmt.Errorf("scrutinizer: rebuilding corpus: %w", err)
+		}
+		built[id] = c
+	}
 	s.mu.Lock()
 	if len(s.corpora) != 0 || len(s.verifiers) != 0 {
 		s.mu.Unlock()
 		return stats, fmt.Errorf("scrutinizer: Recover requires an empty service")
 	}
-	for _, id := range corpusOrder {
-		c, ok := corpora[id]
-		if !ok {
-			continue
-		}
+	for id, c := range built {
 		s.corpora[id] = &serviceCorpus{id: id, corpus: c, qcache: NewQueryCache(), created: time.Now()}
-		stats.Corpora++
 	}
+	stats.Corpora = len(built)
 	if corpusSeq > s.corpusSeq {
 		s.corpusSeq = corpusSeq
 	}
@@ -424,7 +385,7 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 		if !ok {
 			continue
 		}
-		v, fromSnap, err := s.rebuildVerifier(st, rv)
+		v, err := s.rebuildVerifier(rv)
 		if err != nil {
 			return stats, fmt.Errorf("scrutinizer: rebuilding verifier %q: %w", id, err)
 		}
@@ -432,11 +393,6 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 		s.verifiers[id] = v
 		s.mu.Unlock()
 		stats.Verifiers++
-		if fromSnap {
-			stats.VerifiersFromSnapshot++
-		} else {
-			stats.VerifiersRetrained++
-		}
 	}
 
 	// Re-park sessions by answer-log replay. Hooks are not installed yet,
@@ -501,43 +457,71 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 	return stats, nil
 }
 
-// rebuildVerifier re-materializes one verifier: from its stored model
-// snapshot when one loads and restores cleanly, otherwise by deterministic
-// retraining from the journaled training document. Both paths produce
-// bit-identical verification behavior; the snapshot just skips the fit.
-func (s *Service) rebuildVerifier(st Store, rv *recVerifier) (*Verifier, bool, error) {
+// buildCorpus applies one surviving corpus's journaled records — its create
+// dump, then relation puts and deletes — in journal order, which keeps
+// relation order (and so the corpus's interned index) as it was live.
+func buildCorpus(id string, records []*store.Record) (*Corpus, error) {
+	c := NewCorpus()
+	for _, rec := range records {
+		switch rec.Op {
+		case store.OpCorpusCreate:
+			var p store.CorpusPayload
+			if len(rec.Payload) > 0 {
+				if err := json.Unmarshal(rec.Payload, &p); err != nil {
+					return nil, fmt.Errorf("corpus %q payload: %w", id, err)
+				}
+			}
+			for _, rp := range p.Relations {
+				rel, err := decodeRelation(rp)
+				if err != nil {
+					return nil, fmt.Errorf("corpus %q relation %q: %w", id, rp.Name, err)
+				}
+				if err := c.Add(rel); err != nil {
+					return nil, fmt.Errorf("corpus %q: %w", id, err)
+				}
+			}
+
+		case store.OpRelationPut:
+			var rp store.RelationPayload
+			if err := json.Unmarshal(rec.Payload, &rp); err != nil {
+				return nil, fmt.Errorf("relation %q payload: %w", rec.Relation, err)
+			}
+			rel, err := decodeRelation(rp)
+			if err != nil {
+				return nil, fmt.Errorf("relation %q: %w", rec.Relation, err)
+			}
+			c.Remove(rel.Name())
+			if err := c.Add(rel); err != nil {
+				return nil, fmt.Errorf("relation %q: %w", rec.Relation, err)
+			}
+
+		case store.OpRelationDelete:
+			c.Remove(rec.Relation)
+		}
+	}
+	return c, nil
+}
+
+// rebuildVerifier re-materializes one verifier by deterministic retraining
+// from its journaled training document and options, over the recovered
+// corpus and its shared QueryCache — exactly what CreateVerifier built.
+func (s *Service) rebuildVerifier(rv *recVerifier) (*Verifier, error) {
 	entry, ok := s.corpusEntry(rv.corpusID)
 	if !ok {
-		return nil, false, fmt.Errorf("corpus %q is gone", rv.corpusID)
+		return nil, fmt.Errorf("corpus %q is gone", rv.corpusID)
 	}
 	training, err := decodeDocument(rv.payload.Training)
 	if err != nil {
-		return nil, false, fmt.Errorf("training document: %w", err)
+		return nil, fmt.Errorf("training document: %w", err)
 	}
 	opts := rv.payload.Options.options()
-	if opts.QueryCache == nil {
-		opts.QueryCache = entry.qcache
-	}
-
-	if blob, err := st.LoadSnapshot(snapshotKind, rv.id); err == nil {
-		v, err := newVerifier(entry.corpus, training, opts, false)
-		if err != nil {
-			return nil, false, err
-		}
-		if err := v.base.RestoreTrained(blob); err == nil {
-			v.trained = countAnnotated(training.Claims)
-			v.id, v.corpusID, v.svc = rv.id, rv.corpusID, s
-			return v, true, nil
-		}
-		// Corrupt or incompatible snapshot: fall through to retraining —
-		// the journal, not the snapshot, is the source of truth.
-	}
+	opts.QueryCache = entry.qcache
 	v, err := NewVerifier(entry.corpus, training, opts)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	v.id, v.corpusID, v.svc = rv.id, rv.corpusID, s
-	return v, false, nil
+	return v, nil
 }
 
 // corpusEntry resolves a registered corpus entry.
@@ -546,16 +530,6 @@ func (s *Service) corpusEntry(id string) (*serviceCorpus, bool) {
 	defer s.mu.RUnlock()
 	e, ok := s.corpora[id]
 	return e, ok
-}
-
-func countAnnotated(cs []*Claim) int {
-	n := 0
-	for _, c := range cs {
-		if c != nil && c.Truth != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // bumpSeq advances a mint counter past a recovered "c7"/"v12"-style ID so

@@ -2,8 +2,11 @@ package scrutinizer
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -93,8 +96,9 @@ func mustEqualReports(t *testing.T, label string, want, got SessionReport) {
 // TestRecoveryRoundTrip is the core harness: drive a corpus + verifier +
 // interactive session partway, recover a fresh service from the journal,
 // and assert the recovered registry is bit-identical to the uninterrupted
-// one — same session state, same remaining walkthrough, same batch-run
-// verdicts from the recovered verifier.
+// one — same session state, same remaining walkthrough, same training
+// count, same batch-run verdicts from the verifier retrained from its
+// journaled training document.
 func TestRecoveryRoundTrip(t *testing.T) {
 	w := recoveryWorld(t)
 	docA, docB := splitWorldDoc(w)
@@ -128,9 +132,6 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	if stats.Corpora != 1 || stats.Verifiers != 1 || stats.Sessions != 1 || stats.SessionsSkipped != 0 {
 		t.Fatalf("recovery stats: %+v", stats)
 	}
-	if stats.VerifiersFromSnapshot != 1 || stats.VerifiersRetrained != 0 {
-		t.Fatalf("verifier should restore from its model snapshot: %+v", stats)
-	}
 
 	sess2, ok := mgr2.Get(sess.ID())
 	if !ok {
@@ -160,28 +161,16 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("verifier not recovered")
 	}
-	batch := func(vv *Verifier) *Result {
-		run, err := vv.StartRun(context.Background(), docB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		team, err := vv.NewTeam(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := run.Verify(context.Background(), team, VerifyOptions{BatchSize: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	if v2.TrainedOn() != v.TrainedOn() {
+		t.Fatalf("trained_on %d vs %d", v2.TrainedOn(), v.TrainedOn())
 	}
-	mustEqualResults(t, "batch run after recovery", batch(v), batch(v2))
+	mustEqualResults(t, "batch run after recovery", batchRun(t, v, docB), batchRun(t, v2, docB))
 }
 
-// TestRecoveryRetrainFallback pins the snapshot-less path: when no model
-// snapshot survives (here: a store whose journal was copied without blobs),
-// the verifier is deterministically retrained from the journaled training
-// document and still verifies bit-identically.
+// TestRecoveryRetrainFallback pins the retrain path on its own, without a
+// session manager: a service recovered from a copy of the journal alone
+// rebuilds the verifier by retraining on its journaled training document,
+// with the same training count and bit-identical batch verdicts.
 func TestRecoveryRetrainFallback(t *testing.T) {
 	w := recoveryWorld(t)
 	_, docB := splitWorldDoc(w)
@@ -195,16 +184,14 @@ func TestRecoveryRetrainFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Journal only, no snapshots: CloneWithPrefix copies every record and
-	// drops the blobs.
-	bare := st.CloneWithPrefix(int(st.Stats().Records))
+	journal := st.CloneWithPrefix(int(st.Stats().Records))
 	svc2 := NewService()
-	stats, err := svc2.Recover(bare, nil)
+	stats, err := svc2.Recover(journal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.VerifiersRetrained != 1 || stats.VerifiersFromSnapshot != 0 {
-		t.Fatalf("expected retrain fallback: %+v", stats)
+	if stats.Corpora != 1 || stats.Verifiers != 1 || stats.Sessions != 0 {
+		t.Fatalf("recovery stats: %+v", stats)
 	}
 	v2, ok := svc2.Verifier(v.ID())
 	if !ok {
@@ -213,22 +200,148 @@ func TestRecoveryRetrainFallback(t *testing.T) {
 	if v2.TrainedOn() != v.TrainedOn() {
 		t.Fatalf("trained_on %d vs %d", v2.TrainedOn(), v.TrainedOn())
 	}
-	batch := func(vv *Verifier) *Result {
-		run, err := vv.StartRun(context.Background(), docB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		team, err := vv.NewTeam(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := run.Verify(context.Background(), team, VerifyOptions{BatchSize: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	mustEqualResults(t, "retrained verifier", batchRun(t, v, docB), batchRun(t, v2, docB))
+}
+
+// batchRun verifies doc on a fresh run of v with a fixed team and batch.
+func batchRun(t *testing.T, v *Verifier, doc *Document) *Result {
+	t.Helper()
+	run, err := v.StartRun(context.Background(), doc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mustEqualResults(t, "retrained verifier", batch(v), batch(v2))
+	team, err := v.NewTeam(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := run.Verify(context.Background(), team, VerifyOptions{BatchSize: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestRecoveryBuildsOnlySurvivingCorpora: recovery folds the journal before
+// it decodes any relation CSV, so a corpus deleted later in the journal is
+// never built — not even when its relation dump would not parse.
+func TestRecoveryBuildsOnlySurvivingCorpora(t *testing.T) {
+	st := NewMemoryStore()
+	bad, err := json.Marshal(store.RelationPayload{Name: "broken", CSV: "key,\"unterminated\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []*store.Record{
+		{Op: store.OpCorpusCreate, Corpus: "gone"},
+		{Op: store.OpRelationPut, Corpus: "gone", Relation: "broken", Payload: bad},
+		{Op: store.OpCorpusDelete, Corpus: "gone"},
+	} {
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The dump really is undecodable: a surviving corpus holding it fails
+	// recovery.
+	if _, err := NewService().Recover(st.CloneWithPrefix(2), nil); err == nil {
+		t.Fatal("recovering a surviving corpus with an unparsable relation succeeded")
+	}
+
+	svc := NewService()
+	stats, err := svc.Recover(st, nil)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if stats.Records != 3 || stats.Corpora != 0 || len(svc.Corpora()) != 0 {
+		t.Fatalf("deleted corpus came back: stats %+v, corpora %+v", stats, svc.Corpora())
+	}
+
+	// Re-creating the ID brings back only the new, empty incarnation,
+	// counted once.
+	if err := st.Append(&store.Record{Op: store.OpCorpusCreate, Corpus: "gone"}); err != nil {
+		t.Fatal(err)
+	}
+	svc = NewService()
+	if stats, err = svc.Recover(st, nil); err != nil {
+		t.Fatalf("Recover after re-create: %v", err)
+	}
+	if ci := svc.Corpora(); stats.Corpora != 1 || len(ci) != 1 || ci[0].Relations != 0 {
+		t.Fatalf("re-created corpus: stats %+v, corpora %+v", stats, ci)
+	}
+}
+
+// TestRecoveryIgnoresStraySnapshotDir: data directories written before the
+// journal became the only durable state may still hold a snapshots/
+// directory of model blobs. The file store neither reads nor removes it, and
+// recovery retrains from the journal — so even a garbage blob under the
+// verifier's old name changes nothing.
+func TestRecoveryIgnoresStraySnapshotDir(t *testing.T) {
+	w := recoveryWorld(t)
+	docA, docB := splitWorldDoc(w)
+	dir := t.TempDir()
+	stray := filepath.Join(dir, "snapshots", "verifier-v1.snap")
+	if err := os.MkdirAll(filepath.Dir(stray), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stray, []byte("\x00not a model{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fs, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := NewSessionManager(0, 0)
+	svc := attachedService(t, fs, mgr)
+	if _, err := svc.AddCorpus("world", w.Corpus); err != nil {
+		t.Fatal(err)
+	}
+	v, err := svc.CreateVerifier("world", w.Document, Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.ID() != "v1" {
+		t.Fatalf("verifier id %q, want v1 to collide with the stray blob's name", v.ID())
+	}
+	sess, err := v.StartSession(context.Background(), mgr, docA, SessionOptions{Verify: VerifyOptions{BatchSize: 6, Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		answerNext(t, sess)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fs2, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs2.Close()
+	mgr2 := NewSessionManager(0, 0)
+	svc2 := NewService()
+	stats, err := svc2.Recover(fs2, mgr2)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if stats.Corpora != 1 || stats.Verifiers != 1 || stats.Sessions != 1 {
+		t.Fatalf("recovery stats: %+v", stats)
+	}
+	sess2, ok := mgr2.Get(sess.ID())
+	if !ok {
+		t.Fatalf("session %q not recovered", sess.ID())
+	}
+	driveToCompletion(t, sess)
+	driveToCompletion(t, sess2)
+	mustEqualReports(t, "session after reopen", sess.Report(), sess2.Report())
+	v2, ok := svc2.Verifier(v.ID())
+	if !ok {
+		t.Fatal("verifier not recovered")
+	}
+	mustEqualResults(t, "batch run after reopen", batchRun(t, v, docB), batchRun(t, v2, docB))
+
+	if data, err := os.ReadFile(stray); err != nil || string(data) != "\x00not a model{" {
+		t.Fatalf("stray snapshot file changed: now %d bytes, %v", len(data), err)
+	}
 }
 
 // registrySummary flattens the recoverable state into comparable strings:

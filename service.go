@@ -608,10 +608,9 @@ func (s *Service) CorpusQueryCache(id string) (*QueryCache, bool) {
 // RemoveCorpus drops a corpus and every verifier bound to it, reporting
 // whether the corpus was registered. Live runs and sessions keep working
 // on their spawned engines; they just can no longer be recreated. With a
-// store attached the cascade is journaled — and the dropped verifiers'
-// model snapshots deleted — before the call returns, so recovery never
-// resurrects any of it; a failed journal append rolls the removal back and
-// surfaces as ErrJournal.
+// store attached the cascade is journaled before the call returns, so
+// recovery never resurrects any of it; a failed journal append rolls the
+// removal back and surfaces as ErrJournal.
 func (s *Service) RemoveCorpus(id string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -635,13 +634,6 @@ func (s *Service) RemoveCorpus(id string) (bool, error) {
 		}
 		return false, err
 	}
-	if s.store != nil {
-		for _, v := range dropped {
-			// Best-effort: a surviving snapshot is unreachable garbage,
-			// not a correctness problem — replay has no verifier for it.
-			_ = s.store.DeleteSnapshot(snapshotKind, v.id)
-		}
-	}
 	return true, nil
 }
 
@@ -663,8 +655,8 @@ func (s *Service) CreateVerifier(corpusID string, training *Document, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	// The journal record carries the training document and options — the
-	// deterministic-retrain fallback when no model snapshot survives.
+	// The journal record carries the training document and options:
+	// recovery deterministically retrains the verifier from exactly these.
 	trainingJSON, err := encodeDocument(training)
 	if err != nil {
 		return nil, err
@@ -701,9 +693,6 @@ func (s *Service) CreateVerifier(corpusID string, training *Document, opts Optio
 		return nil, err
 	}
 	s.mu.Unlock()
-	// Park the trained model as a boot-time optimization. Best-effort:
-	// the journaled training document already guarantees recovery.
-	_ = s.saveVerifierSnapshot(v)
 	return v, nil
 }
 
@@ -717,8 +706,7 @@ func (s *Service) Verifier(id string) (*Verifier, bool) {
 
 // RemoveVerifier drops a verifier, reporting whether it was registered.
 // With a store attached the delete is journaled (rolled back on append
-// failure, surfaced as ErrJournal) and the verifier's model snapshot is
-// deleted, so recovery leaves no orphaned state behind.
+// failure, surfaced as ErrJournal), so recovery does not resurrect it.
 func (s *Service) RemoveVerifier(id string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -730,9 +718,6 @@ func (s *Service) RemoveVerifier(id string) (bool, error) {
 	if err := s.journal(&store.Record{Op: store.OpVerifierDelete, Verifier: id, Corpus: v.corpusID}); err != nil {
 		s.verifiers[id] = v
 		return false, err
-	}
-	if s.store != nil {
-		_ = s.store.DeleteSnapshot(snapshotKind, id)
 	}
 	return true, nil
 }
