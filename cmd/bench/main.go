@@ -67,8 +67,10 @@ type trackedBench struct {
 // the ≥5x ratio); the root Verify pair is the serving-throughput headline.
 // BenchmarkVerifyInstrumented vs BenchmarkVerifyEndToEnd pins the cost of
 // the run-lifecycle metric hooks: <2% ns/op and equal allocs/op.
+// BenchmarkRetrainLabelGrowth pins warm-start retraining over a growing
+// label vocabulary; cold refits would cost about 3x.
 var defaultTracked = []trackedBench{
-	{Pkg: "./internal/classifier", Bench: "BenchmarkTrain500x200|BenchmarkWarmRetrain500x200|BenchmarkPredictTopK|BenchmarkEntropy"},
+	{Pkg: "./internal/classifier", Bench: "BenchmarkTrain500x200|BenchmarkWarmRetrain500x200|BenchmarkRetrainLabelGrowth|BenchmarkPredictTopK|BenchmarkEntropy"},
 	{Pkg: "./internal/textproc", Bench: "BenchmarkSparseDot|BenchmarkTransform"},
 	{Pkg: "./internal/table", Bench: "BenchmarkCellLookup$|BenchmarkCellLookupString"},
 	{Pkg: "./internal/query", Bench: "BenchmarkPlanExecute|BenchmarkExecuteCompiled|BenchmarkExecuteInterpreted"},

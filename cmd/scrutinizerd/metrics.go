@@ -53,6 +53,8 @@ type daemonMetrics struct {
 	runsCancelled  *obs.Counter
 	rounds         *obs.Counter
 	retrains       *obs.Counter
+	warmFits       *obs.Counter
+	coldFits       *obs.Counter
 	batchScoreSize *obs.Histogram
 
 	// Scrape-time mirrors refreshed from component stats.
@@ -133,6 +135,9 @@ func newDaemonMetrics(started time.Time) *daemonMetrics {
 		memoMisses: reg.NewCounter("scrutinizer_feature_memo_misses_total",
 			"Feature-vector memo misses (process-wide)."),
 	}
+	fits := reg.NewCounterVec("scrutinizer_classifier_fits_total",
+		"Property classifiers fitted at batch barriers, by fit (warm, cold).", "fit")
+	m.warmFits, m.coldFits = fits.With("warm"), fits.With("cold")
 	reg.NewGaugeFunc("scrutinizer_go_goroutines",
 		"Live goroutines.", func() float64 { return float64(runtime.NumGoroutine()) })
 	reg.NewGaugeFunc("scrutinizer_go_heap_alloc_bytes",
@@ -157,7 +162,14 @@ func (m *daemonMetrics) observer() *core.Observer {
 		RunCancelled: m.runsCancelled.Inc,
 		Round:        m.rounds.Inc,
 		Retrain:      m.retrains.Inc,
-		BatchScored:  func(n int) { m.batchScoreSize.Observe(float64(n)) },
+		ModelFit: func(warm bool) {
+			if warm {
+				m.warmFits.Inc()
+			} else {
+				m.coldFits.Inc()
+			}
+		},
+		BatchScored: func(n int) { m.batchScoreSize.Observe(float64(n)) },
 	}
 }
 

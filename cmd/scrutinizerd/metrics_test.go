@@ -159,6 +159,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"scrutinizer_session_answers_total",                            // sessions
 		"scrutinizer_runs_started_total",                               // core lifecycle
 		"scrutinizer_run_rounds_total",                                 // core lifecycle
+		`scrutinizer_classifier_fits_total{fit="warm"}`,                // core retrain
 		`scrutinizer_querycache_hits_total{corpus="default"}`,          // core cache
 		"scrutinizer_feature_memo_hits_total",                          // core cache
 		"scrutinizer_store_appends_total",                              // store
@@ -171,11 +172,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// Activity actually registered: the verify above must have counted at
-	// least one run, round and retrain on the event-driven counters.
+	// least one run, round and retrain on the event-driven counters, and
+	// both a cold fit (the run's first barrier) and a warm one (later
+	// barriers over a growing label pool).
 	for _, name := range []string{
 		"scrutinizer_runs_started_total 0",
 		"scrutinizer_run_rounds_total 0",
 		"scrutinizer_model_retrains_total 0",
+		`scrutinizer_classifier_fits_total{fit="warm"} 0`,
+		`scrutinizer_classifier_fits_total{fit="cold"} 0`,
 		"scrutinizer_store_appends_total 0",
 	} {
 		if strings.Contains(body, name+"\n") {

@@ -81,3 +81,29 @@ func BenchmarkEntropy(b *testing.B) {
 		c.Entropy(f)
 	}
 }
+
+// BenchmarkRetrainLabelGrowth replays the retrain sequence of one
+// paper-scale run: batches of 100 examples join an append-only pool whose
+// label count grows every round (the vocabulary reaches ~300 labels over
+// eight barriers, near the ~400 of the largest paper-scale model), and the
+// model retrains on the whole pool after each batch. Only the first fit is
+// cold; every later round takes the warm growth path, so a slide back to
+// cold refits shows up as about 3x ns/op.
+func BenchmarkRetrainLabelGrowth(b *testing.B) {
+	var pool []Example
+	for r := 0; r < 8; r++ {
+		pool = append(pool, benchSet(100, 100+45*r, 40, int64(r+1))...)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := New(Config{Epochs: 6, Seed: 1})
+		for end := 100; end <= len(pool); end += 100 {
+			if err := c.Train(pool[:end]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if !c.WarmStarted() {
+			b.Fatal("expected warm-start retrains over a growing vocabulary")
+		}
+	}
+}

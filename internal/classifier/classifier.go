@@ -27,13 +27,16 @@
 // # Warm-start retraining
 //
 // Algorithm 1 retrains after every crowd batch on the accumulated label
-// set. When a retrain's label vocabulary is exactly the vocabulary of the
-// previous fit, Train reuses the existing weights and AdaGrad state and
-// runs only Config.WarmStartEpochs passes (the dense matrix grows in place
-// if new feature indexes appeared). When the vocabulary changed — new
-// labels surfaced, old ones vanished — it falls back to a from-scratch fit,
-// so stale classes can never linger. Config.ColdStart disables the warm
-// path entirely for callers that need scratch-identical models.
+// set. That set only grows, and its label vocabulary grows with it: at
+// paper scale every batch brings new labels. As long as no previously
+// known label has vanished, Train reuses the existing weights and AdaGrad
+// state and runs only Config.WarmStartEpochs passes. New labels are
+// appended in first-seen order with zero weights, and the dense matrices
+// are re-laid out once per retrain to the wider label stride and any new
+// feature rows. On the first fit, or when a known label vanished, Train
+// refits from scratch, so stale classes can never linger.
+// Config.ColdStart disables the warm path entirely for callers that need
+// scratch-identical models.
 //
 // # Batch scoring
 //
@@ -68,8 +71,8 @@ type Config struct {
 	// Seed drives the (deterministic) example shuffling.
 	Seed int64
 	// WarmStartEpochs is the number of passes a warm-start retrain runs
-	// when the label vocabulary is unchanged and the previous weights are
-	// reused (default max(2, Epochs/3)).
+	// when no known label vanished and the previous weights are reused
+	// (default max(2, Epochs/3)).
 	WarmStartEpochs int
 	// ColdStart forces every Train call to refit from scratch, disabling
 	// warm-start weight reuse.
@@ -203,12 +206,15 @@ func (c *Classifier) TrainedOn() int { return c.trained }
 // weights (warm start) rather than refitting from scratch.
 func (c *Classifier) WarmStarted() bool { return c.warm }
 
-// Train fits the model on examples. When the example set's label
-// vocabulary is identical to the current one (and ColdStart is off), the
+// Train fits the model on examples. When every label of the current
+// vocabulary still occurs in the example set (and ColdStart is off), the
 // existing weights and AdaGrad state are reused and only WarmStartEpochs
-// passes run — the cheap per-batch retrain of Algorithm 1. Otherwise the
-// vocabulary is rebuilt and the model refits from scratch over Epochs
-// passes.
+// passes run — the cheap per-batch retrain of Algorithm 1. Labels new to
+// the model are appended in first-seen order and start from zero weights;
+// for an append-only training pool that is the order a from-scratch fit
+// produces. Otherwise — the first fit, or a previously known label
+// vanished — the vocabulary is rebuilt and the model refits from scratch
+// over Epochs passes.
 func (c *Classifier) Train(examples []Example) error {
 	if len(examples) == 0 {
 		return fmt.Errorf("classifier: no training examples")
@@ -224,10 +230,10 @@ func (c *Classifier) Train(examples []Example) error {
 			maxIdx = m
 		}
 	}
-	warm := !c.cfg.ColdStart && c.trained > 0 && len(fresh) == len(c.labels)
+	warm := !c.cfg.ColdStart && c.trained > 0
 	if warm {
-		for l := range fresh {
-			if _, ok := c.labelIdx[l]; !ok {
+		for _, l := range c.labels {
+			if !fresh[l] {
 				warm = false
 				break
 			}
@@ -237,28 +243,13 @@ func (c *Classifier) Train(examples []Example) error {
 	epochs := c.cfg.Epochs
 	if warm {
 		epochs = c.cfg.WarmStartEpochs
-		if width := maxIdx + 1; width > c.dim {
-			// New feature indexes appeared: grow the matrices. The
-			// feature-major layout appends rows at the end, so this is a
-			// plain copy.
-			nL := len(c.labels)
-			grown := make([]float64, width*nL)
-			copy(grown, c.w)
-			c.w = grown
-			grown = make([]float64, width*nL)
-			copy(grown, c.gsq)
-			c.gsq = grown
-			c.dim = width
-		}
+		oldL := len(c.labels)
+		c.addLabels(examples)
+		c.grow(maxIdx+1, oldL)
 	} else {
 		c.labels = nil
 		c.labelIdx = make(map[string]int, len(fresh))
-		for _, ex := range examples {
-			if _, ok := c.labelIdx[ex.Label]; !ok {
-				c.labelIdx[ex.Label] = len(c.labels)
-				c.labels = append(c.labels, ex.Label)
-			}
-		}
+		c.addLabels(examples)
 		nL := len(c.labels)
 		c.dim = maxIdx + 1
 		c.w = make([]float64, c.dim*nL)
@@ -299,6 +290,42 @@ func (c *Classifier) Train(examples []Example) error {
 		}
 	}
 	return nil
+}
+
+// addLabels appends the examples' labels that are new to the vocabulary,
+// in first-seen order.
+func (c *Classifier) addLabels(examples []Example) {
+	for _, ex := range examples {
+		if _, ok := c.labelIdx[ex.Label]; !ok {
+			c.labelIdx[ex.Label] = len(c.labels)
+			c.labels = append(c.labels, ex.Label)
+		}
+	}
+}
+
+// grow widens a warm model to the current label count and to at least
+// width features. The weight and accumulator matrices are re-laid out to
+// the wider feature-major stride in one fresh pair of buffers: feature
+// rows append at the end, class columns at the end of every row, and
+// everything new — rows, columns, bias and bias accumulators — starts at
+// zero. oldL is the label count the matrices are laid out for.
+func (c *Classifier) grow(width, oldL int) {
+	nL := len(c.labels)
+	if width < c.dim {
+		width = c.dim
+	}
+	if width == c.dim && nL == oldL {
+		return
+	}
+	w := make([]float64, width*nL)
+	gsq := make([]float64, width*nL)
+	for fi := 0; fi < c.dim; fi++ {
+		copy(w[fi*nL:], c.w[fi*oldL:(fi+1)*oldL])
+		copy(gsq[fi*nL:], c.gsq[fi*oldL:(fi+1)*oldL])
+	}
+	c.w, c.gsq, c.dim = w, gsq, width
+	c.bias = append(c.bias, make([]float64, nL-oldL)...)
+	c.gsqB = append(c.gsqB, make([]float64, nL-oldL)...)
 }
 
 // sgdStep applies one AdaGrad update for a single example. scores, grads

@@ -3,6 +3,7 @@ package classifier
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/repro/scrutinizer/internal/stats"
@@ -555,4 +556,196 @@ func TestCloneUntrained(t *testing.T) {
 			t.Fatal("cold clone trains differently from a fresh model")
 		}
 	}
+}
+
+// growthPool builds an append-only training pool in the shape Algorithm 1
+// accumulates: chunk r draws from the first labelsAt[r] labels, so every
+// chunk after the first brings labels the model has never seen (and
+// feature indexes beyond the previous width) while no label ever leaves.
+// It returns the pool and the cumulative chunk ends.
+func growthPool(seed int64, chunk int, labelsAt []int) ([]Example, []int) {
+	rng := rand.New(rand.NewSource(seed))
+	var pool []Example
+	var ends []int
+	for r, nL := range labelsAt {
+		pool = append(pool, randExamples(rng, chunk, nL, 16+8*r)...)
+		ends = append(ends, len(pool))
+	}
+	return pool, ends
+}
+
+// TestWarmStartLabelGrowth pins the growth path: a vocabulary that only
+// gains labels warm-starts, the new label lands in the order a cold fit
+// would give it, and it is learnt from zero weights in the warm passes.
+func TestWarmStartLabelGrowth(t *testing.T) {
+	ab := []Example{
+		{Features: vec(textproc.Vector{0: 1}), Label: "a"},
+		{Features: vec(textproc.Vector{1: 1}), Label: "b"},
+		{Features: vec(textproc.Vector{0: 1, 3: 0.2}), Label: "a"},
+		{Features: vec(textproc.Vector{1: 1, 3: 0.2}), Label: "b"},
+	}
+	abc := append(append([]Example(nil), ab...),
+		Example{Features: vec(textproc.Vector{2: 1}), Label: "c"},
+		Example{Features: vec(textproc.Vector{0: 1}), Label: "a"},
+		Example{Features: vec(textproc.Vector{2: 1, 7: 0.3}), Label: "c"},
+		Example{Features: vec(textproc.Vector{1: 1}), Label: "b"},
+		Example{Features: vec(textproc.Vector{2: 1, 3: 0.2}), Label: "c"},
+	)
+
+	c := New(Config{Seed: 4, Epochs: 6})
+	if err := c.Train(ab); err != nil {
+		t.Fatal(err)
+	}
+	oldW := append([]float64(nil), c.w...)
+	oldBias := append([]float64(nil), c.bias...)
+	oldDim := c.dim
+
+	// The re-layout alone keeps every known weight in place under the
+	// wider stride and zeroes everything new.
+	relaid := c.Clone()
+	relaid.addLabels(abc)
+	relaid.grow(8, 2)
+	if relaid.dim != 8 || len(relaid.w) != 8*3 || len(relaid.gsq) != 8*3 {
+		t.Fatalf("re-layout shape: dim %d, len(w) %d, len(gsq) %d", relaid.dim, len(relaid.w), len(relaid.gsq))
+	}
+	for fi := 0; fi < relaid.dim; fi++ {
+		for cls := 0; cls < 3; cls++ {
+			want := 0.0
+			if fi < oldDim && cls < 2 {
+				want = oldW[fi*2+cls]
+			}
+			if got := relaid.w[fi*3+cls]; got != want {
+				t.Fatalf("w[%d][%d] = %g after re-layout, want %g", fi, cls, got, want)
+			}
+		}
+	}
+	if relaid.bias[0] != oldBias[0] || relaid.bias[1] != oldBias[1] || relaid.bias[2] != 0 || relaid.gsqB[2] != 0 {
+		t.Fatalf("bias after re-layout = %v (gsqB %v), want %v then zero", relaid.bias, relaid.gsqB, oldBias)
+	}
+
+	if err := c.Train(abc); err != nil {
+		t.Fatal(err)
+	}
+	if !c.WarmStarted() {
+		t.Fatal("a vocabulary that only gained a label must warm start")
+	}
+	cold := New(Config{Seed: 4, Epochs: 6, ColdStart: true})
+	if err := cold.Train(abc); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(c.Labels(), cold.Labels()) {
+		t.Errorf("grown Labels() = %v, cold fit gives %v", c.Labels(), cold.Labels())
+	}
+	for i, l := range c.Labels() {
+		if c.labelIdx[l] != i {
+			t.Errorf("labelIdx[%q] = %d, want %d", l, c.labelIdx[l], i)
+		}
+	}
+	for _, ex := range abc {
+		if got, _, ok := c.Predict(ex.Features); !ok || got != ex.Label {
+			t.Errorf("Predict(%v) = %q after growth, want %q", ex.Features, got, ex.Label)
+		}
+	}
+}
+
+// TestWarmStartLabelSwapRefitsCold: gaining one label while losing another
+// is not growth — the model refits from scratch and the dropped label is
+// gone.
+func TestWarmStartLabelSwapRefitsCold(t *testing.T) {
+	c := New(Config{Seed: 1, Epochs: 3})
+	if err := c.Train([]Example{
+		{Features: vec(textproc.Vector{0: 1}), Label: "a"},
+		{Features: vec(textproc.Vector{1: 1}), Label: "b"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Train([]Example{
+		{Features: vec(textproc.Vector{0: 1}), Label: "a"},
+		{Features: vec(textproc.Vector{2: 1}), Label: "c"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if c.WarmStarted() {
+		t.Error("a vanished label must force a cold retrain")
+	}
+	if want := []string{"a", "c"}; !reflect.DeepEqual(c.Labels(), want) {
+		t.Errorf("Labels() = %v, want %v", c.Labels(), want)
+	}
+	if c.ProbOf(vec(textproc.Vector{1: 1}), "b") != 0 {
+		t.Error("stale label b still scored")
+	}
+	if len(c.bias) != 2 || len(c.w) != c.dim*2 {
+		t.Errorf("stale class columns survived: len(bias) %d, len(w) %d, dim %d", len(c.bias), len(c.w), c.dim)
+	}
+}
+
+// TestWarmGrowthDeterministic: two models fed the same growth sequence
+// stay bit-identical after every retrain — the property session replay
+// and journal recovery rely on.
+func TestWarmGrowthDeterministic(t *testing.T) {
+	pool, ends := growthPool(21, 40, []int{3, 5, 8, 12})
+	m1 := New(Config{Seed: 6, Epochs: 6})
+	m2 := New(Config{Seed: 6, Epochs: 6})
+	for r, end := range ends {
+		for _, m := range []*Classifier{m1, m2} {
+			if err := m.Train(pool[:end]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if warm := r > 0; m1.WarmStarted() != warm {
+			t.Fatalf("round %d: WarmStarted = %v, want %v", r, m1.WarmStarted(), warm)
+		}
+		if !reflect.DeepEqual(m1.labels, m2.labels) || m1.dim != m2.dim ||
+			!reflect.DeepEqual(m1.w, m2.w) || !reflect.DeepEqual(m1.gsq, m2.gsq) ||
+			!reflect.DeepEqual(m1.bias, m2.bias) || !reflect.DeepEqual(m1.gsqB, m2.gsqB) {
+			t.Fatalf("round %d: models fed the same growth sequence diverged", r)
+		}
+	}
+	if m1.NumLabels() != 12 {
+		t.Errorf("NumLabels = %d after growth to 12", m1.NumLabels())
+	}
+}
+
+// TestCloneIntoAfterLabelGrowth: re-priming a pooled model that is
+// narrower than a grown source (fewer labels, smaller width) scores and
+// retrains exactly like a fresh Clone.
+func TestCloneIntoAfterLabelGrowth(t *testing.T) {
+	pool, ends := growthPool(8, 30, []int{2, 4, 7})
+	src := New(Config{Seed: 2, Epochs: 4})
+	for _, end := range ends {
+		if err := src.Train(pool[:end]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !src.WarmStarted() {
+		t.Fatal("source should have grown warm")
+	}
+	dst := New(Config{Seed: 2, Epochs: 4})
+	if err := dst.Train(pool[:ends[0]]); err != nil {
+		t.Fatal(err)
+	}
+	src.CloneInto(dst)
+	fresh := src.Clone()
+
+	fs := randFeatures(rand.New(rand.NewSource(3)), 20, 40)
+	check := func(stage string) {
+		t.Helper()
+		p1, e1 := dst.AnalyzeBatch(fs, 3)
+		p2, e2 := fresh.AnalyzeBatch(fs, 3)
+		if !reflect.DeepEqual(p1, p2) || !reflect.DeepEqual(e1, e2) {
+			t.Fatalf("%s: CloneInto model scores differ from Clone", stage)
+		}
+	}
+	check("after CloneInto")
+
+	more := append(append([]Example(nil), pool...), randExamples(rand.New(rand.NewSource(5)), 30, 9, 48)...)
+	for _, m := range []*Classifier{dst, fresh} {
+		if err := m.Train(more); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !dst.WarmStarted() || !fresh.WarmStarted() {
+		t.Fatal("further growth should warm start both copies")
+	}
+	check("after a further growth retrain")
 }

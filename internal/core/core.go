@@ -494,12 +494,15 @@ func (e *Engine) Featurize(c *claims.Claim) textproc.Sparse {
 
 // Train retrains all four classifiers from the annotated claims (those with
 // Truth set). Claims without annotations are skipped. It also refreshes the
-// formula library. Algorithm 1 calls this after every verified batch; once
-// a property's label vocabulary stops growing the underlying classifier
-// warm-starts from its previous weights instead of refitting from scratch
-// (see package classifier). The four models train concurrently; see train.
+// formula library. Algorithm 1 calls this after every verified batch over
+// a pool that only grows; as long as no label a classifier already knows
+// has vanished from its examples, it warm-starts from its previous
+// weights instead of refitting from scratch (see package classifier). A
+// kind with no labels in the pool keeps its previous model. The four
+// models train concurrently; see train.
 func (e *Engine) Train(annotated []*claims.Claim) error {
-	return e.train(annotated, DefaultParallelism())
+	_, err := e.train(annotated, DefaultParallelism())
+	return err
 }
 
 // train is Train with an explicit fan-out: the four models are independent
@@ -509,8 +512,9 @@ func (e *Engine) Train(annotated []*claims.Claim) error {
 // times down to the slowest single model, which is the serial bottleneck
 // of document verification at paper scale. Verify threads its
 // VerifyConfig.Parallelism through here so a Parallelism=1 run is a truly
-// sequential baseline.
-func (e *Engine) train(annotated []*claims.Claim, parallelism int) error {
+// sequential baseline. It returns, for every model it fitted, whether that
+// fit warm-started.
+func (e *Engine) train(annotated []*claims.Claim, parallelism int) ([]bool, error) {
 	sets := make(map[PropertyKind][]classifier.Example, 4)
 	e.lib = formula.NewLibrary()
 	for _, c := range annotated {
@@ -531,24 +535,19 @@ func (e *Engine) train(annotated []*claims.Claim, parallelism int) error {
 			// it once.
 			ent := e.fc.intern(c.Truth.Formula)
 			if ent.err != nil {
-				return fmt.Errorf("core: claim %d has malformed formula %q: %w", c.ID, c.Truth.Formula, ent.err)
+				return nil, fmt.Errorf("core: claim %d has malformed formula %q: %w", c.ID, c.Truth.Formula, ent.err)
 			}
 			e.lib.AddKeyed(ent.canon, ent.f)
 		}
 	}
 	kinds := PropertyKinds()
 	errs := make([]error, len(kinds))
-	trainedAny := false
-	for _, k := range kinds {
-		if len(sets[k]) > 0 {
-			trainedAny = true
-			break
-		}
-	}
 	runPool(len(kinds), parallelism, func(i int) {
 		k := kinds[i]
 		if len(sets[k]) == 0 {
-			return // stay untrained for this property (cold start)
+			// Nothing to learn from: keep the previous model — for a run,
+			// the verifier's model, or untrained on a fresh engine.
+			return
 		}
 		if err := e.models[k].Train(sets[k]); err != nil {
 			errs[i] = fmt.Errorf("core: training %s classifier: %w", k, err)
@@ -556,17 +555,23 @@ func (e *Engine) train(annotated []*claims.Claim, parallelism int) error {
 	})
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	if trainedAny {
+	var fits []bool
+	for _, k := range kinds {
+		if len(sets[k]) > 0 {
+			fits = append(fits, e.models[k].WarmStarted())
+		}
+	}
+	if len(fits) > 0 {
 		// Model state changed: stamp a new generation so cached per-claim
 		// assessments recompute lazily on next use.
 		e.assessMu.Lock()
 		e.gen++
 		e.assessMu.Unlock()
 	}
-	return nil
+	return fits, nil
 }
 
 // assess returns the claim's cached assessment, computing it when the

@@ -25,6 +25,21 @@
 // tests; the seqAssess hook preserves that path as the reference
 // implementation).
 //
+// # Retraining at batch barriers
+//
+// Each batch barrier (Algorithm 1 line 20) retrains the four models on the
+// run's labelled pool, which only ever grows, so each model's label
+// vocabulary only grows too. The classifiers warm-start on exactly that
+// condition — no label they know has vanished — reusing their weights for
+// Config.Classifier.WarmStartEpochs passes, new labels joining at zero
+// weight (see package classifier). A run's engine starts from the
+// verifier's archive model, and the run's first labels for a kind cover
+// only part of the archive vocabulary, so that model's first fit in the
+// run — normally at the first barrier — refits cold and every later fit
+// warm-starts. A kind with no labels in the pool is not fitted
+// and keeps its previous model: the archive model for a run, untrained on
+// a fresh engine. Observer.ModelFit reports each fit as warm or cold.
+//
 // # Formula cache
 //
 // Formula strings recur relentlessly: every claim's ground truth is

@@ -28,6 +28,10 @@ type Observer struct {
 	// Retrain fires after each successful classifier retrain at the batch
 	// barrier.
 	Retrain func()
+	// ModelFit fires once per classifier fitted at a batch barrier, after
+	// Retrain, reporting whether the fit warm-started from the previous
+	// weights (see package classifier) or refit from scratch.
+	ModelFit func(warm bool)
 	// BatchScored reports how many stale claims a batch-scored scheduler
 	// round featurized and scored.
 	BatchScored func(n int)
@@ -60,9 +64,20 @@ func obsRound() {
 	}
 }
 
-func obsRetrain() {
-	if o := observer.Load(); o != nil && o.Retrain != nil {
+// obsRetrain reports one barrier retrain; fits holds the warm flag of
+// every model it fitted.
+func obsRetrain(fits []bool) {
+	o := observer.Load()
+	if o == nil {
+		return
+	}
+	if o.Retrain != nil {
 		o.Retrain()
+	}
+	if o.ModelFit != nil {
+		for _, warm := range fits {
+			o.ModelFit(warm)
+		}
 	}
 }
 

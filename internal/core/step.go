@@ -623,10 +623,11 @@ func (dr *DocumentRun) completeBatch() error {
 	// Retrain (Algorithm 1 line 20), fanning the four independent models
 	// out under the same parallelism knob as batch assessment.
 	if len(dr.labelled) > 0 {
-		if err := dr.e.train(dr.labelled, dr.vc.Parallelism); err != nil {
+		fits, err := dr.e.train(dr.labelled, dr.vc.Parallelism)
+		if err != nil {
 			return err
 		}
-		obsRetrain()
+		obsRetrain(fits)
 	}
 	dr.res.Batches++
 	if dr.vc.AfterBatch != nil {
