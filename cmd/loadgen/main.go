@@ -37,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"runtime"
@@ -395,19 +396,15 @@ func drive(cfg config, r runner, tenants []*tenant) loadReport {
 	return rep
 }
 
-// percentile reads the p-quantile from sorted samples (nearest-rank).
+// percentile reads the p-quantile (0 <= p <= 1) from sorted samples by
+// nearest rank: the ceil(p·n)-th smallest, as stats.Percentile does.
 func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(p*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	p = min(max(p, 0), 1)
+	rank := int(math.Ceil(p * float64(len(sorted))))
+	return sorted[max(rank, 1)-1]
 }
 
 // gate compares fresh claims/s against a baseline LOAD_*.json, mirroring

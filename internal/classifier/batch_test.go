@@ -2,6 +2,7 @@ package classifier
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -67,6 +68,65 @@ func TestAnalyzeBatchMatchesSequential(t *testing.T) {
 					if !reflect.DeepEqual(gotP[i], wantP) {
 						t.Fatalf("trial %d n=%d k=%d row %d: preds %v != %v", trial, n, k, i, gotP[i], wantP)
 					}
+				}
+			}
+		}
+	}
+}
+
+// refScores is the row-at-a-time reference for scoreInto: bias plus, for
+// every in-range nonzero in index order, its weight row times its value.
+func refScores(c *Classifier, f textproc.Sparse) []float64 {
+	nL := len(c.labels)
+	s := append([]float64(nil), c.bias...)
+	for k := 0; k < f.NNZ(); k++ {
+		fi := f.Index(k)
+		if fi >= c.dim {
+			continue
+		}
+		for j := 0; j < nL; j++ {
+			s[j] += c.w[fi*nL+j] * f.Value(k)
+		}
+	}
+	return s
+}
+
+// TestScoreIntoMatchesReference pins the four-rows-per-sweep scoring
+// kernel bit-identical to refScores: label counts 1-7, vectors with 0-9
+// nonzeros (every leftover count 0-3 after the blocks of four), with and
+// without indexes at or above the trained width.
+func TestScoreIntoMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for nLabels := 1; nLabels <= 7; nLabels++ {
+		dim := 12 + rng.Intn(20)
+		c := New(Config{Seed: int64(nLabels), Epochs: 2})
+		if err := c.Train(randExamples(rng, 5*nLabels, nLabels, dim)); err != nil {
+			t.Fatal(err)
+		}
+		// Dense random weights, so every product counts.
+		for i := range c.w {
+			c.w[i] = rng.NormFloat64()
+		}
+		for i := range c.bias {
+			c.bias[i] = rng.NormFloat64()
+		}
+		got := make([]float64, nLabels)
+		for trial := 0; trial < 200; trial++ {
+			span := c.dim
+			if trial%2 == 1 {
+				span = 2 * c.dim // about half the indexes out of range
+			}
+			f := textproc.Vector{}
+			for nnz := trial / 2 % 10; len(f) < nnz; {
+				f[rng.Intn(span)] = rng.NormFloat64()
+			}
+			sf := f.Sparse()
+			c.scoreInto(sf, got)
+			want := refScores(c, sf)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("labels %d, %d nonzeros %v: class %d score %v, reference %v",
+						nLabels, len(f), f, j, got[j], want[j])
 				}
 			}
 		}

@@ -40,6 +40,13 @@
 // and keeps its previous model: the archive model for a run, untrained on
 // a fresh engine. Observer.ModelFit reports each fit as warm or cold.
 //
+// A fit's cost is its passes times the training pool times two classifier
+// kernels: the forward scoring pass, which sweeps every class, and the
+// AdaGrad update, which touches only the classes whose gradient is not
+// negligible (package classifier states the cutoff). The same scoring
+// kernel serves the scheduler's batch assessment, so a barrier's
+// re-scoring of the remaining claims gets cheaper with it.
+//
 // # Formula cache
 //
 // Formula strings recur relentlessly: every claim's ground truth is

@@ -132,6 +132,49 @@ func TestWarmGrowthQualityLock(t *testing.T) {
 	}
 }
 
+// cutoffParent holds warmGrowthRun's figures under DefaultConfig, seeds 1-8,
+// as measured at the commit before the classifier's gradient cutoff rose
+// from 1e-4 to 1e-3 (same harness, linux/amd64): total crowd seconds and
+// accuracy of each seed's 60-claim draft.
+var cutoffParent = [8]struct{ seconds, accuracy float64 }{
+	{21002.674758097397, 1},
+	{22957.093201908887, 1},
+	{20576.765790477708, 1},
+	{29113.33504217752, 1},
+	{28610.31109058649, 1},
+	{21565.576413860203, 1},
+	{30374.317933688642, 1},
+	{20188.59671858039, 1},
+}
+
+// TestGradCutoffQualityLock is the engine-level quality lock of the
+// classifier's gradient cutoff: over the eight seeds of
+// TestWarmGrowthQualityLock, default runs ask the crowd for the same total
+// time (within 3%) as the runs measured before the cutoff rose, and their
+// mean accuracy is at most 0.01 below. As there, the lock is on the totals
+// because single runs swing by several percent either way.
+func TestGradCutoffQualityLock(t *testing.T) {
+	var gotS, wantS, gotAcc, wantAcc float64
+	for i, parent := range cutoffParent {
+		seed := int64(i + 1)
+		res, acc, _ := warmGrowthRun(t, seed, DefaultConfig())
+		n := float64(len(res.Outcomes))
+		t.Logf("seed %d: crowd s/claim %.2f (before %.2f), accuracy %.4f (before %.4f)",
+			seed, res.Seconds/n, parent.seconds/n, acc, parent.accuracy)
+		gotS += res.Seconds
+		wantS += parent.seconds
+		gotAcc += acc / float64(len(cutoffParent))
+		wantAcc += parent.accuracy / float64(len(cutoffParent))
+	}
+	t.Logf("total crowd seconds %.1f (before %.1f), mean accuracy %.4f (before %.4f)", gotS, wantS, gotAcc, wantAcc)
+	if d := math.Abs(gotS-wantS) / wantS; d > 0.03 {
+		t.Errorf("total crowd seconds %.1f vs %.1f before the cutoff change (%.1f%% apart, want <= 3%%)", gotS, wantS, 100*d)
+	}
+	if gotAcc < wantAcc-0.01 {
+		t.Errorf("mean accuracy %.4f, before the cutoff change %.4f", gotAcc, wantAcc)
+	}
+}
+
 // TestTrainKeepsModelOfUnlabelledKind pins what train does with a property
 // kind that has no labels in the pool: it fits nothing and keeps the
 // previous model untouched — for a run, the verifier's archive model.

@@ -17,32 +17,35 @@ func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p == 0 {
-		return sorted[0]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
+	return nearestRank(sortedCopy(xs), p)
 }
 
 // Percentiles evaluates several percentile levels in one pass over a single
-// sorted copy of xs.
+// sorted copy of xs; each level equals Percentile(xs, level).
 func Percentiles(xs []float64, levels []float64) []float64 {
 	out := make([]float64, len(levels))
+	if len(xs) == 0 {
+		return out
+	}
+	sorted := sortedCopy(xs)
 	for i, p := range levels {
-		out[i] = Percentile(xs, p)
+		out[i] = nearestRank(sorted, p)
 	}
 	return out
+}
+
+func sortedCopy(xs []float64) []float64 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return sorted
+}
+
+// nearestRank reads the p-th percentile from non-empty sorted samples: the
+// ceil(p/100·n)-th smallest, with p clamped to [0, 100].
+func nearestRank(sorted []float64, p float64) float64 {
+	p = min(max(p, 0), 100)
+	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
+	return sorted[max(rank, 1)-1]
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.

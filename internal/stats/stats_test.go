@@ -50,6 +50,9 @@ func TestPercentileClampsOutOfRange(t *testing.T) {
 	if got := Percentile(xs, 150); got != 3 {
 		t.Errorf("Percentile(p>100) = %g, want max", got)
 	}
+	if got := Percentile(xs, math.Inf(1)); got != 3 {
+		t.Errorf("Percentile(+Inf) = %g, want max", got)
+	}
 }
 
 func TestPercentilesMultiLevel(t *testing.T) {
@@ -59,6 +62,34 @@ func TestPercentilesMultiLevel(t *testing.T) {
 	for i := range want {
 		if !almost(got[i], want[i]) {
 			t.Errorf("Percentiles[%d] = %g, want %g", i, got[i], want[i])
+		}
+	}
+}
+
+// TestPercentilesMatchesPercentile pins the sort-once Percentiles to
+// per-level Percentile calls, levels out of range and empty input included.
+func TestPercentilesMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	levels := []float64{math.Inf(-1), -5, 0, 0.5, 10, 25, 33.3, 50, 75, 90, 95, 99, 99.9, 100, 150, math.Inf(1)}
+	for trial := 0; trial < 100; trial++ {
+		xs := make([]float64, trial%23)
+		for i := range xs {
+			xs[i] = math.Round(rng.NormFloat64()*10) / 2 // ties included
+		}
+		orig := append([]float64(nil), xs...)
+		got := Percentiles(xs, levels)
+		if len(got) != len(levels) {
+			t.Fatalf("%d levels, %d results", len(levels), len(got))
+		}
+		for i, p := range levels {
+			if want := Percentile(xs, p); got[i] != want {
+				t.Fatalf("Percentiles(%v)[%g] = %g, Percentile = %g", xs, p, got[i], want)
+			}
+		}
+		for i := range xs {
+			if xs[i] != orig[i] {
+				t.Fatalf("input mutated: %v, was %v", xs, orig)
+			}
 		}
 	}
 }
