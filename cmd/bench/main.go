@@ -3,7 +3,7 @@
 // machine-readable performance trajectory alongside the paper-figure
 // numbers. Run it from the repository root after perf-relevant changes:
 //
-//	go run ./cmd/bench                    # default tracked set, 1s per bench
+//	go run ./cmd/bench                    # default tracked set, 1s per bench, one core
 //	go run ./cmd/bench -benchtime 2s      # steadier numbers
 //	go run ./cmd/bench -bench 'Train' -pkg ./internal/classifier
 //	go run ./cmd/bench -out /tmp -date 2026-01-31
@@ -30,10 +30,11 @@
 // of similar class; the wide 2x timing threshold absorbs the remaining
 // machine-to-machine spread.
 //
-// -cpu N reruns the whole suite under `go test -cpu N` (GOMAXPROCS=N) and
-// writes BENCH_<date>.cpuN.json instead, with gomaxprocs recorded as N —
-// the committed multi-core baseline that keeps the parallel paths honest
-// next to the single-core one.
+// Every run passes `go test -cpu N` (GOMAXPROCS=N) and records gomaxprocs
+// as N. The default -cpu 1 is the single-core baseline, BENCH_<date>.json;
+// -cpu N > 1 writes BENCH_<date>.cpuN.json instead — the committed
+// multi-core baseline that keeps the parallel paths honest next to the
+// single-core one.
 package main
 
 import (
@@ -119,8 +120,12 @@ func main() {
 	baseline := flag.String("baseline", "", "BENCH_*.json to gate against; exit non-zero on regressions")
 	maxRatio := flag.Float64("max-ratio", 2.0, "fail when fresh ns/op exceeds baseline ns/op by this factor (with -baseline)")
 	maxAllocRatio := flag.Float64("max-alloc-ratio", 1.5, "fail when fresh allocs/op exceeds baseline allocs/op by this factor (with -baseline; 0 disables)")
-	cpuN := flag.Int("cpu", 0, "run the suite under `go test -cpu N` and write BENCH_<date>.cpuN.json (0: current GOMAXPROCS)")
+	cpuN := flag.Int("cpu", 1, "run the suite under `go test -cpu N`; N > 1 writes BENCH_<date>.cpuN.json")
 	flag.Parse()
+	if *cpuN < 1 {
+		fmt.Fprintln(os.Stderr, "bench: -cpu must be at least 1")
+		os.Exit(2)
+	}
 
 	tracked := defaultTracked
 	if *benchRe != "" {
@@ -136,12 +141,9 @@ func main() {
 		GoVersion:        runtime.Version(),
 		GOOS:             runtime.GOOS,
 		GOARCH:           runtime.GOARCH,
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
+		GOMAXPROCS:       *cpuN,
 		QueryCacheShards: core.QueryCacheShards,
 		BenchTime:        *benchtime,
-	}
-	if *cpuN > 0 {
-		rep.GOMAXPROCS = *cpuN
 	}
 	for _, t := range tracked {
 		results, cpu, err := runBench(t, *benchtime, *cpuN)
@@ -160,7 +162,7 @@ func main() {
 	}
 
 	name := "BENCH_" + *date + ".json"
-	if *cpuN > 0 {
+	if *cpuN > 1 {
 		name = fmt.Sprintf("BENCH_%s.cpu%d.json", *date, *cpuN)
 	}
 	path := filepath.Join(*out, name)
@@ -308,14 +310,11 @@ func findRegressions(fresh []result, baseBy map[string]result, maxRatio, maxAllo
 	return out
 }
 
-// runBench executes one `go test -bench` invocation and parses its output.
-// cpuN > 0 adds -cpu N, running every benchmark at GOMAXPROCS=N.
+// runBench executes one `go test -bench` invocation at GOMAXPROCS=cpuN
+// and parses its output.
 func runBench(t trackedBench, benchtime string, cpuN int) ([]result, string, error) {
-	args := []string{"test", "-run", "^$",
+	args := []string{"test", "-run", "^$", "-cpu", strconv.Itoa(cpuN),
 		"-bench", t.Bench, "-benchmem", "-benchtime", benchtime}
-	if cpuN > 0 {
-		args = append(args, "-cpu", strconv.Itoa(cpuN))
-	}
 	cmd := exec.Command("go", append(args, t.Pkg)...)
 	cmd.Stderr = os.Stderr
 	outPipe, err := cmd.StdoutPipe()

@@ -34,6 +34,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -446,8 +447,8 @@ func cpuModel() string {
 
 // localCrowd answers session question screens from a world's ground truth,
 // exactly like the in-process simulated crowd: per-claim team views,
-// truth labels from the document, truth SQL from an identically built
-// engine over the same corpus. One localCrowd per (worker, tenant) —
+// truth labels from the document, truth SQL from the engine of a cold run
+// over the same corpus. One localCrowd per (worker, tenant) —
 // teams carry mutable RNG state and must not be shared across goroutines.
 type localCrowd struct {
 	engine  *core.Engine
@@ -457,16 +458,20 @@ type localCrowd struct {
 }
 
 func newLocalCrowd(w *worldgen.World, seed int64, teamSize int) (*localCrowd, error) {
-	sys, err := scrutinizer.New(w.Corpus, w.Document, scrutinizer.Options{Seed: seed})
+	v, err := scrutinizer.NewVerifier(w.Corpus, w.Document.Unannotated(), scrutinizer.Options{Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	team, err := sys.NewTeam(teamSize)
+	run, err := v.StartRun(context.Background(), w.Document)
+	if err != nil {
+		return nil, err
+	}
+	team, err := v.NewTeam(teamSize)
 	if err != nil {
 		return nil, err
 	}
 	lc := &localCrowd{
-		engine:  sys.Engine(),
+		engine:  run.Engine(),
 		team:    team,
 		byID:    make(map[int]*scrutinizer.Claim, len(w.Document.Claims)),
 		oracles: make(map[int]core.Oracle),

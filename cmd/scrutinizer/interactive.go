@@ -79,13 +79,14 @@ func runInteractive(in io.Reader, out io.Writer, numClaims int, seed int64) erro
 	if err != nil {
 		return err
 	}
-	sys, err := scrutinizer.New(world.Corpus, world.Document, scrutinizer.Options{Seed: seed})
+	// Train on the world's annotations so screens show useful options, as
+	// when previous checks exist.
+	v, err := scrutinizer.NewVerifier(world.Corpus, world.Document, scrutinizer.Options{Seed: seed})
 	if err != nil {
 		return err
 	}
-	// Bootstrap from the world's annotations so screens show useful
-	// options, as when previous checks exist.
-	if err := sys.Train(world.Document.Claims); err != nil {
+	run, err := v.StartRun(context.Background(), world.Document)
+	if err != nil {
 		return err
 	}
 	oracle := newTerminalOracle(in, out)
@@ -93,7 +94,7 @@ func runInteractive(in io.Reader, out io.Writer, numClaims int, seed int64) erro
 		numClaims = len(world.Document.Claims)
 	}
 	for _, c := range world.Document.Claims[:numClaims] {
-		res, err := sys.VerifyClaimWith(context.Background(), c, oracle)
+		res, err := run.VerifyClaimWith(context.Background(), c, oracle)
 		if err != nil {
 			return err
 		}

@@ -74,15 +74,21 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sys, err := scrutinizer.New(world.Corpus, world.Document, scrutinizer.Options{Seed: *seed})
+	// A cold start: the verifier knows the document's text but no previous
+	// checks, and warms up at the run's batch barriers.
+	v, err := scrutinizer.NewVerifier(world.Corpus, world.Document.Unannotated(), scrutinizer.Options{Seed: *seed})
 	if err != nil {
 		fatal(err)
 	}
-	team, err := sys.NewTeam(*teamSize)
+	run, err := v.StartRun(context.Background(), world.Document)
 	if err != nil {
 		fatal(err)
 	}
-	res, err := sys.VerifyDocument(context.Background(), team, scrutinizer.VerifyOptions{
+	team, err := v.NewTeam(*teamSize)
+	if err != nil {
+		fatal(err)
+	}
+	res, err := run.Verify(context.Background(), team, scrutinizer.VerifyOptions{
 		BatchSize:       *batch,
 		SectionReadCost: 60,
 		Ordering:        ordering,

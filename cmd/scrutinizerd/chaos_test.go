@@ -56,17 +56,20 @@ func smallDoc(w *scrutinizer.World, n int) *scrutinizer.Document {
 // TestChaosRateLimit429: a tenant over its token bucket gets 429 with a
 // Retry-After, before the request body is even read.
 func TestChaosRateLimit429(t *testing.T) {
-	_, _, ts := guardedServer(t, serverConfig{rateLimit: 1, rateBurst: 1}, nil)
+	_, w, ts := guardedServer(t, serverConfig{rateLimit: 1, rateBurst: 1}, nil)
+	// Training is charged to the corpus, runs to the verifier: the run
+	// bucket below starts full.
+	runs := ts.URL + "/v1/verifiers/" + trainV1Verifier(t, ts, "default", w.Document, 11).ID + "/runs"
 
 	// The burst admits one request (garbage body: admission happens before
 	// parsing, so a 400 proves the token was spent).
-	resp := do(t, http.MethodPost, ts.URL+"/verify", []byte("{"))
+	resp := do(t, http.MethodPost, runs, []byte("{"))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("first request status = %d, want 400", resp.StatusCode)
 	}
 	// The bucket is empty: the second request is rejected without parsing.
-	resp = do(t, http.MethodPost, ts.URL+"/verify", []byte("{"))
+	resp = do(t, http.MethodPost, runs, []byte("{"))
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second request status = %d, want 429", resp.StatusCode)
@@ -92,7 +95,9 @@ func TestChaosGateSheds503(t *testing.T) {
 	if !ok1 || !ok2 {
 		t.Fatal("could not occupy the gate")
 	}
-	resp := do(t, http.MethodPost, ts.URL+"/verify", []byte("{"))
+	// Training a verifier is an expensive route: the gate comes first.
+	train := ts.URL + "/v1/corpora/default/verifiers"
+	resp := do(t, http.MethodPost, train, []byte("{"))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status at capacity = %d, want 503", resp.StatusCode)
@@ -120,7 +125,7 @@ func TestChaosGateSheds503(t *testing.T) {
 
 	leave1()
 	leave2()
-	resp = do(t, http.MethodPost, ts.URL+"/verify", []byte("{"))
+	resp = do(t, http.MethodPost, train, []byte("{"))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status after slots freed = %d, want 400 (admitted, bad body)", resp.StatusCode)
@@ -197,20 +202,9 @@ func TestChaosQuotaPerTenantRuns(t *testing.T) {
 func TestChaosPanicTearsDownSessionOnly(t *testing.T) {
 	s, w, ts := guardedServer(t, serverConfig{}, scrutinizer.NewMemoryStore())
 	doc := smallDoc(w, 6)
+	vid := trainV1Verifier(t, ts, "default", w.Document.Unannotated(), 11).ID
 
-	createSession := func() sessionCreateResponse {
-		body, _ := json.Marshal(map[string]any{
-			"document": json.RawMessage(docJSON(t, doc)),
-			"batch":    5, "seed": int64(11), "checkers": 3,
-		})
-		resp := do(t, http.MethodPost, ts.URL+"/sessions", body)
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("create session: status %d", resp.StatusCode)
-		}
-		var created sessionCreateResponse
-		decodeJSON(t, resp, &created)
-		return created
-	}
+	createSession := func() string { return startSessionRun(t, ts.URL, vid, doc) }
 	victim := createSession()
 	bystander := createSession()
 
@@ -221,25 +215,25 @@ func TestChaosPanicTearsDownSessionOnly(t *testing.T) {
 		}
 	}
 	answer := []byte(`{"claim_id": 0, "value": "x", "seconds": 1}`)
-	resp := do(t, http.MethodPost, ts.URL+"/sessions/"+victim.ID+"/answers", answer)
+	resp := do(t, http.MethodPost, ts.URL+"/v1/runs/"+victim+"/answers", answer)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("panicking answer: status = %d, want 500", resp.StatusCode)
 	}
 
 	// The poisoned session was torn down...
-	resp = do(t, http.MethodGet, ts.URL+"/sessions/"+victim.ID, nil)
+	resp = do(t, http.MethodGet, ts.URL+"/v1/runs/"+victim, nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("victim session after panic: status = %d, want 404", resp.StatusCode)
 	}
 	// ...and the bystander — and the daemon — kept serving.
-	resp = do(t, http.MethodGet, ts.URL+"/sessions/"+bystander.ID+"/questions", nil)
+	resp = do(t, http.MethodGet, ts.URL+"/v1/runs/"+bystander+"/questions", nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("bystander session after panic: status = %d, want 200", resp.StatusCode)
 	}
-	if next := createSession(); next.ID == "" {
+	if next := createSession(); next == "" {
 		t.Fatal("daemon stopped creating sessions after a handler panic")
 	}
 }
@@ -303,7 +297,7 @@ func TestChaosReadyzDuringReplay(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz during replay: status = %d, want 200 (liveness is not readiness)", resp.StatusCode)
 	}
-	resp = do(t, http.MethodPost, ts2.URL+"/verify", []byte("{"))
+	resp = do(t, http.MethodPost, ts2.URL+"/v1/verifiers/"+vinfo.ID+"/runs", []byte("{"))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("API during replay: status = %d, want 503", resp.StatusCode)
@@ -395,12 +389,14 @@ func TestChaosHostileTenantFairness(t *testing.T) {
 // maps the expiry to 504, not 500.
 func TestCancelRequestTimeout504(t *testing.T) {
 	_, w, ts := guardedServer(t, serverConfig{requestTimeout: time.Microsecond}, nil)
+	// Training takes no request deadline; the run does.
+	vid := trainV1Verifier(t, ts, "default", w.Document, 11).ID
 	var payload strings.Builder
 	payload.WriteString(`{"batch": 10, "seed": 11, "document": `)
 	bodyDoc := docJSON(t, w.Document)
 	payload.Write(bodyDoc)
 	payload.WriteString(`}`)
-	resp := do(t, http.MethodPost, ts.URL+"/verify", []byte(payload.String()))
+	resp := do(t, http.MethodPost, ts.URL+"/v1/verifiers/"+vid+"/runs", []byte(payload.String()))
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		body, _ := io.ReadAll(resp.Body)
@@ -414,6 +410,7 @@ func TestCancelRequestTimeout504(t *testing.T) {
 // CPU for a caller that left.
 func TestCancelClientDisconnectStopsRun(t *testing.T) {
 	_, w, ts := guardedServer(t, serverConfig{}, nil)
+	runs := ts.URL + "/v1/verifiers/" + trainV1Verifier(t, ts, "default", w.Document.Unannotated(), 11).ID + "/runs"
 	payload := fmt.Sprintf(`{"batch": 5, "seed": 11, "team": 3, "document": %s}`, docJSON(t, w.Document))
 
 	// Let the HTTP server finish its keep-alive bookkeeping from setup.
@@ -422,7 +419,7 @@ func TestCancelClientDisconnectStopsRun(t *testing.T) {
 
 	for i := 0; i < 2; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/verify", strings.NewReader(payload))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, runs, strings.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
 		}

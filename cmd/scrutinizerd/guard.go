@@ -17,8 +17,7 @@ package main
 //     interactive runs are counted via the session registry's owner tags.
 //
 // Tenant keys follow the resource being charged: the verifier ID for runs
-// and answers, the corpus ID for verifier training, and the default corpus
-// for the legacy single-tenant routes.
+// and answers, the corpus ID for verifier training.
 //
 // The route tree is wrapped in two middlewares: withRecover converts
 // handler panics into logged 500s (a panicking request must not kill the

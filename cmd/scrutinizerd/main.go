@@ -2,8 +2,9 @@
 // HTTP service built on the corpus / verifier / run resource model:
 //
 //   - Corpora are registered relational data sets. The corpus loaded at
-//     startup (-corpus, or a synthetic world) is registered as "default";
-//     more are created over the /v1 API and populated with CSV uploads.
+//     startup (-corpus, or a synthetic world) is registered as "default",
+//     an ordinary corpus like any other; more are created over the /v1
+//     API and populated with CSV uploads.
 //   - Verifiers are trained model bundles over a corpus: training fits the
 //     feature pipeline once on the posted annotated document and
 //     bootstraps the classifiers from "a database of previously checked
@@ -17,10 +18,6 @@
 //     goroutines; batch-boundary retraining runs inside the answer that
 //     completes a batch, on the run's private engine. Sessions idle past
 //     -session-ttl are evicted.
-//
-// The legacy single-corpus routes (/verify, /sessions) are preserved
-// unchanged as aliases onto the default corpus; they fit a fresh model
-// per request, exactly as before the /v1 surface existed.
 //
 // Usage:
 //
@@ -59,7 +56,7 @@
 //	go tool pprof http://localhost:6060/debug/pprof/heap                 # allocations
 //	curl -s http://localhost:6060/debug/pprof/goroutine?debug=2          # stuck workers
 //
-// Fire /verify requests while the CPU profile records; the hot paths to
+// Fire /v1 batch runs while the CPU profile records; the hot paths to
 // look for are classifier scoring (scoreInto), query generation and the
 // scheduler ILP.
 //
@@ -77,8 +74,11 @@
 // verifier snapshots) are sharded or lock-free precisely so this profile
 // stays boring under multi-tenant load.
 //
-// Endpoints (versioned /v1 surface):
+// Endpoints:
 //
+//	GET    /metrics                              Prometheus text-format metrics for every serving layer
+//	GET    /healthz                              liveness + version, tenant and session statistics
+//	GET    /readyz                               readiness (503 while the journal replays)
 //	POST   /v1/corpora                           create a corpus (optionally seeded with inline CSV relations)
 //	GET    /v1/corpora                           list corpora
 //	GET    /v1/corpora/{id}                      corpus stats
@@ -95,30 +95,18 @@
 //	GET    /v1/runs/{id}/report                  outcomes so far (complete once done)
 //	DELETE /v1/runs/{id}                         drop an interactive run
 //
-// Legacy endpoints (aliases onto the default corpus, behaviour unchanged):
-//
-//	GET    /metrics                  Prometheus text-format metrics for every serving layer
-//	GET    /healthz                  liveness + version, tenant, corpus and session statistics
-//	POST   /verify                   document JSON in, verification report JSON out
-//	POST   /sessions                 create an interactive session (document JSON in)
-//	GET    /sessions/{id}            session progress (also resolves /v1 run IDs)
-//	GET    /sessions/{id}/questions  pending question screens
-//	POST   /sessions/{id}/answers    post one answer or a batch of answers
-//	GET    /sessions/{id}/report     outcomes so far (complete once done)
-//	DELETE /sessions/{id}            drop a session
-//
-// A /verify, /sessions or /v1 runs body is either a bare document (the
-// claims.WriteJSON format) or an envelope:
+// A /v1 runs body is either a bare document (the claims.WriteJSON format)
+// or an envelope:
 //
 //	{
 //	  "document":    {...},       // required: the document to verify
-//	  "mode":        "batch",     // /v1 runs only: batch | session
+//	  "mode":        "batch",     // batch | session
 //	  "team":        3,           // batch runs: simulated checkers (default 3)
 //	  "checkers":    1,           // session runs: humans skimming each section
 //	  "batch":       100,         // retraining batch size (default 100)
 //	  "parallelism": 0,           // 0 = server default
 //	  "ordering":    "ilp",       // ilp | sequential | greedy | random
-//	  "seed":        7,           // legacy: system (+ crowd) seed; also the random-ordering seed
+//	  "seed":        7,           // random-ordering seed (model and crowd seeds belong to the verifier)
 //	  "section_read_cost": 0      // seconds per section skim
 //	}
 package main
@@ -258,7 +246,7 @@ func main() {
 		// Reading a request body tops out at the 64 MB document cap;
 		// five minutes covers that even on slow links.
 		ReadTimeout: 5 * time.Minute,
-		// Paper-scale /verify runs legitimately take minutes: the write
+		// Paper-scale batch runs legitimately take minutes: the write
 		// window is wide but bounded so a dead peer can never pin a
 		// handler forever.
 		WriteTimeout: 30 * time.Minute,
@@ -285,9 +273,10 @@ func main() {
 			"verifiers", rec.Verifiers, "sessions", rec.Sessions,
 			"skipped", rec.SessionsSkipped)
 	}
-	stats := s.corpus.Stats()
-	daemonLog.Info("corpus ready, serving",
-		"relations", stats.Relations, "rows", stats.Rows, "cells", stats.Cells)
+	if ci, ok := s.svc.CorpusInfo(defaultCorpusID); ok {
+		daemonLog.Info("corpus ready, serving",
+			"relations", ci.Relations, "rows", ci.Rows, "cells", ci.Cells)
+	}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -353,8 +342,7 @@ func loadCorpus(dir string, numClaims int, seed int64) (*scrutinizer.Corpus, err
 // few MB, so 64 MB leaves an order-of-magnitude headroom.
 const maxBodyBytes = 64 << 20
 
-// defaultCorpusID is the registry name of the corpus loaded at startup;
-// the legacy /verify and /sessions routes alias onto it.
+// defaultCorpusID is the registry name of the corpus loaded at startup.
 const defaultCorpusID = "default"
 
 // serverConfig bundles the daemon's tuning knobs; the zero value means
@@ -371,17 +359,14 @@ type serverConfig struct {
 }
 
 // server holds the shared state of the daemon: the multi-tenant resource
-// registry (corpora + verifiers), the interactive session registry shared
-// by /v1 runs and legacy sessions, the tenant-protection guards, and —
-// for the legacy routes — the default corpus with its query cache.
+// registry (corpora + verifiers), the interactive session registry behind
+// /v1 runs, and the tenant-protection guards.
 type server struct {
 	svc      *scrutinizer.Service
-	corpus   *scrutinizer.Corpus // the default corpus (legacy routes)
 	cfg      serverConfig
 	parallel int
 	maxBody  int64
 	sessions *scrutinizer.SessionManager
-	qcache   *scrutinizer.QueryCache // the default corpus's shared cache
 	started  time.Time
 	store    scrutinizer.Store // nil when ephemeral
 	// Tenant protection (see guard.go): global admission gate, per-tenant
@@ -456,7 +441,7 @@ func newServerShell(cfg serverConfig, st scrutinizer.Store) *server {
 	return s
 }
 
-// boot replays the journal (when durable), registers the default corpus
+// boot replays the journal (when durable), registers the startup corpus
 // and flips the server ready. Handlers only read the fields boot writes
 // after observing ready, so the atomic flip publishes them safely.
 func (s *server) boot(corpus *scrutinizer.Corpus) error {
@@ -467,17 +452,15 @@ func (s *server) boot(corpus *scrutinizer.Corpus) error {
 		}
 		s.recovered = recovered
 	}
-	// The default corpus backs the legacy routes. A recovered journal may
-	// already hold one — from this boot's own past, where it was journaled
-	// at first startup — and the durable copy wins over the freshly loaded
-	// one so legacy traffic sees the state clients were promised.
-	if existing, ok := s.svc.Corpus(defaultCorpusID); ok {
-		corpus = existing
-	} else if _, err := s.svc.AddCorpus(defaultCorpusID, corpus); err != nil {
-		return fmt.Errorf("registering default corpus: %w", err)
+	// A recovered journal may already hold the startup corpus — journaled
+	// at an earlier boot, possibly mutated since — and the durable copy
+	// wins over the freshly loaded one. If it was deleted, this boot
+	// registers a fresh one.
+	if _, ok := s.svc.Corpus(defaultCorpusID); !ok {
+		if _, err := s.svc.AddCorpus(defaultCorpusID, corpus); err != nil {
+			return fmt.Errorf("registering default corpus: %w", err)
+		}
 	}
-	s.qcache, _ = s.svc.CorpusQueryCache(defaultCorpusID)
-	s.corpus = corpus
 	s.ready.Store(true)
 	return nil
 }
@@ -498,16 +481,6 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.Handle("GET /metrics", s.metrics.reg.Handler())
 
-	// Legacy surface: single-corpus, per-request model fitting. Preserved
-	// unchanged as an alias onto the default corpus.
-	mux.HandleFunc("POST /verify", s.handleVerify)
-	mux.HandleFunc("POST /sessions", s.handleSessionCreate)
-	mux.HandleFunc("GET /sessions/{id}", s.handleSessionProgress)
-	mux.HandleFunc("DELETE /sessions/{id}", s.handleSessionDelete)
-	mux.HandleFunc("GET /sessions/{id}/questions", s.handleSessionQuestions)
-	mux.HandleFunc("POST /sessions/{id}/answers", s.handleSessionAnswers)
-	mux.HandleFunc("GET /sessions/{id}/report", s.handleSessionReport)
-
 	// Versioned multi-tenant surface (v1.go): corpora, verifiers, runs.
 	mux.HandleFunc("POST /v1/corpora", s.handleCorpusCreate)
 	mux.HandleFunc("GET /v1/corpora", s.handleCorpusList)
@@ -522,8 +495,7 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("POST /v1/verifiers/{id}/runs", s.handleRunCreate)
 
 	// Interactive /v1 runs are sessions: the run ID is a session ID, so
-	// the run sub-resources reuse the session handlers (and legacy
-	// /sessions/{id} routes resolve /v1 run IDs too).
+	// the run sub-resources are the session handlers.
 	mux.HandleFunc("GET /v1/runs/{id}", s.handleSessionProgress)
 	mux.HandleFunc("DELETE /v1/runs/{id}", s.handleSessionDelete)
 	mux.HandleFunc("GET /v1/runs/{id}/questions", s.handleSessionQuestions)
@@ -604,11 +576,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body := map[string]any{
 		"status":  "ok",
 		"version": buildVersion(),
-		"corpus": map[string]int{
-			"relations": snap.corpus.Relations,
-			"rows":      snap.corpus.Rows,
-			"cells":     snap.corpus.Cells,
-		},
 		// service: the /v1 registry — tenant counts plus per-corpus and
 		// per-verifier breakdowns.
 		"service": map[string]any{
@@ -626,19 +593,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"evicted_total":    snap.sess.EvictedTotal,
 			"answered_total":   snap.sess.AnsweredTotal,
 			"by_owner":         snap.sess.ByOwner,
-		},
-		// query_cache: the default corpus's tentative-execution memo
-		// shared by every legacy request and session over it; generation
-		// is the corpus generation its entries were computed under.
-		"query_cache": snap.qc,
-		// interner: the interned columnar index compiled queries execute
-		// against (entries per ID space + the snapshot's generation).
-		"interner": map[string]any{
-			"relations":  snap.index.Relations,
-			"rows":       snap.index.Rows,
-			"cols":       snap.index.Cols,
-			"cells":      snap.index.Cells,
-			"generation": snap.index.Generation,
 		},
 		"parallelism":    s.parallel,
 		"uptime_seconds": int(time.Since(s.started).Seconds()),
@@ -689,19 +643,6 @@ func parseOrdering(name string) (core.Ordering, error) {
 	return 0, fmt.Errorf("unknown ordering %q", name)
 }
 
-// documentRequest is the shared /verify and /sessions envelope. Document
-// is raw so a bare document body can be detected and accepted too.
-type documentRequest struct {
-	Document        json.RawMessage `json:"document"`
-	Team            int             `json:"team"`
-	Checkers        int             `json:"checkers"`
-	Batch           int             `json:"batch"`
-	Parallelism     int             `json:"parallelism"`
-	Ordering        string          `json:"ordering"`
-	Seed            int64           `json:"seed"`
-	SectionReadCost float64         `json:"section_read_cost"`
-}
-
 // readDocument parses a document from an envelope field, falling back to
 // the whole body when the field is absent (bare-document requests).
 func readDocument(raw []byte, field json.RawMessage) (*scrutinizer.Document, error) {
@@ -712,34 +653,7 @@ func readDocument(raw []byte, field json.RawMessage) (*scrutinizer.Document, err
 	return scrutinizer.ReadDocumentJSON(bytes.NewReader(docBytes))
 }
 
-// decodeDocumentRequest parses an envelope or bare-document body.
-func decodeDocumentRequest(raw []byte) (*documentRequest, *scrutinizer.Document, error) {
-	var req documentRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		return nil, nil, fmt.Errorf("malformed JSON: %w", err)
-	}
-	doc, err := readDocument(raw, req.Document)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &req, doc, nil
-}
-
-// verifyResponse is the /verify report.
-type verifyResponse struct {
-	Title       string          `json:"title"`
-	Claims      int             `json:"claims"`
-	Correct     int             `json:"correct"`
-	Incorrect   int             `json:"incorrect"`
-	Skipped     int             `json:"skipped"`
-	Accuracy    float64         `json:"accuracy"`
-	CrowdSecs   float64         `json:"crowd_seconds"`
-	Batches     int             `json:"batches"`
-	Parallelism int             `json:"parallelism"`
-	WallMillis  int64           `json:"wall_ms"`
-	Outcomes    []verifyOutcome `json:"outcomes"`
-}
-
+// verifyOutcome is one claim's verdict in batch-run and session reports.
 type verifyOutcome struct {
 	ClaimID int     `json:"claim_id"`
 	Verdict string  `json:"verdict"`
@@ -766,172 +680,6 @@ func toVerifyOutcome(o *scrutinizer.Outcome) verifyOutcome {
 		vo.Suggestion = &s
 	}
 	return vo
-}
-
-func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	leave, ok := s.admit(w)
-	if !ok {
-		return
-	}
-	defer leave()
-	// Legacy routes are single-corpus: the default corpus is the tenant.
-	if !s.rateLimit(w, defaultCorpusID) {
-		return
-	}
-	raw, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	req, doc, err := decodeDocumentRequest(raw)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	for _, c := range doc.Claims {
-		if c.Truth == nil {
-			httpError(w, http.StatusUnprocessableEntity, fmt.Sprintf(
-				"claim %d has no ground-truth annotation; /verify runs the simulated-crowd flow, which answers from annotations (use an interactive session via POST /sessions for human answers)", c.ID))
-			return
-		}
-	}
-
-	ordering, err := parseOrdering(req.Ordering)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	team := req.Team
-	if team <= 0 {
-		team = 3
-	}
-	parallelism := req.Parallelism
-	if parallelism <= 0 {
-		parallelism = s.parallel
-	}
-
-	release, ok := s.acquireRun(w, defaultCorpusID)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := s.runCtx(r)
-	defer cancel()
-
-	start := time.Now()
-	sys, err := scrutinizer.New(s.corpus, doc, scrutinizer.Options{Seed: req.Seed, QueryCache: s.qcache})
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	crowd, err := sys.NewTeam(team)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	res, err := sys.VerifyDocument(ctx, crowd, scrutinizer.VerifyOptions{
-		BatchSize:       req.Batch,
-		SectionReadCost: req.SectionReadCost,
-		Ordering:        ordering,
-		Parallelism:     parallelism,
-		Seed:            req.Seed,
-	})
-	if err != nil {
-		httpError(w, verifyErrStatus(err), err.Error())
-		return
-	}
-
-	resp := verifyResponse{
-		Title:       doc.Title,
-		Claims:      len(doc.Claims),
-		Accuracy:    res.Accuracy(),
-		CrowdSecs:   res.Seconds,
-		Batches:     res.Batches,
-		Parallelism: parallelism,
-		WallMillis:  time.Since(start).Milliseconds(),
-	}
-	for _, o := range res.Outcomes {
-		vo := toVerifyOutcome(o)
-		switch o.Verdict {
-		case scrutinizer.VerdictCorrect:
-			resp.Correct++
-		case scrutinizer.VerdictIncorrect:
-			resp.Incorrect++
-		default:
-			resp.Skipped++
-		}
-		resp.Outcomes = append(resp.Outcomes, vo)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// sessionCreateResponse answers POST /sessions: the handle plus the first
-// batch of questions so a client can start answering without a second
-// round trip.
-type sessionCreateResponse struct {
-	ID        string                        `json:"id"`
-	Claims    int                           `json:"claims"`
-	Progress  scrutinizer.SessionProgress   `json:"progress"`
-	Questions []scrutinizer.SessionQuestion `json:"questions"`
-}
-
-func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	leave, ok := s.admit(w)
-	if !ok {
-		return
-	}
-	defer leave()
-	if !s.rateLimit(w, defaultCorpusID) {
-		return
-	}
-	raw, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	req, doc, err := decodeDocumentRequest(raw)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ordering, err := parseOrdering(req.Ordering)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	parallelism := req.Parallelism
-	if parallelism <= 0 {
-		parallelism = s.parallel
-	}
-	ctx, cancel := s.runCtx(r)
-	defer cancel()
-	sys, err := scrutinizer.New(s.corpus, doc, scrutinizer.Options{Seed: req.Seed, QueryCache: s.qcache})
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	sess, err := sys.StartSession(ctx, s.sessions, scrutinizer.SessionOptions{
-		Verify: scrutinizer.VerifyOptions{
-			BatchSize:       req.Batch,
-			SectionReadCost: req.SectionReadCost,
-			Ordering:        ordering,
-			Parallelism:     parallelism,
-			Seed:            req.Seed,
-		},
-		Checkers: req.Checkers,
-	})
-	if err != nil {
-		status := http.StatusServiceUnavailable
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			status = verifyErrStatus(err)
-		}
-		httpError(w, status, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusCreated, sessionCreateResponse{
-		ID:        sess.ID(),
-		Claims:    len(doc.Claims),
-		Progress:  sess.Progress(),
-		Questions: sess.Questions(),
-	})
 }
 
 // session fetches the handler's session or writes the 404.
@@ -999,14 +747,9 @@ func (s *server) handleSessionAnswers(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Answers are charged to the run's owner (the verifier for /v1 runs;
-	// legacy sessions fall back to the default corpus) so one tenant
+	// Answers are charged to the run's owner, its verifier, so one tenant
 	// hammering its session cannot starve another's.
-	tenant := sess.Owner()
-	if tenant == "" {
-		tenant = defaultCorpusID
-	}
-	if !s.rateLimit(w, tenant) {
+	if !s.rateLimit(w, sess.Owner()) {
 		return
 	}
 	// A panic while applying answers leaves the session in an undefined
@@ -1083,7 +826,7 @@ func (s *server) handleSessionAnswers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// sessionReportResponse is the /sessions/{id}/report payload; outcomes
+// sessionReportResponse is the /v1/runs/{id}/report payload; outcomes
 // are partial until Done.
 type sessionReportResponse struct {
 	ID        string          `json:"id"`

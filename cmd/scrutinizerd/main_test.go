@@ -1,10 +1,11 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ func testServer(t *testing.T) (*server, *scrutinizer.World) {
 }
 
 func TestHealthz(t *testing.T) {
-	s, _ := testServer(t)
+	s, w := testServer(t)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
@@ -41,72 +42,85 @@ func TestHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var body struct {
-		Status     string             `json:"status"`
-		Corpus     map[string]int     `json:"corpus"`
-		QueryCache map[string]float64 `json:"query_cache"`
-		Interner   map[string]int     `json:"interner"`
-	}
+	var body map[string]json.RawMessage
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Status != "ok" || body.Corpus["relations"] == 0 {
-		t.Errorf("healthz body = %+v", body)
+	var status string
+	var service struct {
+		PerCorpus map[string]struct {
+			Relations int `json:"relations"`
+		} `json:"per_corpus"`
 	}
-	if _, ok := body.QueryCache["entries"]; !ok {
-		t.Errorf("healthz missing query_cache stats: %+v", body.QueryCache)
+	if err := json.Unmarshal(body["status"], &status); err != nil {
+		t.Fatal(err)
 	}
-	if body.Interner["relations"] != body.Corpus["relations"] || body.Interner["cells"] == 0 {
-		t.Errorf("healthz interner stats = %+v", body.Interner)
+	if err := json.Unmarshal(body["service"], &service); err != nil {
+		t.Fatal(err)
+	}
+	// The startup corpus is reported like any other corpus.
+	if status != "ok" || service.PerCorpus["default"].Relations != w.Corpus.Len() {
+		t.Errorf("healthz status %q, per_corpus %+v; want ok with %d default relations",
+			status, service.PerCorpus, w.Corpus.Len())
+	}
+	// The fields that described only the startup corpus are gone.
+	for _, gone := range []string{"corpus", "query_cache", "interner"} {
+		if _, ok := body[gone]; ok {
+			t.Errorf("healthz still reports %q", gone)
+		}
 	}
 }
 
-// TestHealthzQueryCacheWarmsAcrossVerifies: the daemon shares one query
-// cache across requests over its corpus, so repeated verifications of the
-// same document must surface cache hits on /healthz.
+// metricValue reads one sample from GET /metrics (0 when absent).
+func metricValue(t *testing.T, ts *httptest.Server, series string) float64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	return 0
+}
+
+// TestHealthzQueryCacheWarmsAcrossVerifies: the daemon keeps one query
+// cache per corpus, shared by every run over it, so repeated batch runs of
+// one verifier surface as a growing per-corpus hit series on /metrics.
 func TestHealthzQueryCacheWarmsAcrossVerifies(t *testing.T) {
 	s, w := testServer(t)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	var buf bytes.Buffer
-	if err := w.Document.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
+	info := trainV1Verifier(t, ts, "default", w.Document, 0)
 	// A small batch forces mid-run retraining, so later batches carry
-	// trained formula candidates into Algorithm 2 (a single cold-start
-	// batch generates no queries at all).
-	payload, err := json.Marshal(map[string]any{
-		"document": json.RawMessage(buf.Bytes()),
-		"batch":    5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if resp, _ := postVerify(t, ts, payload); resp.StatusCode != http.StatusOK {
-			t.Fatalf("verify %d: status %d", i, resp.StatusCode)
+	// trained formula candidates into Algorithm 2.
+	payload := map[string]any{"document": json.RawMessage(docJSON(t, w.Document)), "batch": 5}
+	const series = `scrutinizer_querycache_hits_total{corpus="default"}`
+	var hits [2]float64
+	for i := range hits {
+		if resp, _ := postV1Run(t, ts, info.ID, payload); resp.StatusCode != http.StatusOK {
+			t.Fatalf("run %d: status %d", i, resp.StatusCode)
 		}
+		hits[i] = metricValue(t, ts, series)
 	}
-	if stats := s.qcache.Stats(); stats.Hits == 0 {
-		t.Errorf("second verify produced no query-cache hits: %+v", stats)
+	if hits[0] == 0 || hits[1] <= hits[0] {
+		t.Errorf("%s after runs 1 and 2 = %v, want positive and growing", series, hits)
 	}
-}
-
-func postVerify(t *testing.T, ts *httptest.Server, payload []byte) (*http.Response, verifyResponse) {
-	t.Helper()
-	resp, err := http.Post(ts.URL+"/verify", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
+	if entries := metricValue(t, ts, `scrutinizer_querycache_entries{corpus="default"}`); entries == 0 {
+		t.Error("default corpus query cache holds no entries after two runs")
 	}
-	defer resp.Body.Close()
-	var out verifyResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return resp, out
 }
 
 func TestVerifyEnvelope(t *testing.T) {
@@ -114,21 +128,14 @@ func TestVerifyEnvelope(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	var doc bytes.Buffer
-	if err := w.Document.WriteJSON(&doc); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := json.Marshal(map[string]any{
-		"document":    json.RawMessage(doc.Bytes()),
+	info := trainV1Verifier(t, ts, "default", w.Document, 11)
+	resp, out := postV1Run(t, ts, info.ID, map[string]any{
+		"document":    json.RawMessage(docJSON(t, w.Document)),
 		"team":        3,
 		"batch":       10,
 		"parallelism": 4,
 		"seed":        11,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, out := postVerify(t, ts, payload)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -151,20 +158,19 @@ func TestVerifyBareDocumentAndDeterminism(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	var doc bytes.Buffer
-	if err := w.Document.WriteJSON(&doc); err != nil {
-		t.Fatal(err)
-	}
-	resp1, out1 := postVerify(t, ts, doc.Bytes())
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("bare document rejected: %d", resp1.StatusCode)
+	info := trainV1Verifier(t, ts, "default", w.Document, 11)
+	post := func() batchRunResponse {
+		resp := do(t, http.MethodPost, ts.URL+"/v1/verifiers/"+info.ID+"/runs", docJSON(t, w.Document))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("bare document rejected: %d", resp.StatusCode)
+		}
+		var out batchRunResponse
+		decodeJSON(t, resp, &out)
+		return out
 	}
 	// Same request twice: identical crowd time and verdicts (the service
 	// inherits the engine's determinism, whatever the fan-out).
-	resp2, out2 := postVerify(t, ts, doc.Bytes())
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("second request: %d", resp2.StatusCode)
-	}
+	out1, out2 := post(), post()
 	if out1.CrowdSecs != out2.CrowdSecs || out1.Correct != out2.Correct || out1.Incorrect != out2.Incorrect {
 		t.Errorf("non-deterministic service: %+v vs %+v", out1, out2)
 	}
@@ -175,49 +181,37 @@ func TestVerifyRejectsBadInput(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
+	info := trainV1Verifier(t, ts, "default", w.Document, 3)
+	runs := ts.URL + "/v1/verifiers/" + info.ID + "/runs"
 	for _, tc := range []struct {
 		name    string
-		payload string
+		payload []byte
 		want    int
 	}{
-		{"malformed", "{not json", http.StatusBadRequest},
-		// {} parses as an empty document, which fails at System
-		// construction: no claims to verify.
-		{"empty object", "{}", http.StatusUnprocessableEntity},
-		{"bad ordering", `{"document": {"title": "t", "sections": 1, "claims": []}, "ordering": "alphabetical"}`, http.StatusBadRequest},
+		{"malformed", []byte("{not json"), http.StatusBadRequest},
+		// {} parses as an empty document: no claims to verify.
+		{"empty object", []byte("{}"), http.StatusUnprocessableEntity},
+		{"bad ordering", mustJSON(t, map[string]any{
+			"document": json.RawMessage(docJSON(t, w.Document)), "ordering": "alphabetical"}), http.StatusBadRequest},
+		// Unannotated claims are a 422: the simulated crowd has nothing
+		// to answer from.
+		{"unannotated", docJSON(t, w.Document.Unannotated()), http.StatusUnprocessableEntity},
 	} {
-		resp, _ := postVerify(t, ts, []byte(tc.payload))
+		resp := do(t, http.MethodPost, runs, tc.payload)
+		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
 	}
 
-	// Unannotated claims are a 422: the simulated crowd has nothing to
-	// answer from.
-	stripped := *w.Document
-	stripped.Claims = nil
-	for _, c := range w.Document.Claims {
-		cc := *c
-		cc.Truth = nil
-		stripped.Claims = append(stripped.Claims, &cc)
-	}
-	var doc bytes.Buffer
-	if err := stripped.WriteJSON(&doc); err != nil {
-		t.Fatal(err)
-	}
-	resp, _ := postVerify(t, ts, doc.Bytes())
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("unannotated document: status = %d, want 422", resp.StatusCode)
-	}
-
 	// Wrong method.
-	getResp, err := http.Get(ts.URL + "/verify")
+	getResp, err := http.Get(runs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	getResp.Body.Close()
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /verify: status = %d", getResp.StatusCode)
+		t.Errorf("GET runs: status = %d", getResp.StatusCode)
 	}
 }
 

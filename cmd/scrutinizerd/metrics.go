@@ -28,7 +28,6 @@ import (
 	"github.com/repro/scrutinizer/internal/guard"
 	"github.com/repro/scrutinizer/internal/obs"
 	"github.com/repro/scrutinizer/internal/session"
-	"github.com/repro/scrutinizer/internal/table"
 )
 
 // daemonMetrics bundles the registry and the instruments handlers touch
@@ -177,10 +176,7 @@ func (m *daemonMetrics) observer() *core.Observer {
 // single source both /metrics (via the scrape hook) and the health probes
 // render from.
 type statsSnapshot struct {
-	corpus    table.Stats
-	index     table.IndexStats
 	sess      session.Stats
-	qc        scrutinizer.QueryCacheStats
 	svc       scrutinizer.ServiceStats
 	corpora   []scrutinizer.CorpusInfo
 	verifiers []scrutinizer.VerifierInfo
@@ -211,9 +207,6 @@ func (s *server) refreshMetrics() statsSnapshot {
 	if !s.ready.Load() {
 		return snap
 	}
-	snap.corpus = s.corpus.Stats()
-	snap.index = s.corpus.Index().Stats()
-	snap.qc = s.qcache.Stats()
 	snap.svc = s.svc.Stats()
 	snap.corpora = s.svc.Corpora()
 	snap.verifiers = s.svc.Verifiers()
@@ -239,10 +232,6 @@ func routeClass(path string) string {
 		return "readyz"
 	case path == "/metrics":
 		return "metrics"
-	case path == "/verify":
-		return "verify"
-	case path == "/sessions" || strings.HasPrefix(path, "/sessions/"):
-		return "sessions"
 	case path == "/v1/corpora" || strings.HasPrefix(path, "/v1/corpora/"):
 		return "v1/corpora"
 	case path == "/v1/verifiers" || strings.HasPrefix(path, "/v1/verifiers/"):

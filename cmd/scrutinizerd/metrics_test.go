@@ -15,7 +15,7 @@ import (
 )
 
 // TestMetricsEndpoint is the subsystem-coverage integration test: after
-// real traffic (a batch verify, a session with answers, journal appends),
+// real traffic (a batch run, a session with answers, journal appends),
 // GET /metrics must serve valid exposition text with series from every
 // serving layer — HTTP, guard, sessions, core + caches, and the store.
 func TestMetricsEndpoint(t *testing.T) {
@@ -34,31 +34,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	// Traffic: one batch verify (runs, rounds, retrains, query cache,
-	// feature memo) and one interactive session with a few answers.
-	var doc bytes.Buffer
-	if err := w.Document.WriteJSON(&doc); err != nil {
-		t.Fatal(err)
+	// Traffic: a cold verifier (so the run's first barrier refits cold),
+	// one batch run on it (runs, rounds, retrains, query cache, feature
+	// memo) and one interactive session with a few answers.
+	info := trainV1Verifier(t, ts, "default", w.Document.Unannotated(), 0)
+	payload := map[string]any{"document": json.RawMessage(docJSON(t, w.Document)), "batch": 10}
+	if resp, _ := postV1Run(t, ts, info.ID, payload); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch run: status %d", resp.StatusCode)
 	}
-	payload, _ := json.Marshal(map[string]any{
-		"document": json.RawMessage(doc.Bytes()),
-		"batch":    10,
-	})
-	if resp, _ := postVerify(t, ts, payload); resp.StatusCode != http.StatusOK {
-		t.Fatalf("verify: status %d", resp.StatusCode)
-	}
-	resp, err := http.Post(ts.URL+"/sessions", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var created sessionCreateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	payload["mode"] = "session"
+	resp := do(t, http.MethodPost, ts.URL+"/v1/verifiers/"+info.ID+"/runs", mustJSON(t, payload))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("session create: status %d", resp.StatusCode)
 	}
+	var created sessionRunResponse
+	decodeJSON(t, resp, &created)
 	if len(created.Questions) > 0 {
 		// Answer the first pending question; the best candidate option when
 		// one is offered, a legitimate skip ("") otherwise.
@@ -70,7 +60,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		ans, _ := json.Marshal(map[string]any{
 			"claim_id": q.ClaimID, "value": value, "seconds": 1.0,
 		})
-		ar, err := http.Post(ts.URL+"/sessions/"+created.ID+"/answers", "application/json", bytes.NewReader(ans))
+		ar, err := http.Post(ts.URL+"/v1/runs/"+created.ID+"/answers", "application/json", bytes.NewReader(ans))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,27 +141,27 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// Subsystem coverage: at least one live sample from each layer.
 	for _, want := range []string{
-		`scrutinizer_http_requests_total{route="verify",code="200"} 1`, // HTTP
-		"scrutinizer_http_inflight_requests 1",                         // this scrape itself
-		"scrutinizer_admission_inflight",                               // guard
-		"scrutinizer_guard_rejected_total",                             // guard (family)
-		"scrutinizer_sessions_active 1",                                // sessions
-		"scrutinizer_session_answers_total",                            // sessions
-		"scrutinizer_runs_started_total",                               // core lifecycle
-		"scrutinizer_run_rounds_total",                                 // core lifecycle
-		`scrutinizer_classifier_fits_total{fit="warm"}`,                // core retrain
-		`scrutinizer_querycache_hits_total{corpus="default"}`,          // core cache
-		"scrutinizer_feature_memo_hits_total",                          // core cache
-		"scrutinizer_store_appends_total",                              // store
-		"scrutinizer_store_journal_records",                            // store
-		"scrutinizer_go_goroutines",                                    // runtime
+		`scrutinizer_http_requests_total{route="v1/verifiers",code="200"} 1`, // HTTP: the batch run
+		"scrutinizer_http_inflight_requests 1",                               // this scrape itself
+		"scrutinizer_admission_inflight",                                     // guard
+		"scrutinizer_guard_rejected_total",                                   // guard (family)
+		"scrutinizer_sessions_active 1",                                      // sessions
+		"scrutinizer_session_answers_total",                                  // sessions
+		"scrutinizer_runs_started_total",                                     // core lifecycle
+		"scrutinizer_run_rounds_total",                                       // core lifecycle
+		`scrutinizer_classifier_fits_total{fit="warm"}`,                      // core retrain
+		`scrutinizer_querycache_hits_total{corpus="default"}`,                // core cache
+		"scrutinizer_feature_memo_hits_total",                                // core cache
+		"scrutinizer_store_appends_total",                                    // store
+		"scrutinizer_store_journal_records",                                  // store
+		"scrutinizer_go_goroutines",                                          // runtime
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("missing %q in /metrics output", want)
 		}
 	}
 
-	// Activity actually registered: the verify above must have counted at
+	// Activity actually registered: the batch run above must have counted at
 	// least one run, round and retrain on the event-driven counters, and
 	// both a cold fit (the run's first barrier) and a warm one (later
 	// barriers over a growing label pool).
@@ -197,20 +187,8 @@ func TestHealthzMatchesMetrics(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	var doc bytes.Buffer
-	if err := w.Document.WriteJSON(&doc); err != nil {
-		t.Fatal(err)
-	}
-	payload, _ := json.Marshal(map[string]any{"document": json.RawMessage(doc.Bytes())})
-	resp, err := http.Post(ts.URL+"/sessions", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("session create: status %d", resp.StatusCode)
-	}
+	info := trainV1Verifier(t, ts, "default", w.Document, 0)
+	startSessionRun(t, ts.URL, info.ID, w.Document)
 
 	hr, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -250,14 +228,14 @@ func TestMetricsDuringBoot(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	vr, err := http.Post(ts.URL+"/verify", "application/json", strings.NewReader("{}"))
+	vr, err := http.Post(ts.URL+"/v1/corpora", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, vr.Body)
 	vr.Body.Close()
 	if vr.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("pre-boot verify status = %d, want 503", vr.StatusCode)
+		t.Fatalf("pre-boot API status = %d, want 503", vr.StatusCode)
 	}
 
 	mr, err := http.Get(ts.URL + "/metrics")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -39,7 +40,8 @@ func do(t *testing.T, method, url string, body []byte) *http.Response {
 
 // sessionCrowd answers session questions exactly like the in-process
 // simulated-crowd oracle: per-claim team views over the same seeds, truth
-// labels from the document, truth SQL from an identically-built system.
+// labels from the document, truth SQL from the engine of a cold run over
+// the same corpus.
 type sessionCrowd struct {
 	t       *testing.T
 	engine  *core.Engine
@@ -50,15 +52,19 @@ type sessionCrowd struct {
 
 func newSessionCrowd(t *testing.T, corpus *scrutinizer.Corpus, doc *scrutinizer.Document, seed int64, teamSize int) *sessionCrowd {
 	t.Helper()
-	sys, err := scrutinizer.New(corpus, doc, scrutinizer.Options{Seed: seed})
+	v, err := scrutinizer.NewVerifier(corpus, doc.Unannotated(), scrutinizer.Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	team, err := sys.NewTeam(teamSize)
+	run, err := v.StartRun(context.Background(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &sessionCrowd{t: t, engine: sys.Engine(), team: team, doc: doc, oracles: map[int]core.Oracle{}}
+	team, err := v.NewTeam(teamSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &sessionCrowd{t: t, engine: run.Engine(), team: team, doc: doc, oracles: map[int]core.Oracle{}}
 }
 
 func (sc *sessionCrowd) answer(q scrutinizer.SessionQuestion) scrutinizer.SessionAnswer {
@@ -110,41 +116,49 @@ func (sc *sessionCrowd) answer(q scrutinizer.SessionQuestion) scrutinizer.Sessio
 }
 
 // TestSessionLifecycleMatchesVerify is the acceptance pin at the HTTP
-// layer: a simulated crowd driving a document through the session API
+// layer: a simulated crowd driving a document through an interactive run
 // (create → poll questions → post answers → report) produces verdicts,
-// crowd seconds and accuracy bit-identical to POST /verify with the same
-// seed and team.
+// crowd seconds and accuracy bit-identical to a batch run with the same
+// team. The verifier is cold — trained on the unannotated document — so
+// the first batch's final screens come without candidates.
 func TestSessionLifecycleMatchesVerify(t *testing.T) {
 	s, w := testServer(t)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	var doc bytes.Buffer
-	if err := w.Document.WriteJSON(&doc); err != nil {
-		t.Fatal(err)
+	info := trainV1Verifier(t, ts, "default", w.Document.Unannotated(), 11)
+	if info.TrainedOn != 0 {
+		t.Fatalf("verifier trained on %d annotated claims, want a cold start", info.TrainedOn)
 	}
-	envelope := func(extra string) []byte {
-		return []byte(`{"document": ` + doc.String() + `, "batch": 10, "seed": 11, "section_read_cost": 15, ` + extra + `}`)
+	runs := ts.URL + "/v1/verifiers/" + info.ID + "/runs"
+	envelope := func(extra map[string]any) map[string]any {
+		m := map[string]any{"document": json.RawMessage(docJSON(t, w.Document)),
+			"batch": 10, "section_read_cost": 15}
+		for k, v := range extra {
+			m[k] = v
+		}
+		return m
 	}
 
-	// Reference: the synchronous simulated-crowd endpoint.
-	refResp, ref := postVerify(t, ts, envelope(`"team": 3`))
+	// Reference: the synchronous simulated-crowd batch run.
+	refResp, ref := postV1Run(t, ts, info.ID, envelope(map[string]any{"team": 3}))
 	if refResp.StatusCode != http.StatusOK {
-		t.Fatalf("verify status = %d", refResp.StatusCode)
+		t.Fatalf("batch run status = %d", refResp.StatusCode)
 	}
 
-	// Interactive: create a session with three section-skimming checkers
-	// (the team-size analog for the §5.1 cost accounting).
-	resp := do(t, http.MethodPost, ts.URL+"/sessions", envelope(`"checkers": 3`))
+	// Interactive: start a session run with three section-skimming
+	// checkers (the team-size analog for the §5.1 cost accounting).
+	resp := do(t, http.MethodPost, runs, mustJSON(t, envelope(map[string]any{"mode": "session", "checkers": 3})))
 	if resp.StatusCode != http.StatusCreated {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("create status = %d: %s", resp.StatusCode, b)
 	}
-	var created sessionCreateResponse
+	var created sessionRunResponse
 	decodeJSON(t, resp, &created)
 	if created.ID == "" || created.Claims != len(w.Document.Claims) || len(created.Questions) == 0 {
 		t.Fatalf("create response = %+v", created)
 	}
+	base := ts.URL + "/v1/runs/" + created.ID
 
 	sc := newSessionCrowd(t, w.Corpus, w.Document, 11, 3)
 	questions := created.Questions
@@ -157,7 +171,7 @@ func TestSessionLifecycleMatchesVerify(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aResp := do(t, http.MethodPost, ts.URL+"/sessions/"+created.ID+"/answers", payload)
+		aResp := do(t, http.MethodPost, base+"/answers", payload)
 		if aResp.StatusCode != http.StatusOK {
 			b, _ := io.ReadAll(aResp.Body)
 			t.Fatalf("answers status = %d: %s", aResp.StatusCode, b)
@@ -171,28 +185,23 @@ func TestSessionLifecycleMatchesVerify(t *testing.T) {
 		if len(questions) == 0 && !ar.Progress.Done {
 			// Batch boundary: the next batch's questions are fetched by
 			// polling, as a real client would.
-			qResp := do(t, http.MethodGet, ts.URL+"/sessions/"+created.ID+"/questions", nil)
-			var qs struct {
-				Questions []scrutinizer.SessionQuestion `json:"questions"`
-				Done      bool                          `json:"done"`
-			}
-			decodeJSON(t, qResp, &qs)
-			questions = qs.Questions
-			if len(questions) == 0 && !qs.Done {
+			var done bool
+			questions, done = pendingQuestions(t, ts.URL, created.ID)
+			if len(questions) == 0 && !done {
 				t.Fatal("session not done but no questions queued")
 			}
 		}
 	}
 
 	// Progress reflects completion and the retrain generations.
-	pResp := do(t, http.MethodGet, ts.URL+"/sessions/"+created.ID, nil)
+	pResp := do(t, http.MethodGet, base, nil)
 	var prog scrutinizer.SessionProgress
 	decodeJSON(t, pResp, &prog)
 	if !prog.Done || prog.Verified != len(w.Document.Claims) || prog.ModelGeneration == 0 {
 		t.Fatalf("final progress = %+v", prog)
 	}
 
-	rResp := do(t, http.MethodGet, ts.URL+"/sessions/"+created.ID+"/report", nil)
+	rResp := do(t, http.MethodGet, base+"/report", nil)
 	var rep sessionReportResponse
 	decodeJSON(t, rResp, &rep)
 	if !rep.Done {
@@ -209,77 +218,76 @@ func TestSessionLifecycleMatchesVerify(t *testing.T) {
 		t.Errorf("accuracy = %v, want %v", rep.Accuracy, ref.Accuracy)
 	}
 	if rep.Batches != ref.Batches || len(rep.Outcomes) != len(ref.Outcomes) {
-		t.Errorf("batches/outcomes = %d/%d, want %d/%d", rep.Batches, len(rep.Outcomes), ref.Batches, len(ref.Outcomes))
+		t.Fatalf("batches/outcomes = %d/%d, want %d/%d", rep.Batches, len(rep.Outcomes), ref.Batches, len(ref.Outcomes))
 	}
 	for i := range rep.Outcomes {
-		if rep.Outcomes[i] != ref.Outcomes[i] && (rep.Outcomes[i].Suggestion == nil) == (ref.Outcomes[i].Suggestion == nil) {
-			// Pointers differ; compare fields.
-			a, b := rep.Outcomes[i], ref.Outcomes[i]
-			if a.ClaimID != b.ClaimID || a.Verdict != b.Verdict || a.Seconds != b.Seconds || a.SQL != b.SQL || a.Value != b.Value {
-				t.Fatalf("outcome %d = %+v, want %+v", i, a, b)
-			}
+		a, b := rep.Outcomes[i], ref.Outcomes[i]
+		if a.ClaimID != b.ClaimID || a.Verdict != b.Verdict || a.Seconds != b.Seconds || a.SQL != b.SQL || a.Value != b.Value ||
+			(a.Suggestion == nil) != (b.Suggestion == nil) || (a.Suggestion != nil && *a.Suggestion != *b.Suggestion) {
+			t.Fatalf("outcome %d = %+v, want %+v", i, a, b)
 		}
 	}
 
-	// Delete ends the session.
-	dResp := do(t, http.MethodDelete, ts.URL+"/sessions/"+created.ID, nil)
+	// Delete ends the run.
+	dResp := do(t, http.MethodDelete, base, nil)
 	if dResp.StatusCode != http.StatusOK {
 		t.Errorf("delete status = %d", dResp.StatusCode)
 	}
 	dResp.Body.Close()
-	if g := do(t, http.MethodGet, ts.URL+"/sessions/"+created.ID, nil); g.StatusCode != http.StatusNotFound {
-		t.Errorf("deleted session still reachable: %d", g.StatusCode)
+	if g := do(t, http.MethodGet, base, nil); g.StatusCode != http.StatusNotFound {
+		t.Errorf("deleted run still reachable: %d", g.StatusCode)
 	}
 }
 
-// TestSessionEndpointErrors covers the session error surface: malformed
-// bodies, unknown IDs, stale question IDs, wrong methods.
+// TestSessionEndpointErrors covers the interactive-run error surface:
+// malformed bodies, unknown IDs, stale question IDs, wrong methods.
 func TestSessionEndpointErrors(t *testing.T) {
 	s, w := testServer(t)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
+	info := trainV1Verifier(t, ts, "default", w.Document, 11)
+	runs := ts.URL + "/v1/verifiers/" + info.ID + "/runs"
+
 	// Malformed create bodies.
-	for _, payload := range []string{"{not json", `{"document": {"title": "t"}, "ordering": "alphabetical"}`} {
-		resp := do(t, http.MethodPost, ts.URL+"/sessions", []byte(payload))
+	for _, payload := range [][]byte{[]byte("{not json"), mustJSON(t, map[string]any{
+		"document": json.RawMessage(docJSON(t, w.Document)), "mode": "session", "ordering": "alphabetical"})} {
+		resp := do(t, http.MethodPost, runs, payload)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("create %q: status = %d, want 400", payload, resp.StatusCode)
+			t.Errorf("create %.40q: status = %d, want 400", payload, resp.StatusCode)
 		}
 	}
-	// Empty document fails system construction.
-	resp := do(t, http.MethodPost, ts.URL+"/sessions", []byte(`{}`))
+	// An empty document has no claims to verify.
+	resp := do(t, http.MethodPost, runs, []byte(`{"document": {"title": "t", "sections": 1, "claims": []}, "mode": "session"}`))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("empty create: status = %d, want 422", resp.StatusCode)
 	}
 
-	// Unknown session IDs.
-	for _, ep := range []string{"/sessions/nope", "/sessions/nope/questions", "/sessions/nope/report"} {
+	// Unknown run IDs.
+	for _, ep := range []string{"/v1/runs/nope", "/v1/runs/nope/questions", "/v1/runs/nope/report"} {
 		resp := do(t, http.MethodGet, ts.URL+ep, nil)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s: status = %d, want 404", ep, resp.StatusCode)
 		}
 	}
-	resp = do(t, http.MethodPost, ts.URL+"/sessions/nope/answers", []byte(`{"claim_id":1,"value":"x"}`))
+	resp = do(t, http.MethodPost, ts.URL+"/v1/runs/nope/answers", []byte(`{"claim_id":1,"value":"x"}`))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("answers for unknown session: status = %d, want 404", resp.StatusCode)
+		t.Errorf("answers for unknown run: status = %d, want 404", resp.StatusCode)
 	}
 
 	// A live session rejects malformed and conflicting answers.
-	var doc bytes.Buffer
-	if err := w.Document.WriteJSON(&doc); err != nil {
-		t.Fatal(err)
+	resp = do(t, http.MethodPost, runs, mustJSON(t, map[string]any{
+		"document": json.RawMessage(docJSON(t, w.Document)), "mode": "session"}))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create status = %d", resp.StatusCode)
 	}
-	cResp := do(t, http.MethodPost, ts.URL+"/sessions", doc.Bytes())
-	if cResp.StatusCode != http.StatusCreated {
-		t.Fatalf("create status = %d", cResp.StatusCode)
-	}
-	var created sessionCreateResponse
-	decodeJSON(t, cResp, &created)
-	base := ts.URL + "/sessions/" + created.ID
+	var created sessionRunResponse
+	decodeJSON(t, resp, &created)
+	base := ts.URL + "/v1/runs/" + created.ID
 
 	resp = do(t, http.MethodPost, base+"/answers", []byte("{not json"))
 	resp.Body.Close()
@@ -306,26 +314,34 @@ func TestSessionEndpointErrors(t *testing.T) {
 	resp = do(t, http.MethodPut, base, nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("PUT session: status = %d, want 405", resp.StatusCode)
+		t.Errorf("PUT run: status = %d, want 405", resp.StatusCode)
 	}
-	resp = do(t, http.MethodGet, ts.URL+"/sessions", nil)
+	resp = do(t, http.MethodGet, ts.URL+"/v1/runs", nil)
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
-		t.Errorf("GET /sessions unexpectedly served: %d", resp.StatusCode)
+		t.Errorf("GET /v1/runs unexpectedly served: %d", resp.StatusCode)
 	}
 }
 
-// TestBodyCap verifies the request-body cap returns 413 on /verify and
-// the session endpoints (the server's cap is lowered so the test does not
-// allocate 64 MB).
+// TestBodyCap verifies the request-body cap returns 413 on every route
+// that reads a document or a relation (the server's cap is lowered so the
+// test does not allocate 64 MB).
 func TestBodyCap(t *testing.T) {
-	s, _ := testServer(t)
+	s, w := testServer(t)
+	v, err := s.svc.CreateVerifier("default", w.Document, scrutinizer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.maxBody = 1024
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
 	big := []byte(`{"document": {"title": "` + strings.Repeat("x", 4096) + `"}}`)
-	for _, ep := range []string{"/verify", "/sessions"} {
+	for _, ep := range []string{
+		"/v1/verifiers/" + v.ID() + "/runs",
+		"/v1/corpora/default/verifiers",
+		"/v1/corpora",
+	} {
 		resp := do(t, http.MethodPost, ts.URL+ep, big)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -336,22 +352,20 @@ func TestBodyCap(t *testing.T) {
 
 // TestHealthzReportsSessions extends the liveness probe: active session
 // count, queued questions and the engine model generation must be
-// reported alongside the corpus statistics.
+// reported alongside the registry statistics.
 func TestHealthzReportsSessions(t *testing.T) {
 	s, w := testServer(t)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	var doc bytes.Buffer
-	if err := w.Document.WriteJSON(&doc); err != nil {
-		t.Fatal(err)
+	info := trainV1Verifier(t, ts, "default", w.Document, 11)
+	resp := do(t, http.MethodPost, ts.URL+"/v1/verifiers/"+info.ID+"/runs", mustJSON(t, map[string]any{
+		"document": json.RawMessage(docJSON(t, w.Document)), "mode": "session"}))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create status = %d", resp.StatusCode)
 	}
-	cResp := do(t, http.MethodPost, ts.URL+"/sessions", doc.Bytes())
-	if cResp.StatusCode != http.StatusCreated {
-		t.Fatalf("create status = %d", cResp.StatusCode)
-	}
-	var created sessionCreateResponse
-	decodeJSON(t, cResp, &created)
+	var created sessionRunResponse
+	decodeJSON(t, resp, &created)
 
 	hResp := do(t, http.MethodGet, ts.URL+"/healthz", nil)
 	var health struct {
@@ -368,5 +382,10 @@ func TestHealthzReportsSessions(t *testing.T) {
 	}
 	if health.Sessions.QueuedQuestions != len(created.Questions) {
 		t.Errorf("queued = %d, want %d", health.Sessions.QueuedQuestions, len(created.Questions))
+	}
+	// The verifier arrived trained, so the session's engine starts at a
+	// nonzero model generation.
+	if health.Sessions.ModelGeneration == 0 {
+		t.Errorf("model generation = 0, want the trained verifier's")
 	}
 }

@@ -15,7 +15,7 @@ package main
 //     answers every question with the simulated crowd in-process and
 //     returns the report inline; mode "session" parks an interactive
 //     session and returns its handle — the run ID is a session ID served
-//     under /v1/runs/{id} (and, equivalently, the legacy /sessions/{id}).
+//     under /v1/runs/{id}.
 
 import (
 	"bytes"
@@ -96,10 +96,6 @@ func (s *server) handleCorpusGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleCorpusDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if id == defaultCorpusID {
-		httpError(w, http.StatusConflict, "the default corpus backs the legacy routes and cannot be deleted")
-		return
-	}
 	ok, err := s.svc.RemoveCorpus(id)
 	if err != nil {
 		httpError(w, journalStatus(err), err.Error())
@@ -126,15 +122,9 @@ func journalStatus(err error) int {
 }
 
 // mutableCorpus resolves a corpus for mutation, enforcing the freeze
-// rules: the default corpus is never mutable over HTTP (legacy traffic
-// reads it without coordination), and a corpus with verifiers is frozen
-// (their runs read it concurrently). Caller must hold the corpus's
-// lockCorpus mutex.
+// rule: a corpus with verifiers is frozen (their runs read it
+// concurrently). Caller must hold the corpus's lockCorpus mutex.
 func (s *server) mutableCorpus(w http.ResponseWriter, id string) (*scrutinizer.Corpus, bool) {
-	if id == defaultCorpusID {
-		httpError(w, http.StatusConflict, "the default corpus is read-only (legacy routes verify against it without coordination)")
-		return nil, false
-	}
 	corpus, ok := s.svc.Corpus(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("no corpus %q", id))
@@ -312,15 +302,22 @@ func (s *server) handleVerifierDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
 }
 
-// runRequest is the POST /v1/verifiers/{id}/runs body: the shared
-// document envelope plus the run mode. The envelope's seed field only
-// drives the "random" claim ordering — model and crowd seeding belong
-// to the verifier.
+// runRequest is the POST /v1/verifiers/{id}/runs envelope. Document is
+// raw so a bare document body can be detected and accepted too. Seed only
+// drives the "random" claim ordering — model and crowd seeding belong to
+// the verifier.
 type runRequest struct {
-	documentRequest
+	Document json.RawMessage `json:"document"`
 	// Mode is "batch" (default: simulated crowd, report inline) or
 	// "session" (interactive: park a question/answer session).
-	Mode string `json:"mode"`
+	Mode            string  `json:"mode"`
+	Team            int     `json:"team"`
+	Checkers        int     `json:"checkers"`
+	Batch           int     `json:"batch"`
+	Parallelism     int     `json:"parallelism"`
+	Ordering        string  `json:"ordering"`
+	Seed            int64   `json:"seed"`
+	SectionReadCost float64 `json:"section_read_cost"`
 }
 
 // coverageJSON shapes FeatureCoverage for responses.
@@ -329,14 +326,38 @@ type coverageJSON struct {
 	TFIDFRatio float64 `json:"tfidf_ratio"`
 }
 
-// batchRunResponse is the mode=batch report: the legacy verify payload
-// plus run provenance (verifier, model generation, vocabulary coverage).
+// verifyResponse is a batch run's verification report.
+type verifyResponse struct {
+	Title       string          `json:"title"`
+	Claims      int             `json:"claims"`
+	Correct     int             `json:"correct"`
+	Incorrect   int             `json:"incorrect"`
+	Skipped     int             `json:"skipped"`
+	Accuracy    float64         `json:"accuracy"`
+	CrowdSecs   float64         `json:"crowd_seconds"`
+	Batches     int             `json:"batches"`
+	Parallelism int             `json:"parallelism"`
+	WallMillis  int64           `json:"wall_ms"`
+	Outcomes    []verifyOutcome `json:"outcomes"`
+}
+
+// batchRunResponse is the mode=batch report: the verification report plus
+// run provenance (verifier, model generation, vocabulary coverage).
 type batchRunResponse struct {
 	verifyResponse
 	Verifier        string       `json:"verifier"`
 	Mode            string       `json:"mode"`
 	ModelGeneration uint64       `json:"model_generation"`
 	Coverage        coverageJSON `json:"coverage"`
+}
+
+// sessionCreateResponse is a new session's handle plus the first batch of
+// questions, so a client can start answering without a second round trip.
+type sessionCreateResponse struct {
+	ID        string                        `json:"id"`
+	Claims    int                           `json:"claims"`
+	Progress  scrutinizer.SessionProgress   `json:"progress"`
+	Questions []scrutinizer.SessionQuestion `json:"questions"`
 }
 
 // sessionRunResponse is the mode=session handle: the session payload
@@ -432,7 +453,9 @@ func (s *server) handleRunCreate(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		run, err := v.StartRun(ctx, doc)
 		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, err.Error())
+			// The document was validated above: what remains is a request
+			// context that already expired or was cancelled.
+			httpError(w, verifyErrStatus(err), err.Error())
 			return
 		}
 		crowd, err := v.NewTeam(team)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/repro/scrutinizer"
 )
@@ -129,18 +130,6 @@ func TestV1CorpusLifecycle(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// The default corpus is protected.
-	for _, req := range [][2]string{
-		{"DELETE", "/v1/corpora/default"},
-		{"PUT", "/v1/corpora/default/relations/x"},
-	} {
-		if resp := do(t, req[0], ts.URL+req[1], csv); resp.StatusCode != http.StatusConflict {
-			t.Fatalf("%s %s: status %d, want 409", req[0], req[1], resp.StatusCode)
-		} else {
-			resp.Body.Close()
-		}
-	}
-
 	// Deleting the corpus cascades to its verifiers.
 	if resp := do(t, "DELETE", ts.URL+"/v1/corpora/iea", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete corpus: status %d", resp.StatusCode)
@@ -226,35 +215,42 @@ func postV1Run(t *testing.T, ts *httptest.Server, verifierID string, payload map
 	return resp, out
 }
 
-// TestV1BatchRunMatchesSystem is the acceptance pin for the redesign: a
-// trained verifier serving a document over /v1 produces verdicts
-// bit-identical to a directly-constructed legacy System trained on the
-// same data — and a second document served by the same warm verifier
-// matches its own dedicated reference too.
-func TestV1BatchRunMatchesSystem(t *testing.T) {
+// inProcessRun verifies doc in process on a fresh verifier trained on
+// training: the library path a /v1 batch run must reproduce.
+func inProcessRun(t *testing.T, corpus *scrutinizer.Corpus, training, doc *scrutinizer.Document, seed int64, batch int) *scrutinizer.Result {
+	t.Helper()
+	v, err := scrutinizer.NewVerifier(corpus, training, scrutinizer.Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := v.StartRun(context.Background(), doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	team, err := v.NewTeam(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := run.Verify(context.Background(), team, scrutinizer.VerifyOptions{BatchSize: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestV1BatchRunMatchesInProcess is the acceptance pin for the /v1 surface:
+// a trained verifier serving a document over HTTP produces verdicts
+// bit-identical to an in-process verifier trained on the same data — and a
+// second document served by the same warm verifier matches its own
+// in-process reference too.
+func TestV1BatchRunMatchesInProcess(t *testing.T) {
 	s, w := testServer(t)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
 	const seed, batch = 11, 10
 	info := trainV1Verifier(t, ts, "default", w.Document, seed)
-
-	// Reference: the direct library path with the same training data.
-	sys, err := scrutinizer.New(w.Corpus, w.Document, scrutinizer.Options{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Train(w.Document.Claims); err != nil {
-		t.Fatal(err)
-	}
-	team, err := sys.NewTeam(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sys.VerifyDocument(context.Background(), team, scrutinizer.VerifyOptions{BatchSize: batch})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := inProcessRun(t, w.Corpus, w.Document, w.Document, seed, batch)
 
 	resp, got := postV1Run(t, ts, info.ID, map[string]any{
 		"document": json.RawMessage(docJSON(t, w.Document)),
@@ -273,7 +269,7 @@ func TestV1BatchRunMatchesSystem(t *testing.T) {
 		t.Fatalf("training-document coverage = %+v, want full tfidf + near-full embed", got.Coverage)
 	}
 	if got.CrowdSecs != want.Seconds || got.Batches != want.Batches || got.Accuracy != want.Accuracy() {
-		t.Fatalf("run vs system: secs %v/%v batches %d/%d acc %v/%v",
+		t.Fatalf("run vs in-process: secs %v/%v batches %d/%d acc %v/%v",
 			got.CrowdSecs, want.Seconds, got.Batches, want.Batches, got.Accuracy, want.Accuracy())
 	}
 	if len(got.Outcomes) != len(want.Outcomes) {
@@ -287,7 +283,7 @@ func TestV1BatchRunMatchesSystem(t *testing.T) {
 	}
 
 	// Second document on the same warm verifier: bit-identical to a
-	// dedicated System trained on the full document (the verifier's
+	// dedicated verifier trained on the full document (the verifier's
 	// training set) and run over the half.
 	half := &scrutinizer.Document{Title: "half", Sections: w.Document.Sections,
 		Claims: w.Document.Claims[:len(w.Document.Claims)/2]}
@@ -298,22 +294,7 @@ func TestV1BatchRunMatchesSystem(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("half run: status %d", resp2.StatusCode)
 	}
-	refV, err := scrutinizer.NewVerifier(w.Corpus, w.Document, scrutinizer.Options{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refRun, err := refV.StartRun(context.Background(), half)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refTeam, err := refV.NewTeam(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want2, err := refRun.Verify(context.Background(), refTeam, scrutinizer.VerifyOptions{BatchSize: batch})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want2 := inProcessRun(t, w.Corpus, w.Document, half, seed, batch)
 	if got2.CrowdSecs != want2.Seconds || len(got2.Outcomes) != len(want2.Outcomes) {
 		t.Fatalf("half run: secs %v/%v outcomes %d/%d",
 			got2.CrowdSecs, want2.Seconds, len(got2.Outcomes), len(want2.Outcomes))
@@ -419,13 +400,6 @@ func TestV1SessionRunMatchesBatch(t *testing.T) {
 	if rep.CrowdSecs != batchOut.CrowdSecs || rep.Accuracy != batchOut.Accuracy {
 		t.Fatalf("session secs/acc %v/%v vs batch %v/%v", rep.CrowdSecs, rep.Accuracy, batchOut.CrowdSecs, batchOut.Accuracy)
 	}
-
-	// The session is also reachable through the legacy alias.
-	resp = do(t, "GET", ts.URL+"/sessions/"+sessOut.ID, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy alias for v1 run: status %d", resp.StatusCode)
-	}
-	resp.Body.Close()
 
 	if resp := do(t, "DELETE", ts.URL+"/v1/runs/"+sessOut.ID, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete run: status %d", resp.StatusCode)
@@ -606,5 +580,87 @@ func TestHealthzServiceStats(t *testing.T) {
 	}
 	if h.Sessions.ByOwner[info.ID] != 1 {
 		t.Fatalf("sessions by_owner = %v", h.Sessions.ByOwner)
+	}
+}
+
+// TestStartupCorpusIsOrdinary: the corpus loaded at startup is an ordinary
+// /v1 corpus on a durable daemon — its relations can be replaced and
+// deleted while no verifier is bound to it, the mutations survive a
+// restart, and deleting it outright is allowed; the next boot then
+// registers a fresh startup corpus.
+func TestStartupCorpusIsOrdinary(t *testing.T) {
+	dir := t.TempDir()
+	boot := func() (*server, *httptest.Server, func()) {
+		t.Helper()
+		// Every boot loads the startup corpus afresh, as the process does.
+		corpus, err := loadCorpus("", 16, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, err := scrutinizer.OpenFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := newServer(corpus, serverConfig{parallel: 2, sessionTTL: time.Hour}, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.routes())
+		return s, ts, func() {
+			ts.Close()
+			if err := fs.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	relations := func(ts *httptest.Server) int {
+		t.Helper()
+		resp := do(t, http.MethodGet, ts.URL+"/v1/corpora/default", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET default corpus: status %d", resp.StatusCode)
+		}
+		var info scrutinizer.CorpusInfo
+		decodeJSON(t, resp, &info)
+		return info.Relations
+	}
+	expect := func(method, path string, body []byte, want int, ts *httptest.Server) {
+		t.Helper()
+		resp := do(t, method, ts.URL+path, body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s %s: status %d, want %d", method, path, resp.StatusCode, want)
+		}
+	}
+
+	s, ts, stop := boot()
+	fresh := relations(ts)
+	corpus, _ := s.svc.Corpus(defaultCorpusID)
+	name := corpus.Names()[0]
+	csv := relationCSV(t, corpus, name)
+	expect(http.MethodPut, "/v1/corpora/default/relations/"+name, csv, http.StatusOK, ts) // replaced
+	expect(http.MethodDelete, "/v1/corpora/default/relations/"+name, nil, http.StatusOK, ts)
+	if got := relations(ts); got != fresh-1 {
+		t.Fatalf("default corpus after relation delete: %d relations, want %d", got, fresh-1)
+	}
+	stop()
+
+	// The journaled state of the startup corpus wins over the fresh load.
+	s, ts, stop = boot()
+	if got := relations(ts); got != fresh-1 || s.recovered.Corpora != 1 {
+		t.Fatalf("after restart: %d relations (want %d), recovered %+v", got, fresh-1, s.recovered)
+	}
+	expect(http.MethodDelete, "/v1/corpora/default", nil, http.StatusOK, ts)
+	expect(http.MethodGet, "/v1/corpora/default", nil, http.StatusNotFound, ts)
+	stop()
+
+	// Deleted and restarted: nothing is recovered, and boot registers a
+	// fresh startup corpus.
+	s, ts, stop = boot()
+	defer stop()
+	if s.recovered.Corpora != 0 {
+		t.Fatalf("deleted startup corpus recovered: %+v", s.recovered)
+	}
+	if got := relations(ts); got != fresh {
+		t.Fatalf("fresh startup corpus has %d relations, want %d", got, fresh)
 	}
 }

@@ -8,9 +8,11 @@ import (
 	"github.com/repro/scrutinizer"
 )
 
-// ExampleNew builds the Figure 1 corpus fragment by hand, poses the paper's
-// Example 1 claim, and verifies it with a simulated crowd of three.
-func ExampleNew() {
+// ExampleRun_VerifyClaim builds the Figure 1 corpus fragment by hand, poses
+// the paper's Example 1 claim, and verifies it with a simulated crowd of
+// three. No previous checks exist, so the verifier is fitted on the
+// unannotated document (a cold start).
+func ExampleRun_VerifyClaim() {
 	corpus := scrutinizer.NewCorpus()
 	ged, err := scrutinizer.NewRelation("GED", "Index", []string{"2016", "2017"})
 	if err != nil {
@@ -59,15 +61,19 @@ func ExampleNew() {
 	}
 	doc := &scrutinizer.Document{Title: "WEO demo", Sections: 1, Claims: []*scrutinizer.Claim{claim, wrong}}
 
-	sys, err := scrutinizer.New(corpus, doc, scrutinizer.Options{Seed: 1})
+	v, err := scrutinizer.NewVerifier(corpus, doc.Unannotated(), scrutinizer.Options{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	team, err := sys.NewTeam(3)
+	run, err := v.StartRun(context.Background(), doc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := sys.VerifyClaim(context.Background(), claim, team)
+	team, err := v.NewTeam(3)
+	if err != nil {
+		log.Fatal(err)
+	}
+	out, err := run.VerifyClaim(context.Background(), claim, team)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,25 +84,29 @@ func ExampleNew() {
 	// query value: 0.031
 }
 
-// ExampleSystem_VerifyDocument runs the full Algorithm 1 loop over a small
-// synthetic world, fanning each batch out across four goroutines. Results
-// are identical at any Parallelism setting.
-func ExampleSystem_VerifyDocument() {
+// ExampleRun_Verify runs the full Algorithm 1 loop over a small synthetic
+// world from a cold start, fanning each batch out across four goroutines.
+// Results are identical at any Parallelism setting.
+func ExampleRun_Verify() {
 	cfg := scrutinizer.SmallWorld()
 	cfg.NumClaims = 30
 	world, err := scrutinizer.GenerateWorld(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := scrutinizer.New(world.Corpus, world.Document, scrutinizer.Options{Seed: 11})
+	v, err := scrutinizer.NewVerifier(world.Corpus, world.Document.Unannotated(), scrutinizer.Options{Seed: 11})
 	if err != nil {
 		log.Fatal(err)
 	}
-	team, err := sys.NewTeam(3)
+	run, err := v.StartRun(context.Background(), world.Document)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sys.VerifyDocument(context.Background(), team, scrutinizer.VerifyOptions{
+	team, err := v.NewTeam(3)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := run.Verify(context.Background(), team, scrutinizer.VerifyOptions{
 		BatchSize:   10,
 		Parallelism: 4,
 	})

@@ -1,5 +1,5 @@
 // Activelearning: the cold-start scenario of §6.2 in isolation. A fresh
-// system (no previous checks) verifies a report batch by batch; after each
+// verifier (no previous checks) verifies a report batch by batch; after each
 // batch the classifiers retrain on crowd-validated labels. The example
 // prints the accuracy curve of every classifier and the falling per-claim
 // crowd cost — the mechanism behind Figures 8 and 9.
@@ -25,11 +25,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := scrutinizer.New(world.Corpus, world.Document, scrutinizer.Options{Seed: 17})
+	v, err := scrutinizer.NewVerifier(world.Corpus, world.Document.Unannotated(), scrutinizer.Options{Seed: 17})
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine := sys.Engine()
+	run, err := v.StartRun(context.Background(), world.Document)
+	if err != nil {
+		log.Fatal(err)
+	}
+	engine := run.Engine()
 	team, err := crowd.NewTeam("A", 3, 0.98, 17)
 	if err != nil {
 		log.Fatal(err)

@@ -29,7 +29,11 @@ func main() {
 		world.Corpus.Len(), len(world.Document.Claims), world.Document.Sections)
 
 	for _, ordering := range []core.Ordering{core.OrderSequential, core.OrderILP} {
-		sys, err := scrutinizer.New(world.Corpus, world.Document, scrutinizer.Options{Seed: 42})
+		v, err := scrutinizer.NewVerifier(world.Corpus, world.Document.Unannotated(), scrutinizer.Options{Seed: 42})
+		if err != nil {
+			log.Fatal(err)
+		}
+		run, err := v.StartRun(context.Background(), world.Document)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -38,7 +42,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("--- ordering: %s ---\n", ordering)
-		res, err := sys.Engine().Verify(context.Background(), world.Document, team, core.VerifyConfig{
+		res, err := run.Engine().Verify(context.Background(), world.Document, team, core.VerifyConfig{
 			BatchSize:       25,
 			SectionReadCost: 60,
 			Ordering:        ordering,

@@ -95,15 +95,19 @@ func main() {
 	}
 	// Quarterly-label arithmetic (2024Q4 - 2024Q3) is undefined, so the
 	// claims here avoid CAGR-style formulas; everything else carries over.
-	sys, err := scrutinizer.New(corpus, doc, scrutinizer.Options{Seed: 9, Tolerance: 0.02})
+	v, err := scrutinizer.NewVerifier(corpus, doc.Unannotated(), scrutinizer.Options{Seed: 9, Tolerance: 0.02})
 	if err != nil {
 		log.Fatal(err)
 	}
-	team, err := sys.NewTeam(3)
+	run, err := v.StartRun(context.Background(), doc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sys.VerifyDocument(context.Background(), team, scrutinizer.VerifyOptions{BatchSize: 4})
+	team, err := v.NewTeam(3)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := run.Verify(context.Background(), team, scrutinizer.VerifyOptions{BatchSize: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -69,17 +69,24 @@ func main() {
 		Claims:   []*scrutinizer.Claim{claim, wrong},
 	}
 
-	sys, err := scrutinizer.New(corpus, doc, scrutinizer.Options{Seed: 1})
+	// No previous checks exist: fit the verifier on the document without
+	// its annotations (a cold start). The simulated crowd answers from the
+	// annotated claims the run verifies.
+	v, err := scrutinizer.NewVerifier(corpus, doc.Unannotated(), scrutinizer.Options{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	team, err := sys.NewTeam(3)
+	run, err := v.StartRun(context.Background(), doc)
+	if err != nil {
+		log.Fatal(err)
+	}
+	team, err := v.NewTeam(3)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	for _, c := range doc.Claims {
-		out, err := sys.VerifyClaim(context.Background(), c, team)
+		out, err := run.VerifyClaim(context.Background(), c, team)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -18,8 +18,8 @@ import (
 )
 
 // TestBootstrapBeatsColdStart verifies the headline active-learning claim:
-// a system bootstrapped from previous checks spends less crowd time than a
-// cold-started one on the same document.
+// a verifier bootstrapped from previous checks spends less crowd time than
+// a cold-started one on the same document.
 func TestBootstrapBeatsColdStart(t *testing.T) {
 	cfg := SmallWorld()
 	cfg.NumClaims = 60
@@ -28,29 +28,21 @@ func TestBootstrapBeatsColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(bootstrap bool) float64 {
-		sys, err := New(w.Corpus, w.Document, Options{Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
+	verify := func(bootstrap bool) float64 {
+		training := w.Document.Unannotated()
 		if bootstrap {
-			if err := sys.Train(w.Document.Claims); err != nil {
-				t.Fatal(err)
-			}
+			training = w.Document
 		}
-		team, err := sys.NewTeam(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.VerifyDocument(context.Background(), team, VerifyOptions{BatchSize: 15})
+		run, team := startRun(t, w.Corpus, training, w.Document, Options{Seed: 5})
+		res, err := run.Verify(context.Background(), team, VerifyOptions{BatchSize: 15})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Seconds
 	}
 
-	cold := run(false)
-	warm := run(true)
+	cold := verify(false)
+	warm := verify(true)
 	if warm >= cold {
 		t.Errorf("bootstrapped run (%.0fs) should beat cold start (%.0fs)", warm, cold)
 	}
@@ -66,13 +58,7 @@ func TestMajorityVotingAbsorbsUnreliableWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(w.Corpus, w.Document, Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Train(w.Document.Claims); err != nil {
-		t.Fatal(err)
-	}
+	run, _ := startRun(t, w.Corpus, w.Document, w.Document, Options{Seed: 2})
 	good1, err := crowd.NewWorker("G1", 1, 1, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +75,7 @@ func TestMajorityVotingAbsorbsUnreliableWorker(t *testing.T) {
 
 	right := 0
 	for _, c := range w.Document.Claims {
-		out, err := sys.VerifyClaim(context.Background(), c, team)
+		out, err := run.VerifyClaim(context.Background(), c, team)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,24 +98,14 @@ func TestErrorInjectionDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(w.Corpus, w.Document, Options{Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Train(w.Document.Claims); err != nil {
-		t.Fatal(err)
-	}
-	team, err := sys.NewTeam(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run, team := startRun(t, w.Corpus, w.Document, w.Document, Options{Seed: 8})
 	suggestions, wrongClaims := 0, 0
 	for _, c := range w.Document.Claims {
 		if c.Correct || c.Kind != claims.Explicit {
 			continue
 		}
 		wrongClaims++
-		out, err := sys.VerifyClaim(context.Background(), c, team)
+		out, err := run.VerifyClaim(context.Background(), c, team)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,15 +247,8 @@ func TestVerifySkipsAreRareWithAccurateCrowd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(w.Corpus, w.Document, Options{Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	team, err := sys.NewTeam(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.VerifyDocument(context.Background(), team, VerifyOptions{BatchSize: 20, Ordering: core.OrderGreedy})
+	run, team := startRun(t, w.Corpus, w.Document.Unannotated(), w.Document, Options{Seed: 21})
+	res, err := run.Verify(context.Background(), team, VerifyOptions{BatchSize: 20, Ordering: core.OrderGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,15 +271,8 @@ func TestReportMentionsEveryClaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(w.Corpus, w.Document, Options{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	team, err := sys.NewTeam(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.VerifyDocument(context.Background(), team, VerifyOptions{BatchSize: 10})
+	run, team := startRun(t, w.Corpus, w.Document.Unannotated(), w.Document, Options{Seed: 4})
+	res, err := run.Verify(context.Background(), team, VerifyOptions{BatchSize: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,17 +305,23 @@ func TestCrossEditionBootstrap(t *testing.T) {
 		t.Fatal("editions should share the relation vocabulary")
 	}
 
-	run := func(bootstrap bool) float64 {
-		sys, err := New(thisYear.Corpus, thisYear.Document, Options{Seed: 44})
+	verify := func(bootstrap bool) float64 {
+		// Features are fitted on this year's text either way; only the
+		// classifiers differ.
+		v, err := NewVerifier(thisYear.Corpus, thisYear.Document.Unannotated(), Options{Seed: 44})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if bootstrap {
-			if err := sys.Train(lastYear.Document.Claims); err != nil {
+			if err := v.Retrain(lastYear.Document.Claims); err != nil {
 				t.Fatal(err)
 			}
 		}
-		team, err := sys.NewTeam(3)
+		run, err := v.StartRun(context.Background(), thisYear.Document)
+		if err != nil {
+			t.Fatal(err)
+		}
+		team, err := v.NewTeam(3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +329,7 @@ func TestCrossEditionBootstrap(t *testing.T) {
 		// let the cold start catch up after its first batch and reduce the
 		// comparison to crowd-timing noise; a single batch isolates the
 		// structural advantage of arriving with trained classifiers.
-		res, err := sys.VerifyDocument(context.Background(), team, VerifyOptions{BatchSize: len(thisYear.Document.Claims)})
+		res, err := run.Verify(context.Background(), team, VerifyOptions{BatchSize: len(thisYear.Document.Claims)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,8 +338,8 @@ func TestCrossEditionBootstrap(t *testing.T) {
 		}
 		return res.Seconds
 	}
-	cold := run(false)
-	warm := run(true)
+	cold := verify(false)
+	warm := verify(true)
 	if warm >= cold {
 		t.Errorf("cross-edition bootstrap (%.0fs) should beat cold start (%.0fs)", warm, cold)
 	}
@@ -386,10 +354,7 @@ func TestHopelessCrowdSkipsClaims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(w.Corpus, w.Document, Options{Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
+	run, _ := startRun(t, w.Corpus, w.Document.Unannotated(), w.Document, Options{Seed: 13})
 	var workers []*crowd.Worker
 	for i := 0; i < 3; i++ {
 		bad, err := crowd.NewWorker("B", 1, 0, int64(i))
@@ -405,7 +370,7 @@ func TestHopelessCrowdSkipsClaims(t *testing.T) {
 	// for the wrong reason more often than chance would allow.
 	skippedOrJudged := 0
 	for _, c := range w.Document.Claims[:10] {
-		out, err := sys.VerifyClaim(context.Background(), c, team)
+		out, err := run.VerifyClaim(context.Background(), c, team)
 		if err != nil {
 			t.Fatal(err)
 		}

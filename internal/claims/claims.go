@@ -201,6 +201,23 @@ func (d *Document) ClaimsInSection(s int) []*Claim {
 	return out
 }
 
+// Unannotated returns a copy of the document as a checker receives it
+// before any check: every claim is a fresh copy with Truth cleared, all
+// other fields equal. Fitting a verifier on it gives the §6.2 cold start
+// (no previous checks). The receiver and its claims are not modified.
+func (d *Document) Unannotated() *Document {
+	out := &Document{Title: d.Title, Sections: d.Sections, Claims: make([]*Claim, len(d.Claims))}
+	for i, c := range d.Claims {
+		if c == nil {
+			continue // left nil for Validate to report
+		}
+		cc := *c
+		cc.Truth = nil
+		out.Claims[i] = &cc
+	}
+	return out
+}
+
 // Validate checks document invariants: unique IDs, sections in range.
 func (d *Document) Validate() error {
 	seen := make(map[int]bool, len(d.Claims))

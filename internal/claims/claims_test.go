@@ -231,3 +231,49 @@ func TestDocumentValidateAndSections(t *testing.T) {
 		t.Error("nil claim accepted")
 	}
 }
+
+func TestUnannotated(t *testing.T) {
+	truth := &GroundTruth{Relations: []string{"GED"}, Keys: []string{"PGElecDemand"},
+		Attrs: []string{"2017"}, Formula: "a.A1", Value: 22209}
+	d := &Document{
+		Title:    "T",
+		Sections: 2,
+		Claims: []*Claim{
+			{ID: 1, Text: "demand grew by 3%", Sentence: "In 2017, demand grew by 3%.", Section: 0,
+				Kind: Explicit, Param: 0.03, HasParam: true, Truth: truth, Correct: true},
+			{ID: 2, Text: "demand was flat", Section: 1, Kind: General, Cmp: OpGt},
+		},
+	}
+	orig := make([]Claim, len(d.Claims))
+	for i, c := range d.Claims {
+		orig[i] = *c
+	}
+
+	u := d.Unannotated()
+	if u == d || u.Title != d.Title || u.Sections != d.Sections || len(u.Claims) != len(d.Claims) {
+		t.Fatalf("Unannotated() = %+v, want a copy of %+v", u, d)
+	}
+	for i, c := range u.Claims {
+		if c == d.Claims[i] {
+			t.Fatalf("claim %d shares its pointer with the input", i)
+		}
+		if c.Truth != nil {
+			t.Errorf("claim %d keeps its annotation", c.ID)
+		}
+		want := orig[i]
+		want.Truth = nil
+		if *c != want {
+			t.Errorf("claim %d = %+v, want %+v", c.ID, *c, want)
+		}
+		// The input is untouched, annotation included.
+		if *d.Claims[i] != orig[i] {
+			t.Errorf("input claim %d mutated: %+v, was %+v", c.ID, *d.Claims[i], orig[i])
+		}
+	}
+	if d.Claims[0].Truth != truth {
+		t.Error("input claim lost its annotation")
+	}
+	if err := u.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -7,21 +7,14 @@ import (
 )
 
 // TestVerifyDocumentParallelMatchesSequential pins the facade-level
-// determinism contract: VerifyDocument with Parallelism > 1 returns exactly
+// determinism contract: Run.Verify with Parallelism > 1 returns exactly
 // the outcomes of the sequential path, in the same order. The CI run under
 // -race doubles as the data-race check on the fan-out.
 func TestVerifyDocumentParallelMatchesSequential(t *testing.T) {
 	w := testWorld(t)
 	run := func(parallelism int) *Result {
-		sys, err := New(w.Corpus, w.Document, Options{Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		team, err := sys.NewTeam(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.VerifyDocument(context.Background(), team, VerifyOptions{
+		run, team := startRun(t, w.Corpus, w.Document.Unannotated(), w.Document, Options{Seed: 11})
+		res, err := run.Verify(context.Background(), team, VerifyOptions{
 			BatchSize:       15,
 			SectionReadCost: 30,
 			Parallelism:     parallelism,

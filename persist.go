@@ -432,7 +432,7 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 		mgr.SetHooks(session.Hooks{
 			OnAnswer: func(sess *Session, a session.Answer) {
 				if sess.Owner() == "" {
-					return // legacy, non-journaled session
+					return // standalone-verifier session, not journaled
 				}
 				payload, err := json.Marshal(a)
 				if err != nil {

@@ -20,23 +20,22 @@
 //     world, _ := scrutinizer.GenerateWorld(scrutinizer.SmallWorld())
 //     v, _ := scrutinizer.NewVerifier(world.Corpus, world.Document, scrutinizer.Options{})
 //     team, _ := v.NewTeam(3)
-//     run, _ := v.StartRun(world.Document)
-//     result, _ := run.Verify(team, scrutinizer.VerifyOptions{})
+//     run, _ := v.StartRun(ctx, world.Document)
+//     result, _ := run.Verify(ctx, team, scrutinizer.VerifyOptions{})
 //     fmt.Println(result.Report())
 //
+// A cold start (no previous checks, §6.2) is a verifier fitted on
+// doc.Unannotated(): the feature pipeline learns the document's text, the
+// classifiers start untrained and warm up at the run's batch barriers.
+//
 // Service is the multi-tenant registry over these resources; cmd/scrutinizerd
-// serves it as a versioned /v1 REST API. The historical single-use System
-// (scrutinizer.New welds corpus + document + freshly fitted features into
-// one instance) survives as a thin compatibility shim over Verifier and
-// Run.
+// serves it as a versioned /v1 REST API.
 //
 // See the examples directory for runnable end-to-end programs and DESIGN.md
 // for the architecture and the paper-to-package map.
 package scrutinizer
 
 import (
-	"context"
-	"fmt"
 	"io"
 	"time"
 
@@ -84,7 +83,7 @@ type (
 )
 
 // NewQueryCache builds a shared tentative-execution cache. Pass it through
-// Options.QueryCache on every Verifier or System bound to the same corpus
+// Options.QueryCache on every Verifier bound to the same corpus
 // so concurrent verifications and sessions deduplicate query-generation
 // work (Service does this automatically per registered corpus).
 func NewQueryCache() *QueryCache { return core.NewQueryCache() }
@@ -117,7 +116,7 @@ func NewCorpus() *Corpus { return table.NewCorpus() }
 
 // ReadDocumentJSON parses a document (with annotations) previously written
 // by Document.WriteJSON; archived past checks can bootstrap a Verifier
-// (NewVerifier trains on the annotated claims) or a System through Train.
+// (NewVerifier trains on the annotated claims).
 func ReadDocumentJSON(r io.Reader) (*Document, error) { return claims.ReadJSON(r) }
 
 // ReadRelationCSV parses one relation from CSV (first column is the key
@@ -143,7 +142,7 @@ func PaperWorld() WorldConfig { return worldgen.PaperScale() }
 // DefaultCostModel returns the reference §5.1 cost constants.
 func DefaultCostModel() CostModel { return planner.DefaultCostModel() }
 
-// Options configures a Verifier (or the legacy System).
+// Options configures a Verifier.
 type Options struct {
 	// Cost overrides the crowd cost model (zero value = default).
 	Cost CostModel
@@ -160,46 +159,6 @@ type Options struct {
 	// per-verifier cache, still shared by all of that verifier's runs.
 	QueryCache *QueryCache
 }
-
-// System is the legacy single-use facade: one corpus + one document + a
-// feature pipeline fitted on that document. It survives as a thin shim
-// over the Verifier/Run split — a System is a verifier whose training
-// document is the document under verification, with classifiers
-// cold-started (train them via Train or let run-level batch retraining
-// warm them up). New code serving many documents should use NewVerifier
-// or Service instead and fit features once.
-type System struct {
-	v   *Verifier
-	run *Run
-}
-
-// New builds a System: it fits the feature pipeline (embeddings + TF-IDF)
-// on the document text and wires the engine. Claims with annotations can be
-// used for training via Train; otherwise the system cold-starts.
-func New(corpus *Corpus, doc *Document, opts Options) (*System, error) {
-	if corpus == nil || doc == nil {
-		return nil, fmt.Errorf("scrutinizer: corpus and document are required")
-	}
-	v, err := newVerifier(corpus, doc, opts, false)
-	if err != nil {
-		return nil, err
-	}
-	// The shim keeps the historical single-use semantics by handing the
-	// verifier's base engine itself to one eager run: Train mutates it,
-	// VerifyDocument retrains it batch by batch, sessions own it.
-	return &System{v: v, run: &Run{verifier: v, engine: v.base, doc: doc}}, nil
-}
-
-// Engine exposes the underlying engine for advanced use (examples, benches).
-func (s *System) Engine() *core.Engine { return s.run.engine }
-
-// Train bootstraps the classifiers from previously checked claims (those
-// with Truth annotations), as when "a database of previously checked claims
-// is available".
-func (s *System) Train(annotated []*Claim) error { return s.run.engine.Train(annotated) }
-
-// NewTeam creates n simulated domain experts with near-perfect judgement.
-func (s *System) NewTeam(n int) (*Team, error) { return s.v.NewTeam(n) }
 
 // VerifyOptions configures document verification.
 type VerifyOptions struct {
@@ -228,29 +187,11 @@ type Result struct {
 	Batches  int
 }
 
-// VerifyDocument runs the full Algorithm 1 loop over the system's document,
-// verifying each batch's claims across Parallelism goroutines.
-func (s *System) VerifyDocument(ctx context.Context, team *Team, opts VerifyOptions) (*Result, error) {
-	return s.run.Verify(ctx, team, opts)
-}
-
-// VerifyClaim verifies a single claim (it must carry a Truth annotation for
-// the simulated crowd to answer from).
-func (s *System) VerifyClaim(ctx context.Context, c *Claim, team *Team) (*Outcome, error) {
-	return s.run.VerifyClaim(ctx, c, team)
-}
-
 // Oracle is the mixed-initiative answer source: implement it to plug real
 // fact checkers (terminal, web UI, ...) into the verification flow. See
 // core.Oracle for the contract and core.ScriptedOracle for a fixture
 // implementation.
 type Oracle = core.Oracle
-
-// VerifyClaimWith verifies a single claim through a custom Oracle; no
-// ground-truth annotation is needed when the oracle answers from a human.
-func (s *System) VerifyClaimWith(ctx context.Context, c *Claim, oracle Oracle) (*Outcome, error) {
-	return s.run.VerifyClaimWith(ctx, c, oracle)
-}
 
 // Interactive sessions -------------------------------------------------------
 //
@@ -298,46 +239,6 @@ type SessionOptions struct {
 	// Checkers is the number of humans skimming each section (the
 	// SectionReadCost multiplier); default 1.
 	Checkers int
-}
-
-// sessionOptions converts facade session options to the internal form.
-func sessionOptions(opts SessionOptions) session.Options {
-	parallelism := opts.Verify.Parallelism
-	if parallelism <= 0 {
-		parallelism = core.DefaultParallelism()
-	}
-	return session.Options{Verify: core.VerifyConfig{
-		BatchSize:       opts.Verify.BatchSize,
-		SectionReadCost: opts.Verify.SectionReadCost,
-		Ordering:        opts.Verify.Ordering,
-		Parallelism:     parallelism,
-		Seed:            opts.Verify.Seed,
-		Checkers:        opts.Checkers,
-	}}
-}
-
-// StartSession parks the system's document in an interactive verification
-// session registered with m. The session owns the system's engine from
-// here on: batch-boundary retraining mutates it, so do not mix a live
-// session with VerifyDocument on the same System. (Verifier.StartSession
-// has no such restriction — every session gets a private engine.)
-func (s *System) StartSession(ctx context.Context, m *SessionManager, opts SessionOptions) (*Session, error) {
-	if m == nil {
-		return nil, fmt.Errorf("scrutinizer: nil session manager")
-	}
-	return m.Create(ctx, s.run.engine, s.run.doc, sessionOptions(opts))
-}
-
-// RestoreSession rebuilds a session from a snapshot by replaying its
-// answer log. The System must be freshly constructed exactly like the
-// snapshotted session's (same corpus, document, options and seed);
-// verification is deterministic in (engine, document, answers), so the
-// replayed session reaches a bit-identical state.
-func (s *System) RestoreSession(ctx context.Context, m *SessionManager, opts SessionOptions, snap *SessionSnapshot) (*Session, error) {
-	if m == nil {
-		return nil, fmt.Errorf("scrutinizer: nil session manager")
-	}
-	return m.Restore(ctx, s.run.engine, s.run.doc, sessionOptions(opts), snap)
 }
 
 // Report renders the verification report (Definition 4 output).

@@ -19,30 +19,43 @@ func testWorld(t *testing.T) *World {
 	return w
 }
 
+// startRun fits a verifier over corpus on the training document and starts
+// a run of doc with a simulated team of three. A training document from
+// Document.Unannotated gives the §6.2 cold start.
+func startRun(t testing.TB, corpus *Corpus, training, doc *Document, opts Options) (*Run, *Team) {
+	t.Helper()
+	v, err := NewVerifier(corpus, training, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := v.StartRun(context.Background(), doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	team, err := v.NewTeam(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run, team
+}
+
 func TestNewValidation(t *testing.T) {
 	w := testWorld(t)
-	if _, err := New(nil, w.Document, Options{}); err == nil {
+	if _, err := NewVerifier(nil, w.Document, Options{}); err == nil {
 		t.Error("nil corpus accepted")
 	}
-	if _, err := New(w.Corpus, nil, Options{}); err == nil {
+	if _, err := NewVerifier(w.Corpus, nil, Options{}); err == nil {
 		t.Error("nil document accepted")
 	}
-	if _, err := New(w.Corpus, &Document{Title: "empty"}, Options{}); err == nil {
+	if _, err := NewVerifier(w.Corpus, &Document{Title: "empty"}, Options{}); err == nil {
 		t.Error("empty document accepted")
 	}
 }
 
 func TestEndToEndFacade(t *testing.T) {
 	w := testWorld(t)
-	sys, err := New(w.Corpus, w.Document, Options{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	team, err := sys.NewTeam(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.VerifyDocument(context.Background(), team, VerifyOptions{BatchSize: 15, SectionReadCost: 30})
+	run, team := startRun(t, w.Corpus, w.Document.Unannotated(), w.Document, Options{Seed: 11})
+	res, err := run.Verify(context.Background(), team, VerifyOptions{BatchSize: 15, SectionReadCost: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,25 +73,15 @@ func TestEndToEndFacade(t *testing.T) {
 
 func TestSingleClaimFacade(t *testing.T) {
 	w := testWorld(t)
-	sys, err := New(w.Corpus, w.Document, Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Train(w.Document.Claims); err != nil {
-		t.Fatal(err)
-	}
-	team, err := sys.NewTeam(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := sys.VerifyClaim(context.Background(), w.Document.Claims[0], team)
+	run, team := startRun(t, w.Corpus, w.Document, w.Document, Options{Seed: 3})
+	out, err := run.VerifyClaim(context.Background(), w.Document.Claims[0], team)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Verdict == VerdictSkipped {
 		t.Error("trained facade skipped a claim")
 	}
-	if sys.Engine() == nil {
+	if run.Engine() == nil {
 		t.Error("Engine accessor nil")
 	}
 }
@@ -119,19 +122,9 @@ func TestDocumentJSONAndCSVFacade(t *testing.T) {
 	if len(doc.Claims) != len(w.Document.Claims) {
 		t.Fatalf("claims = %d, want %d", len(doc.Claims), len(w.Document.Claims))
 	}
-	// A system built from the re-read document trains and verifies.
-	sys, err := New(w.Corpus, doc, Options{Seed: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Train(doc.Claims); err != nil {
-		t.Fatal(err)
-	}
-	team, err := sys.NewTeam(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := sys.VerifyClaim(context.Background(), doc.Claims[0], team)
+	// A verifier trained on the re-read document verifies it.
+	run, team := startRun(t, w.Corpus, doc, doc, Options{Seed: 30})
+	out, err := run.VerifyClaim(context.Background(), doc.Claims[0], team)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,22 +158,22 @@ func min(a, b int) int {
 }
 
 // TestSessionFacade walks the interactive API end to end at the facade
-// level: start a session, answer a few screens, snapshot, replay the
-// snapshot on a freshly built System, and check the restored session is
-// in the same place.
+// level: start a session on a cold verifier, answer a few screens,
+// snapshot, replay the snapshot on a freshly built verifier, and check the
+// restored session is in the same place.
 func TestSessionFacade(t *testing.T) {
 	w := testWorld(t)
-	newSys := func() *System {
-		sys, err := New(w.Corpus, w.Document, Options{Seed: 3})
+	newVerifier := func() *Verifier {
+		v, err := NewVerifier(w.Corpus, w.Document.Unannotated(), Options{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sys
+		return v
 	}
 	opts := SessionOptions{Verify: VerifyOptions{BatchSize: 8}, Checkers: 2}
 
 	m := NewSessionManager(0, 0)
-	sess, err := newSys().StartSession(context.Background(), m, opts)
+	sess, err := newVerifier().StartSession(context.Background(), m, w.Document, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +200,7 @@ func TestSessionFacade(t *testing.T) {
 	}
 
 	snap := sess.Snapshot()
-	restored, err := newSys().RestoreSession(context.Background(), NewSessionManager(0, 0), opts, snap)
+	restored, err := newVerifier().RestoreSession(context.Background(), NewSessionManager(0, 0), w.Document, opts, snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ package scrutinizer
 // learning across many checking tasks (the paper's premise — IEA checkers
 // verify report after report against the same statistical corpus).
 //
-// Three resources replace the single-use System:
+// Three resources:
 //
 //   - Corpus: registered relational data, shared read-only by everything
 //     bound to it, with one tentative-execution QueryCache per corpus.
@@ -19,8 +19,7 @@ package scrutinizer
 //     (Verifier.StartSession) — executed against a Verifier.
 //
 // Service is the registry tying them together for multi-tenant serving
-// (cmd/scrutinizerd exposes it as the versioned /v1 REST surface). The
-// legacy System facade survives as a thin shim over these types.
+// (cmd/scrutinizerd exposes it as the versioned /v1 REST surface).
 
 import (
 	"context"
@@ -77,22 +76,14 @@ type Verifier struct {
 // the feature pipeline (embeddings + TF-IDF) is fitted on the document's
 // text, and the classifiers are trained on its annotated claims (those
 // with Truth set — "a database of previously checked claims"). A document
-// with no annotations yields a cold-start verifier: runs still work, they
-// just cost the checkers more questions until run-level retraining warms
-// the clones up.
+// with no annotations (see Document.Unannotated) yields a cold-start
+// verifier: runs still work, they just cost the checkers more questions
+// until run-level retraining warms the clones up.
 //
-// Unlike New, the resulting verifier is not welded to the training
-// document: StartRun and StartSession accept any document over the same
-// corpus, reusing the fitted pipeline and trained classifiers.
+// The verifier is not welded to the training document: StartRun and
+// StartSession accept any document over the same corpus, reusing the
+// fitted pipeline and trained classifiers.
 func NewVerifier(corpus *Corpus, training *Document, opts Options) (*Verifier, error) {
-	return newVerifier(corpus, training, opts, true)
-}
-
-// newVerifier is NewVerifier with the initial classifier fit optional: the
-// legacy System facade constructs its verifier untrained so System.New
-// keeps its historical cold-start semantics (training happens through
-// System.Train or at run-level batch barriers).
-func newVerifier(corpus *Corpus, training *Document, opts Options, pretrain bool) (*Verifier, error) {
 	if corpus == nil || training == nil {
 		return nil, fmt.Errorf("scrutinizer: corpus and training document are required")
 	}
@@ -141,10 +132,8 @@ func newVerifier(corpus *Corpus, training *Document, opts Options, pretrain bool
 		created: time.Now(),
 		base:    engine,
 	}
-	if pretrain {
-		if err := v.Retrain(training.Claims); err != nil {
-			return nil, err
-		}
+	if err := v.Retrain(training.Claims); err != nil {
+		return nil, err
 	}
 	return v, nil
 }
@@ -278,10 +267,21 @@ func (v *Verifier) RestoreSession(ctx context.Context, m *SessionManager, doc *D
 	return sess, nil
 }
 
+// sessionOptions converts facade session options to the internal form,
+// tagging the session with the verifier's ID as its owner.
 func (v *Verifier) sessionOptions(opts SessionOptions) session.Options {
-	so := sessionOptions(opts)
-	so.Owner = v.id
-	return so
+	parallelism := opts.Verify.Parallelism
+	if parallelism <= 0 {
+		parallelism = core.DefaultParallelism()
+	}
+	return session.Options{Owner: v.id, Verify: core.VerifyConfig{
+		BatchSize:       opts.Verify.BatchSize,
+		SectionReadCost: opts.Verify.SectionReadCost,
+		Ordering:        opts.Verify.Ordering,
+		Parallelism:     parallelism,
+		Seed:            opts.Verify.Seed,
+		Checkers:        opts.Checkers,
+	}}
 }
 
 // NewTeam creates n simulated domain experts with near-perfect judgement,

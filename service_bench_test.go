@@ -1,9 +1,9 @@
 package scrutinizer
 
 // Service-path benchmarks: the amortization argument of the Verifier/Run
-// split in numbers. The cold pair mirrors what scrutinizerd's legacy
-// /verify does per request — fit embeddings + TF-IDF on the document,
-// train four classifiers, then verify. The warm pair is the /v1 path: one
+// split in numbers. The cold pair fits a fresh verifier per request — fit
+// embeddings + TF-IDF on the document, train four classifiers, then
+// verify. The warm pair is the /v1 path: one
 // trained Verifier serves every request, and per-request setup collapses
 // to spawning an engine from the model snapshot (classifier deep-copies,
 // no fitting). Setup benches isolate the per-request construction cost;
@@ -26,18 +26,14 @@ func benchServiceWorld(b *testing.B) *World {
 	return w
 }
 
-// BenchmarkServiceSetupCold is the per-request construction cost of the
-// legacy path: New (feature fitting) + Train (classifier bootstrap) per
-// document, the work scrutinizerd used to redo on every POST /verify.
+// BenchmarkServiceSetupCold is the per-request construction cost of
+// fitting a model per document: NewVerifier (feature fitting + classifier
+// bootstrap), the work a fit-per-request server redoes on every request.
 func BenchmarkServiceSetupCold(b *testing.B) {
 	w := benchServiceWorld(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys, err := New(w.Corpus, w.Document, Options{Seed: 11})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sys.Train(w.Document.Claims); err != nil {
+		if _, err := NewVerifier(w.Corpus, w.Document, Options{Seed: 11}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,23 +56,13 @@ func BenchmarkServiceSetupWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkServiceVerifyCold is the full legacy request: construct + train
-// + verify per document.
+// BenchmarkServiceVerifyCold is the full fit-per-request request: fit +
+// train a verifier, then verify the document on it.
 func BenchmarkServiceVerifyCold(b *testing.B) {
 	w := benchServiceWorld(b)
 	for i := 0; i < b.N; i++ {
-		sys, err := New(w.Corpus, w.Document, Options{Seed: 11})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sys.Train(w.Document.Claims); err != nil {
-			b.Fatal(err)
-		}
-		team, err := sys.NewTeam(3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sys.VerifyDocument(context.Background(), team, VerifyOptions{BatchSize: 100})
+		run, team := startRun(b, w.Corpus, w.Document, w.Document, Options{Seed: 11})
+		res, err := run.Verify(context.Background(), team, VerifyOptions{BatchSize: 100})
 		if err != nil {
 			b.Fatal(err)
 		}

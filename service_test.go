@@ -2,6 +2,9 @@ package scrutinizer
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -37,50 +40,67 @@ func mustEqualResults(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestVerifierMatchesSystem pins the shim equivalence: a Verifier trained
-// on a document and run over that document produces verdicts bit-identical
-// to the legacy single-use System constructed from the same inputs and
-// pre-trained on the same claims.
-func TestVerifierMatchesSystem(t *testing.T) {
+// outcomeDigest hashes what a verdict is made of — claim ID, verdict,
+// query value and suggested correction, bit for bit — in outcome order.
+func outcomeDigest(outs []*Outcome) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(buf[:], u)
+		h.Write(buf[:])
+	}
+	for _, o := range outs {
+		put(uint64(o.ClaimID))
+		put(uint64(o.Verdict))
+		put(math.Float64bits(o.Value))
+		put(math.Float64bits(o.Suggestion))
+	}
+	return h.Sum64()
+}
+
+// behaviourLock holds batch-run results measured at the parent commit of
+// the change that deleted the single-use System facade, with System on
+// testWorld, batch 10 and NewTeam(3): cold rows ran New alone, trained
+// rows ran New then Train(doc.Claims). The Verifier forms must reproduce
+// them exactly.
+var behaviourLock = []struct {
+	trained  bool
+	seed     int64
+	seconds  uint64 // math.Float64bits(Result.Seconds)
+	batches  int
+	accuracy uint64 // math.Float64bits(Result.Accuracy())
+	digest   uint64 // outcomeDigest(Result.Outcomes)
+}{
+	{false, 1, 0x40d301d998e9eec8, 5, 0x3ff0000000000000, 0x5da711b35dcbc40d}, // 19463.39995811766 s
+	{false, 5, 0x40d438164a60f5d7, 5, 0x3ff0000000000000, 0x23379544e750c9b5}, // 20704.348289718702 s
+	{false, 11, 0x40d3a9f90cfbb6d3, 5, 0x3ff0000000000000, 0x485637793db78bd}, // 20135.891417435207 s
+	{true, 1, 0x40cdd1e8e0155600, 5, 0x3ff0000000000000, 0x4c6fb08e6a426885},  // 15267.819338480942 s
+	{true, 5, 0x40d0704abae8afda, 5, 0x3ff0000000000000, 0x155255071351a16d},  // 16833.167658015947 s
+	{true, 11, 0x40ccab4c7d83dde1, 5, 0x3ff0000000000000, 0xfe7f4762c32bcb6d}, // 14678.597580417003 s
+}
+
+// TestVerifierBehaviourLock: a verifier fitted on the unannotated document
+// (cold start) or on the annotated one (trained), run over the document,
+// reproduces the locked results bit for bit.
+func TestVerifierBehaviourLock(t *testing.T) {
 	w := testWorld(t)
-	opts := Options{Seed: 5}
-	vopts := VerifyOptions{BatchSize: 10}
-
-	sys, err := New(w.Corpus, w.Document, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Train(w.Document.Claims); err != nil {
-		t.Fatal(err)
-	}
-	team, err := sys.NewTeam(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sys.VerifyDocument(context.Background(), team, vopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	v, err := NewVerifier(w.Corpus, w.Document, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := v.StartRun(context.Background(), w.Document)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vteam, err := v.NewTeam(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := run.Verify(context.Background(), vteam, vopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualResults(t, "verifier vs system", want, got)
-	if want.Accuracy() != got.Accuracy() {
-		t.Fatalf("accuracy %v vs %v", want.Accuracy(), got.Accuracy())
+	for _, want := range behaviourLock {
+		training := w.Document.Unannotated()
+		if want.trained {
+			training = w.Document
+		}
+		run, team := startRun(t, w.Corpus, training, w.Document, Options{Seed: want.seed})
+		res, err := run.Verify(context.Background(), team, VerifyOptions{BatchSize: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [4]uint64{math.Float64bits(res.Seconds), uint64(res.Batches),
+			math.Float64bits(res.Accuracy()), outcomeDigest(res.Outcomes)}
+		if got != [4]uint64{want.seconds, uint64(want.batches), want.accuracy, want.digest} {
+			t.Errorf("trained=%v seed %d: seconds %v batches %d accuracy %v digest %#x; want %v %d %v %#x",
+				want.trained, want.seed, res.Seconds, res.Batches, res.Accuracy(), got[3],
+				math.Float64frombits(want.seconds), want.batches, math.Float64frombits(want.accuracy), want.digest)
+		}
 	}
 }
 
