@@ -70,6 +70,9 @@ type trackedBench struct {
 // the run-lifecycle metric hooks: <2% ns/op and equal allocs/op.
 // BenchmarkRetrainLabelGrowth pins warm-start retraining over a growing
 // label vocabulary; cold refits would cost about 3x.
+// BenchmarkServiceAddCorpus/ephemeral pins that registering a corpus
+// without a store builds no journal record (a few dozen allocs, not one
+// per cell).
 var defaultTracked = []trackedBench{
 	{Pkg: "./internal/classifier", Bench: "BenchmarkTrain500x200|BenchmarkWarmRetrain500x200|BenchmarkRetrainLabelGrowth|BenchmarkPredictTopK|BenchmarkEntropy"},
 	{Pkg: "./internal/textproc", Bench: "BenchmarkSparseDot|BenchmarkTransform"},
@@ -77,7 +80,7 @@ var defaultTracked = []trackedBench{
 	{Pkg: "./internal/query", Bench: "BenchmarkPlanExecute|BenchmarkExecuteCompiled|BenchmarkExecuteInterpreted"},
 	{Pkg: "./internal/core", Bench: "BenchmarkGenerateQueries$|BenchmarkGenerateQueriesCold|BenchmarkGenerateQueriesInterpreted|BenchmarkVerifyEndToEnd|BenchmarkVerifyWithDeadline|BenchmarkVerifyInstrumented"},
 	{Pkg: "./internal/session", Bench: "BenchmarkSessionCreate|BenchmarkSessionAnswerPump|BenchmarkSessionEvict"},
-	{Pkg: ".", Bench: "BenchmarkVerifySequential/SmallWorld|BenchmarkVerifyParallel/SmallWorld|BenchmarkServiceVerifyCold|BenchmarkServiceVerifyWarm|BenchmarkServiceSetupCold|BenchmarkServiceSetupWarm|BenchmarkRecoveryBoot|BenchmarkConcurrentRunsSharedCorpus|BenchmarkServiceManyTenants"},
+	{Pkg: ".", Bench: "BenchmarkVerifySequential/SmallWorld|BenchmarkVerifyParallel/SmallWorld|BenchmarkServiceVerifyCold|BenchmarkServiceVerifyWarm|BenchmarkServiceSetupCold|BenchmarkServiceSetupWarm|BenchmarkRecoveryBoot|BenchmarkServiceAddCorpus|BenchmarkConcurrentRunsSharedCorpus|BenchmarkServiceManyTenants"},
 }
 
 // result is one benchmark line, parsed.

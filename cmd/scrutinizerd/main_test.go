@@ -108,12 +108,20 @@ func TestHealthzQueryCacheWarmsAcrossVerifies(t *testing.T) {
 	// trained formula candidates into Algorithm 2.
 	payload := map[string]any{"document": json.RawMessage(docJSON(t, w.Document)), "batch": 5}
 	const series = `scrutinizer_querycache_hits_total{corpus="default"}`
+	const missSeries = `scrutinizer_querycache_misses_total{corpus="default"}`
 	var hits [2]float64
 	for i := range hits {
 		if resp, _ := postV1Run(t, ts, info.ID, payload); resp.StatusCode != http.StatusOK {
 			t.Fatalf("run %d: status %d", i, resp.StatusCode)
 		}
 		hits[i] = metricValue(t, ts, series)
+		// The first run over a cold cache must enumerate, whether or not
+		// the formula prefetch did that enumeration.
+		if i == 0 {
+			if misses := metricValue(t, ts, missSeries); misses == 0 {
+				t.Errorf("%s after run 1 = 0, want positive", missSeries)
+			}
+		}
 	}
 	if hits[0] == 0 || hits[1] <= hits[0] {
 		t.Errorf("%s after runs 1 and 2 = %v, want positive and growing", series, hits)

@@ -354,3 +354,58 @@ func TestRecoveryVerifierDeletePersisted(t *testing.T) {
 		resp.Body.Close()
 	}
 }
+
+// TestRecoveryRefusesNonUTF8Upload: the journal's JSON strings cannot
+// carry invalid UTF-8, so a relation PUT whose body or percent-encoded name
+// holds such bytes is refused with 422 instead of being acknowledged and
+// then recovered as a different relation (two keys that differ only in
+// invalid bytes used to collapse into one and fail the boot outright). A
+// restart over the same data directory still boots, with only the
+// accepted upload.
+func TestRecoveryRefusesNonUTF8Upload(t *testing.T) {
+	w := recoveryTestWorld(t)
+	dir := t.TempDir()
+	fs, err := scrutinizer.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := storedServer(t, w, fs)
+	if resp := do(t, "POST", ts.URL+"/v1/corpora", []byte(`{"id": "up"}`)); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create corpus: status %d", resp.StatusCode)
+	} else {
+		resp.Body.Close()
+	}
+	for _, tc := range []struct{ name, body string }{
+		{"r", "key,x\na\xff,1\na\xfe,2\n"},
+		{"%FF", "key,x\na,1\n"},
+	} {
+		resp := do(t, "PUT", ts.URL+"/v1/corpora/up/relations/"+tc.name, []byte(tc.body))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("PUT relation %q: status %d, want 422", tc.name, resp.StatusCode)
+		}
+	}
+	if resp := do(t, "PUT", ts.URL+"/v1/corpora/up/relations/ok", []byte("key,x\na,1\n")); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT valid relation: status %d", resp.StatusCode)
+	} else {
+		resp.Body.Close()
+	}
+	ts.Close()
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fs2, err := scrutinizer.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs2.Close()
+	s2, _ := storedServer(t, w, fs2)
+	c, ok := s2.svc.Corpus("up")
+	if !ok {
+		t.Fatal("corpus up not recovered")
+	}
+	if names := c.Names(); len(names) != 1 || names[0] != "ok" {
+		t.Fatalf("recovered corpus up holds %q, want only %q", names, "ok")
+	}
+}

@@ -152,14 +152,10 @@ func (s *server) handleRelationPut(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rel, err := scrutinizer.ReadRelationCSV(name, bytes.NewReader(raw))
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
 	// PUT semantics: replace an existing relation of the same name. The
-	// service journals the upload before acknowledging it.
-	replaced, err := s.svc.PutRelation(r.PathValue("id"), rel)
+	// service parses the body and journals it verbatim before
+	// acknowledging; unparseable or non-UTF-8 uploads map to 422.
+	rel, replaced, err := s.svc.PutRelation(r.PathValue("id"), name, raw)
 	if err != nil {
 		httpError(w, journalStatus(err), err.Error())
 		return

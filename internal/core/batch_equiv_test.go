@@ -191,6 +191,38 @@ func TestVerifyFormulaParallelismEquivalence(t *testing.T) {
 	mustEqualRuns(t, "formula fan-out 4 vs sequential", want, got)
 }
 
+// TestQueryCacheStatsIndependentOfFormulaParallelism: every cache lookup
+// counts exactly once, as a hit or a miss, whether or not the formula
+// prefetch filled the entry first — so a verification over a fresh cache
+// reports the same figures with and without the fan-out (the prefetch used
+// to probe and fill uncounted, turning its misses into serve-pass hits).
+func TestQueryCacheStatsIndependentOfFormulaParallelism(t *testing.T) {
+	w, pipe := batchFixture(t)
+	vc := VerifyConfig{BatchSize: 15, SectionReadCost: 30, Parallelism: 2}
+
+	stats := func(formulaPar int) QueryCacheStats {
+		t.Helper()
+		e := engineOver(t, w, pipe, func(c *Config) { c.FormulaParallelism = formulaPar })
+		team, err := crowd.NewTeam("W", 3, 0.97, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Verify(context.Background(), w.Document, team, vc); err != nil {
+			t.Fatal(err)
+		}
+		return e.qcache.Stats()
+	}
+
+	seq, par := stats(1), stats(2)
+	if seq.Misses == 0 {
+		t.Fatalf("sequential run over a fresh cache counted no misses: %+v", seq)
+	}
+	if seq.Hits != par.Hits || seq.Misses != par.Misses {
+		t.Fatalf("hits/misses: sequential %d/%d, formula fan-out 2 %d/%d",
+			seq.Hits, seq.Misses, par.Hits, par.Misses)
+	}
+}
+
 // goid extracts the current goroutine's ID from the runtime stack header —
 // test-only plumbing to observe which goroutine ran a runPool job.
 func goid() uint64 {

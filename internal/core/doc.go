@@ -77,10 +77,10 @@
 // and within a claim, Algorithm 2 enumeration fans out across candidate
 // formulas under Config.FormulaParallelism (misses are pre-enumerated into
 // the query cache at full budget, which serves any smaller budget
-// identically). Per-claim crowd random streams and deterministic merge
-// order make every result bit-identical to a sequential run, whatever the
-// fan-out — the repository's standing determinism contract, pinned by the
-// equivalence tests in this package.
+// identically, and still count as misses). Per-claim crowd random streams
+// and deterministic merge order make every result bit-identical to a
+// sequential run, whatever the fan-out — the repository's standing
+// determinism contract, pinned by the equivalence tests in this package.
 //
 // # Lock domains
 //

@@ -261,34 +261,39 @@ func (qc *QueryCache) enter(c *table.Corpus, gen uint64) {
 	}
 }
 
-// get returns a usable entry for the key at the corpus generation; the
-// budget decides usability (see tentEntry.usable).
+// get returns a usable entry for the key at the corpus generation, counting
+// the lookup as a hit or a miss; the budget decides usability (see
+// tentEntry.usable).
 func (qc *QueryCache) get(c *table.Corpus, gen uint64, key string, budget int) (*tentEntry, bool) {
-	qc.enter(c, gen)
-	defer qc.epochMu.RUnlock()
-	sh := qc.shard(key)
-	sh.mu.Lock()
-	t, ok := sh.entries[key]
-	sh.mu.Unlock()
-	if ok && t.usable(budget) {
-		qc.hits.Add(1)
-		return t, true
+	t := qc.entry(c, gen, key)
+	ok := t != nil && t.usable(budget)
+	qc.count(ok)
+	if !ok {
+		return nil, false
 	}
-	qc.misses.Add(1)
-	return nil, false
+	return t, true
 }
 
-// peek reports whether a usable entry exists without counting a hit or a
-// miss — the probe the parallel enumeration prefetch uses to find work
-// (the serve pass afterwards does the stats-counting get).
-func (qc *QueryCache) peek(c *table.Corpus, gen uint64, key string, budget int) bool {
+// entry returns the stored entry for the key, usable at any budget or not,
+// without counting a hit or a miss — the probe the parallel enumeration
+// prefetch uses to find work (the serve pass afterwards does the counting).
+func (qc *QueryCache) entry(c *table.Corpus, gen uint64, key string) *tentEntry {
 	qc.enter(c, gen)
 	defer qc.epochMu.RUnlock()
 	sh := qc.shard(key)
 	sh.mu.Lock()
-	t, ok := sh.entries[key]
+	t := sh.entries[key]
 	sh.mu.Unlock()
-	return ok && t.usable(budget)
+	return t
+}
+
+// count records one lookup's outcome.
+func (qc *QueryCache) count(hit bool) {
+	if hit {
+		qc.hits.Add(1)
+	} else {
+		qc.misses.Add(1)
+	}
 }
 
 // size approximates an entry's retained bytes (slices only; struct and map

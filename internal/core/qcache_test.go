@@ -59,11 +59,11 @@ func TestQueryCacheGenerationFlushResetsBytes(t *testing.T) {
 	}
 }
 
-// TestQueryCacheConcurrentStats hammers get/put/peek from many goroutines
+// TestQueryCacheConcurrentStats hammers get/put/entry from many goroutines
 // while others poll Stats(), under -race: the hit/miss counters are atomics
 // and Stats aggregates per-shard state, so no interleaving may race or
 // lose counts. The final hit+miss total must equal the exact number of
-// get() calls issued (peek counts nothing).
+// get() calls issued (entry counts nothing).
 func TestQueryCacheConcurrentStats(t *testing.T) {
 	c, _ := testCorpusPair(t)
 	qc := NewQueryCache()
@@ -101,7 +101,7 @@ func TestQueryCacheConcurrentStats(t *testing.T) {
 				if _, ok := qc.get(c, gen, key, 1); !ok {
 					qc.put(c, gen, key, &tentEntry{stride: 1, explored: 1, complete: true})
 				}
-				qc.peek(c, gen, key, 1)
+				qc.entry(c, gen, key)
 			}
 		}(w)
 	}

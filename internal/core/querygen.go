@@ -76,8 +76,9 @@ func (e *Engine) GenerateQueries(ctx context.Context, qc Context, formulas []*fo
 
 	gen := e.corpus.Generation()
 	env := newGenEnv(e.corpus.Index(), qc)
+	var prefetched map[string]*tentEntry
 	if e.cfg.FormulaParallelism > 1 {
-		if err := e.prefetchFormulas(ctx, env, gen, formulas); err != nil {
+		if prefetched, err = e.prefetchFormulas(ctx, env, gen, formulas); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -91,7 +92,7 @@ func (e *Engine) GenerateQueries(ctx context.Context, qc Context, formulas []*fo
 		if gs.formAliases[fid] == nil {
 			gs.formAliases[fid] = e.formulaAliases(f)
 		}
-		used, err := e.generateForFormula(ctx, gs, env, gen, f, fid, fkey, p, hasParam, budget)
+		used, err := e.generateForFormula(ctx, gs, env, gen, prefetched, f, fid, fkey, p, hasParam, budget)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -129,13 +130,20 @@ func (e *Engine) GenerateQueries(ctx context.Context, qc Context, formulas []*fo
 // (tentEntry.served), so the serve pass produces bit-identical output —
 // the fan-out only changes when (and on which goroutine) the enumeration
 // work happens. Pinned by the FormulaParallelism equivalence test.
-func (e *Engine) prefetchFormulas(ctx context.Context, env *genEnv, gen uint64, formulas []*formula.Formula) error {
+//
+// It returns the keys it filled, each mapped to the entry the cache held
+// before (nil when none): the serve pass counts its lookup of such a key
+// against that prior entry, so hit and miss figures are the ones a
+// sequential serve pass would have produced. The prefetch itself counts
+// nothing.
+func (e *Engine) prefetchFormulas(ctx context.Context, env *genEnv, gen uint64, formulas []*formula.Formula) (map[string]*tentEntry, error) {
 	if len(env.ctx.Relations) == 0 || len(env.ctx.Keys) == 0 || len(env.pairs) == 0 {
-		return nil
+		return nil, nil
 	}
 	budget := e.cfg.MaxAssignments
 	var miss []*formula.Formula
 	var missKeys []string
+	var priors []*tentEntry
 	seen := make(map[string]bool, len(formulas))
 	for _, f := range formulas {
 		if f == nil || f.Expr == nil {
@@ -149,14 +157,16 @@ func (e *Engine) prefetchFormulas(ctx context.Context, env *genEnv, gen uint64, 
 			continue
 		}
 		seen[key] = true
-		if e.qcache.peek(e.corpus, gen, key, budget) {
+		prior := e.qcache.entry(e.corpus, gen, key)
+		if prior != nil && prior.usable(budget) {
 			continue
 		}
 		miss = append(miss, f)
 		missKeys = append(missKeys, key)
+		priors = append(priors, prior)
 	}
 	if len(miss) < 2 {
-		return nil // a lone miss gains nothing from a worker hand-off
+		return nil, nil // a lone miss gains nothing from a worker hand-off
 	}
 	// env's execution tables build lazily and are not goroutine-safe;
 	// resolve them once here so the workers only read env.
@@ -172,20 +182,24 @@ func (e *Engine) prefetchFormulas(ctx context.Context, env *genEnv, gen uint64, 
 		}
 		e.qcache.put(e.corpus, gen, missKeys[i], entry)
 	})
-	for _, c := range cancelled {
+	filled := make(map[string]*tentEntry, len(miss))
+	for i, c := range cancelled {
 		if c {
-			return checkCancel(ctx)
+			return nil, checkCancel(ctx)
 		}
+		filled[missKeys[i]] = priors[i]
 	}
-	return nil
+	return filled, nil
 }
 
 // generateForFormula runs (or serves from cache) the tentative execution of
 // one formula under an assignment budget, appending candidate records to
 // the scratch; it returns the assignments tried, with the same accounting
 // as the pre-compilation enumeration loop. A cancelled enumeration returns
-// an error without caching the partial entry.
-func (e *Engine) generateForFormula(ctx context.Context, gs *genScratch, env *genEnv, gen uint64, f *formula.Formula, fid int32, fkey string, p float64, hasParam bool, budget int) (used int, err error) {
+// an error without caching the partial entry. prefetched is
+// prefetchFormulas' result (nil without a prefetch); the first lookup of a
+// key in it is consumed and counted against the prior entry.
+func (e *Engine) generateForFormula(ctx context.Context, gs *genScratch, env *genEnv, gen uint64, prefetched map[string]*tentEntry, f *formula.Formula, fid int32, fkey string, p float64, hasParam bool, budget int) (used int, err error) {
 	if len(env.ctx.Relations) == 0 || len(env.ctx.Keys) == 0 {
 		return 0, nil
 	}
@@ -196,8 +210,17 @@ func (e *Engine) generateForFormula(ctx context.Context, gs *genScratch, env *ge
 		return 0, nil
 	}
 	key := tentKey(fkey, env.ctx)
-	entry, ok := e.qcache.get(e.corpus, gen, key, budget)
-	if !ok {
+	var entry *tentEntry
+	if prior, ok := prefetched[key]; ok {
+		delete(prefetched, key)
+		e.qcache.count(prior != nil && prior.usable(budget))
+		if entry = e.qcache.entry(e.corpus, gen, key); entry != nil && !entry.usable(budget) {
+			entry = nil // evicted and replaced meanwhile: enumerate below
+		}
+	} else {
+		entry, _ = e.qcache.get(e.corpus, gen, key, budget)
+	}
+	if entry == nil {
 		entry = e.enumerate(ctx, gs, env, f, fkey, budget)
 		if entry == nil {
 			return 0, checkCancel(ctx)

@@ -6,9 +6,10 @@ package scrutinizer
 // Recover pass that replays the journal on boot to rebuild exactly the
 // acknowledged state:
 //
-//   - corpora are reconstructed from their journaled relation CSV dumps
-//     (WriteCSV round-trips cells and NULLs exactly; metadata rides in the
-//     payload),
+//   - corpora are reconstructed from their journaled relation CSV: the
+//     WriteCSV dump taken at registration (it round-trips cells and NULLs
+//     exactly; metadata rides in the payload), then each later upload's
+//     request body, journaled verbatim,
 //   - verifiers are deterministically retrained from the journaled training
 //     document and options — the classifiers are a pure function of those,
 //     so no model state is stored beside the journal,
@@ -16,8 +17,8 @@ package scrutinizer
 //     answer logs against fresh spawns (verification is deterministic in
 //     (engine, document, answers)).
 //
-// A Service without an attached store behaves exactly as before — nothing
-// on the mutation paths touches the store when it is nil.
+// A Service without an attached store behaves exactly as before, and the
+// mutation paths build no journal record at all when it is nil.
 
 import (
 	"bytes"
@@ -28,6 +29,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"github.com/repro/scrutinizer/internal/core"
 	"github.com/repro/scrutinizer/internal/session"
@@ -139,13 +141,32 @@ func decodeDocument(raw json.RawMessage) (*Document, error) {
 	return ReadDocumentJSON(bytes.NewReader(raw))
 }
 
+// ErrNotUTF8 marks a relation whose name, CSV or metadata is not valid
+// UTF-8. Journal payloads are JSON, whose strings cannot carry invalid
+// bytes (encoding replaces them with U+FFFD), so such a relation is
+// refused instead of being journaled as a different one.
+var ErrNotUTF8 = errors.New("scrutinizer: not valid UTF-8")
+
+// checkUTF8 refuses a relation payload the journal could not carry.
+func checkUTF8(p store.RelationPayload) error {
+	ok := utf8.ValidString(p.Name) && utf8.ValidString(p.CSV)
+	for k, v := range p.Meta {
+		ok = ok && utf8.ValidString(k) && utf8.ValidString(v)
+	}
+	if !ok {
+		return fmt.Errorf("%w: relation %q", ErrNotUTF8, p.Name)
+	}
+	return nil
+}
+
 // relationPayload dumps one relation as its journal form.
 func relationPayload(rel *Relation) (store.RelationPayload, error) {
 	var buf bytes.Buffer
 	if err := rel.WriteCSV(&buf); err != nil {
 		return store.RelationPayload{}, err
 	}
-	return store.RelationPayload{Name: rel.Name(), CSV: buf.String(), Meta: rel.Metadata()}, nil
+	p := store.RelationPayload{Name: rel.Name(), CSV: buf.String(), Meta: rel.Metadata()}
+	return p, checkUTF8(p)
 }
 
 func decodeRelation(p store.RelationPayload) (*Relation, error) {

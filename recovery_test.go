@@ -1,6 +1,7 @@
 package scrutinizer
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -429,7 +430,11 @@ func TestRecoveryJournalPrefixProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.PutRelation("scratch", rel); err != nil {
+	var csv bytes.Buffer
+	if err := rel.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := svc.PutRelation("scratch", rel.Name(), csv.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	mark()
@@ -437,7 +442,7 @@ func TestRecoveryJournalPrefixProperty(t *testing.T) {
 		t.Fatalf("DropRelation: existed=%v err=%v", existed, err)
 	}
 	mark()
-	if _, err := svc.PutRelation("scratch", rel); err != nil {
+	if _, _, err := svc.PutRelation("scratch", rel.Name(), csv.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	mark()

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -455,13 +456,23 @@ func validID(id string) error {
 // AddCorpus registers a corpus under id (empty id mints "c1", "c2", ...)
 // and returns the assigned identifier. The corpus gets its own shared
 // QueryCache: every verifier created over it deduplicates tentative
-// execution with every other.
+// execution with every other. With a store attached, the corpus's
+// relations are dumped into the journal record before the registry lock
+// is taken (the dump does not depend on the ID), so a large upload never
+// stalls other Service calls; without one no record is built at all.
 func (s *Service) AddCorpus(id string, c *Corpus) (string, error) {
 	if c == nil {
 		return "", fmt.Errorf("scrutinizer: nil corpus")
 	}
 	if err := validID(id); err != nil {
 		return "", err
+	}
+	var rec *store.Record
+	if s.store != nil {
+		var err error
+		if rec, err = corpusCreateRecord(c); err != nil {
+			return "", err
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -476,20 +487,21 @@ func (s *Service) AddCorpus(id string, c *Corpus) (string, error) {
 	} else if _, dup := s.corpora[id]; dup {
 		return "", fmt.Errorf("scrutinizer: corpus %q already registered", id)
 	}
-	rec, err := corpusCreateRecord(id, c)
-	if err != nil {
-		return "", err
-	}
 	s.corpora[id] = &serviceCorpus{id: id, corpus: c, qcache: NewQueryCache(), created: time.Now()}
-	if err := s.journal(rec); err != nil {
-		delete(s.corpora, id) // not durable, not acknowledged
-		return "", err
+	if rec != nil {
+		// Appending under s.mu keeps the journal in registry order.
+		rec.Corpus = id
+		if err := s.journal(rec); err != nil {
+			delete(s.corpora, id) // not durable, not acknowledged
+			return "", err
+		}
 	}
 	return id, nil
 }
 
-// corpusCreateRecord dumps a corpus's relations into its journal record.
-func corpusCreateRecord(id string, c *Corpus) (*store.Record, error) {
+// corpusCreateRecord dumps a corpus's relations into its journal record;
+// the caller fills in the corpus ID.
+func corpusCreateRecord(c *Corpus) (*store.Record, error) {
 	var p store.CorpusPayload
 	for _, name := range c.Names() {
 		rel, err := c.Relation(name)
@@ -506,7 +518,7 @@ func corpusCreateRecord(id string, c *Corpus) (*store.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &store.Record{Op: store.OpCorpusCreate, Corpus: id, Payload: payload}, nil
+	return &store.Record{Op: store.OpCorpusCreate, Payload: payload}, nil
 }
 
 // Corpus returns a registered corpus.
@@ -523,50 +535,58 @@ func (s *Service) Corpus(id string) (*Corpus, bool) {
 // ErrNoCorpus reports a relation mutation against an unregistered corpus.
 var ErrNoCorpus = errors.New("scrutinizer: no such corpus")
 
-// PutRelation uploads (or replaces) one relation of a registered corpus,
-// reporting whether an existing relation was replaced. The mutation is
-// journaled before it is acknowledged; a failed append restores the prior
-// relation and surfaces as ErrJournal. Callers are responsible for the
-// freeze discipline (no verifier may be bound to the corpus) and for
+// PutRelation uploads (or replaces) one relation of a registered corpus
+// from its CSV form (first column is the key attribute), returning the
+// parsed relation and whether an existing relation was replaced. The
+// upload is journaled verbatim — the recovered relation is parsed from
+// exactly the bytes the caller sent — before it is acknowledged; a failed
+// append restores the prior relation and surfaces as ErrJournal. A name or
+// body that is not valid UTF-8 is refused: the journal's JSON encoding
+// would silently replace the invalid bytes, so recovery would rebuild a
+// different relation from the one accepted. Callers are responsible for
+// the freeze discipline (no verifier may be bound to the corpus) and for
 // serializing mutations of one corpus — the HTTP layer holds a per-corpus
 // lock around this.
-func (s *Service) PutRelation(corpusID string, rel *Relation) (bool, error) {
-	if rel == nil {
-		return false, fmt.Errorf("scrutinizer: nil relation")
+func (s *Service) PutRelation(corpusID, name string, csv []byte) (*Relation, bool, error) {
+	rp := store.RelationPayload{Name: name, CSV: string(csv)}
+	if err := checkUTF8(rp); err != nil {
+		return nil, false, err
 	}
 	entry, ok := s.corpusEntry(corpusID)
 	if !ok {
-		return false, fmt.Errorf("%w: %q", ErrNoCorpus, corpusID)
+		return nil, false, fmt.Errorf("%w: %q", ErrNoCorpus, corpusID)
 	}
-	rp, err := relationPayload(rel)
+	rel, err := ReadRelationCSV(name, strings.NewReader(rp.CSV))
 	if err != nil {
-		return false, err
+		return nil, false, err
 	}
-	payload, err := json.Marshal(rp)
-	if err != nil {
-		return false, err
+	var payload []byte
+	if s.store != nil {
+		if payload, err = json.Marshal(rp); err != nil {
+			return nil, false, err
+		}
 	}
 	var prior *Relation
-	if entry.corpus.Has(rel.Name()) {
-		prior, _ = entry.corpus.Relation(rel.Name())
+	if entry.corpus.Has(name) {
+		prior, _ = entry.corpus.Relation(name)
 	}
-	entry.corpus.Remove(rel.Name())
+	entry.corpus.Remove(name)
 	if err := entry.corpus.Add(rel); err != nil {
 		if prior != nil {
 			_ = entry.corpus.Add(prior)
 		}
-		return false, err
+		return nil, false, err
 	}
 	if err := s.journal(&store.Record{
-		Op: store.OpRelationPut, Corpus: corpusID, Relation: rel.Name(), Payload: payload,
+		Op: store.OpRelationPut, Corpus: corpusID, Relation: name, Payload: payload,
 	}); err != nil {
-		entry.corpus.Remove(rel.Name())
+		entry.corpus.Remove(name)
 		if prior != nil {
 			_ = entry.corpus.Add(prior)
 		}
-		return false, err
+		return nil, false, err
 	}
-	return prior != nil, nil
+	return rel, prior != nil, nil
 }
 
 // DropRelation deletes one relation of a registered corpus, reporting

@@ -56,6 +56,38 @@ func BenchmarkServiceSetupWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceAddCorpus is the cost of registering a corpus.
+// ephemeral has no store attached, so no journal record is built: the
+// registration is an ID, an entry and a query cache, independent of corpus
+// size. journaled has a memory store attached and pays for the
+// corpus.create record — a CSV dump of every relation — built before the
+// registry lock is taken, plus the append.
+func BenchmarkServiceAddCorpus(b *testing.B) {
+	w := benchServiceWorld(b)
+	b.Run("ephemeral", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewService().AddCorpus("world", w.Corpus); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("journaled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			svc := NewService()
+			if _, err := svc.Recover(NewMemoryStore(), nil); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := svc.AddCorpus("world", w.Corpus); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkServiceVerifyCold is the full fit-per-request request: fit +
 // train a verifier, then verify the document on it.
 func BenchmarkServiceVerifyCold(b *testing.B) {
