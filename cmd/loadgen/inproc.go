@@ -3,8 +3,8 @@ package main
 // The in-process drive path: the same closed loop executed directly
 // against a scrutinizer.Service in this process — no HTTP, no daemon.
 // This is the apples-to-apples companion of the root package's
-// concurrency benchmarks: it exercises the identical registry, snapshot
-// and cache hot paths, so an improvement (or regression) in lock
+// concurrency benchmarks: it exercises the identical registry, engine
+// clone and cache hot paths, so an improvement (or regression) in lock
 // behaviour shows up here without network noise on top.
 
 import (

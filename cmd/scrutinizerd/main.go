@@ -71,8 +71,8 @@
 // Drive load (cmd/loadgen) while the profile accumulates; healthy output
 // concentrates delay in the runtime, not in scrutinizer's own locks —
 // the shared hot paths (query cache, session registry, corpus index,
-// verifier snapshots) are sharded or lock-free precisely so this profile
-// stays boring under multi-tenant load.
+// verifier models) are sharded, lock-free or read-locked precisely so
+// this profile stays boring under multi-tenant load.
 //
 // Endpoints:
 //

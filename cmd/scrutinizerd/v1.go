@@ -461,8 +461,8 @@ func (s *server) handleRunCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		res, err := run.Verify(ctx, crowd, vopts)
-		// Batch runs are request-scoped: hand the engine back to the
-		// verifier's spare pool so the next request re-primes it in place.
+		// Batch runs are request-scoped: drop the engine before encoding
+		// the response.
 		run.Close()
 		if err != nil {
 			httpError(w, verifyErrStatus(err), err.Error())

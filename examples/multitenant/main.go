@@ -3,7 +3,7 @@
 // checked claims"); it then verifies several fresh documents — including
 // concurrently — without ever refitting the feature pipeline or racing
 // its own batch-boundary retraining, because every run executes on a
-// private engine spawned from the verifier's immutable model snapshot.
+// private copy-on-write clone of the verifier's engine.
 //
 // This is the library shape of what cmd/scrutinizerd serves as the /v1
 // REST API (corpora → verifiers → runs).

@@ -170,56 +170,3 @@ func TestAnalyzeBatchRowsIndependent(t *testing.T) {
 		}
 	}
 }
-
-// TestCloneIntoMatchesClone pins that re-priming a dirty model via CloneInto
-// leaves it bit-identical to a fresh Clone — the invariant the pooled-engine
-// reuse path (ModelSnapshot.Spawn) depends on.
-func TestCloneIntoMatchesClone(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	src := New(Config{Seed: 5, Epochs: 4})
-	if err := src.Train(randExamples(rng, 60, 5, 16)); err != nil {
-		t.Fatal(err)
-	}
-
-	// dst is dirty: trained on a different problem (different width, labels).
-	dst := New(Config{Seed: 9})
-	if err := dst.Train(randExamples(rng, 30, 3, 40)); err != nil {
-		t.Fatal(err)
-	}
-	src.CloneInto(dst)
-	fresh := src.Clone()
-
-	if !reflect.DeepEqual(dst.labels, fresh.labels) ||
-		!reflect.DeepEqual(dst.labelIdx, fresh.labelIdx) ||
-		dst.dim != fresh.dim ||
-		!reflect.DeepEqual(dst.w, fresh.w) ||
-		!reflect.DeepEqual(dst.gsq, fresh.gsq) ||
-		!reflect.DeepEqual(dst.bias, fresh.bias) ||
-		!reflect.DeepEqual(dst.gsqB, fresh.gsqB) ||
-		dst.trained != fresh.trained || dst.rounds != fresh.rounds ||
-		dst.warm != fresh.warm || dst.cfg != fresh.cfg {
-		t.Fatal("CloneInto state differs from a fresh Clone")
-	}
-
-	// Behavioural check: retraining both must produce identical models —
-	// warm-start depends on rounds/trained, so this exercises the copied
-	// counters, not just the weights.
-	more := randExamples(rand.New(rand.NewSource(11)), 60, 5, 16)
-	if err := dst.Train(more); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.Train(more); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dst.w, fresh.w) || dst.warm != fresh.warm {
-		t.Fatal("retrained CloneInto model diverged from retrained Clone")
-	}
-	fs := randFeatures(rng, 10, 16)
-	for i, f := range fs {
-		p1, e1 := dst.Analyze(f, 3)
-		p2, e2 := fresh.Analyze(f, 3)
-		if e1 != e2 || !reflect.DeepEqual(p1, p2) {
-			t.Fatalf("row %d: CloneInto model scores differ from Clone", i)
-		}
-	}
-}

@@ -46,6 +46,18 @@
 // Config.ColdStart disables the warm path entirely for callers that need
 // scratch-identical models.
 //
+// # Copy-on-write clones
+//
+// Every verification run retrains its own copy of the verifier's four
+// models, so copies are frequent while most of them are only ever read:
+// a run's first fit is normally cold and allocates fresh buffers anyway.
+// Clone is therefore O(1). Parent and clone share the vocabulary, weights
+// and AdaGrad state and are both marked shared, and Train copies only what
+// it is about to write, only while the mark is set. A cold fit and a warm
+// fit that widens the matrices already write into fresh buffers; a warm
+// fit of a shared model copies the vocabulary and bias vectors, and the
+// matrices too when nothing grew. A model nobody cloned trains in place.
+//
 // # Batch scoring
 //
 // Algorithm 1 re-scores every remaining claim before every batch, and the
@@ -62,8 +74,11 @@ package classifier
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/repro/scrutinizer/internal/textproc"
 )
@@ -128,8 +143,8 @@ type Prediction struct {
 
 // Classifier is a softmax regression model over a growing label vocabulary.
 // The zero value is not usable; create with New. Training mutates the
-// model; all scoring methods are safe for concurrent use between Train
-// calls.
+// model (never a clone's view of it); all scoring methods are safe for
+// concurrent use between Train calls.
 type Classifier struct {
 	cfg      Config
 	labels   []string
@@ -147,6 +162,12 @@ type Classifier struct {
 	rounds  int  // Train invocations (drives the warm-start shuffle stream)
 	warm    bool // whether the last Train took the warm-start path
 
+	// shared is set on both sides of a Clone: labels, labelIdx, w, gsq,
+	// bias and gsqB may be read by another model, so Train copies them
+	// before writing. Atomic because concurrent Clones of one model all
+	// set it.
+	shared atomic.Bool
+
 	// scratch pools per-goroutine softmax buffers for the scoring paths.
 	scratch sync.Pool
 }
@@ -159,45 +180,31 @@ func New(cfg Config) *Classifier {
 	}
 }
 
-// Clone returns a deep copy of the model: weights, AdaGrad state, label
-// vocabulary and the warm-start round counter are all duplicated, so
-// training the clone never perturbs the original (and vice versa). The
-// clone starts with an empty scratch pool. Clone must not run concurrently
-// with Train on the same model; it is safe to run concurrently with the
-// scoring methods.
+// Clone returns a copy of the model in O(1): the clone shares the parent's
+// label vocabulary, weights and AdaGrad state, and both models are marked
+// shared. Train copies a shared buffer before it writes to it, so training
+// either model never perturbs the other (see "Copy-on-write clones" in the
+// package doc). The clone copies the warm-start round counter and starts
+// with an empty scratch pool. Clone must not run concurrently with Train on
+// the same model; it is safe to run concurrently with the scoring methods
+// and with other Clone calls.
 func (c *Classifier) Clone() *Classifier {
-	cp := &Classifier{}
-	c.CloneInto(cp)
+	c.shared.Store(true)
+	cp := &Classifier{
+		cfg:      c.cfg,
+		labels:   c.labels,
+		labelIdx: c.labelIdx,
+		dim:      c.dim,
+		w:        c.w,
+		gsq:      c.gsq,
+		bias:     c.bias,
+		gsqB:     c.gsqB,
+		trained:  c.trained,
+		rounds:   c.rounds,
+		warm:     c.warm,
+	}
+	cp.shared.Store(true)
 	return cp
-}
-
-// CloneInto copies the model's trained state into dst, reusing dst's
-// existing weight/accumulator buffers and label map when their capacity
-// allows — the allocation-free complement of Clone for pooled per-run
-// engines that are re-primed from a snapshot on reuse. dst behaves exactly
-// like a fresh Clone afterwards (pinned by test); its scratch pool is kept
-// (stale-width buffers are filtered out by the length check in
-// getScratch). Like Clone, CloneInto must not run concurrently with Train
-// on either model.
-func (c *Classifier) CloneInto(dst *Classifier) {
-	dst.cfg = c.cfg
-	dst.labels = append(dst.labels[:0], c.labels...)
-	if dst.labelIdx == nil {
-		dst.labelIdx = make(map[string]int, len(c.labelIdx))
-	} else {
-		clear(dst.labelIdx)
-	}
-	for l, i := range c.labelIdx {
-		dst.labelIdx[l] = i
-	}
-	dst.dim = c.dim
-	dst.w = append(dst.w[:0], c.w...)
-	dst.gsq = append(dst.gsq[:0], c.gsq...)
-	dst.bias = append(dst.bias[:0], c.bias...)
-	dst.gsqB = append(dst.gsqB[:0], c.gsqB...)
-	dst.trained = c.trained
-	dst.rounds = c.rounds
-	dst.warm = c.warm
 }
 
 // Labels returns the label vocabulary in first-seen order. Callers must not
@@ -251,9 +258,21 @@ func (c *Classifier) Train(examples []Example) error {
 	epochs := c.cfg.Epochs
 	if warm {
 		epochs = c.cfg.WarmStartEpochs
+		shared := c.shared.Load()
+		if shared {
+			// Copy before write: addLabels, grow and sgdStep write these
+			// in place (or append past a shared length).
+			c.labels = slices.Clone(c.labels)
+			c.labelIdx = maps.Clone(c.labelIdx)
+			c.bias = slices.Clone(c.bias)
+			c.gsqB = slices.Clone(c.gsqB)
+		}
 		oldL := len(c.labels)
 		c.addLabels(examples)
-		c.grow(maxIdx+1, oldL)
+		if !c.grow(maxIdx+1, oldL) && shared {
+			c.w = slices.Clone(c.w)
+			c.gsq = slices.Clone(c.gsq)
+		}
 	} else {
 		c.labels = nil
 		c.labelIdx = make(map[string]int, len(fresh))
@@ -267,6 +286,8 @@ func (c *Classifier) Train(examples []Example) error {
 		// Pooled scratch buffers of the old width are filtered out by the
 		// length check in getScratch and fall to the collector.
 	}
+	// Every buffer the fit writes is now private to this model.
+	c.shared.Store(false)
 	c.trained = len(examples)
 	c.warm = warm
 	c.rounds++
@@ -316,14 +337,15 @@ func (c *Classifier) addLabels(examples []Example) {
 // the wider feature-major stride in one fresh pair of buffers: feature
 // rows append at the end, class columns at the end of every row, and
 // everything new — rows, columns, bias and bias accumulators — starts at
-// zero. oldL is the label count the matrices are laid out for.
-func (c *Classifier) grow(width, oldL int) {
+// zero. oldL is the label count the matrices are laid out for. It reports
+// whether it re-laid the matrices out into fresh buffers.
+func (c *Classifier) grow(width, oldL int) bool {
 	nL := len(c.labels)
 	if width < c.dim {
 		width = c.dim
 	}
 	if width == c.dim && nL == oldL {
-		return
+		return false
 	}
 	w := make([]float64, width*nL)
 	gsq := make([]float64, width*nL)
@@ -334,6 +356,7 @@ func (c *Classifier) grow(width, oldL int) {
 	c.w, c.gsq, c.dim = w, gsq, width
 	c.bias = append(c.bias, make([]float64, nL-oldL)...)
 	c.gsqB = append(c.gsqB, make([]float64, nL-oldL)...)
+	return true
 }
 
 // gradCutoff is the smallest |gradient| for which sgdStep updates a class;

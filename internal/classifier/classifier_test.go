@@ -1,9 +1,13 @@
 package classifier
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/repro/scrutinizer/internal/stats"
@@ -475,64 +479,179 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence: a clone scores identically to its original, and
-// training either side afterwards leaves the other side untouched —
-// including the warm-start round counter, so diverged copies keep their
-// own deterministic shuffle streams.
+// modelView is what another model may observe of a classifier: its
+// vocabulary, its label index and its distributions over a probe set.
+type modelView struct {
+	labels []string
+	idx    map[string]int
+	probs  [][]float64
+}
+
+func viewOf(c *Classifier, probe []textproc.Sparse) modelView {
+	v := modelView{labels: slices.Clone(c.Labels()), idx: maps.Clone(c.labelIdx)}
+	for _, f := range probe {
+		v.probs = append(v.probs, c.Probs(f))
+	}
+	return v
+}
+
+// mustSameView fails unless two views are bit-identical.
+func mustSameView(t *testing.T, what string, want, got modelView) {
+	t.Helper()
+	if !reflect.DeepEqual(want.labels, got.labels) || !reflect.DeepEqual(want.idx, got.idx) {
+		t.Fatalf("%s: vocabulary %v/%v, want %v/%v", what, got.labels, got.idx, want.labels, want.idx)
+	}
+	for i := range want.probs {
+		if len(want.probs[i]) != len(got.probs[i]) {
+			t.Fatalf("%s: probe %d has %d probabilities, want %d", what, i, len(got.probs[i]), len(want.probs[i]))
+		}
+		for j, p := range want.probs[i] {
+			if math.Float64bits(p) != math.Float64bits(got.probs[i][j]) {
+				t.Fatalf("%s: probe %d class %d prob %v, want %v", what, i, j, got.probs[i][j], p)
+			}
+		}
+	}
+}
+
+// cloneFits are the four ways a Train call can meet a clone's shared
+// buffers, each built on top of the 5-label, 16-wide base pool: a cold
+// refit (a known label vanished), a warm fit that adds labels, a warm fit
+// that only widens the feature space, and a warm fit with nothing new.
+func cloneFits(base []Example) []cloneFit {
+	rng := rand.New(rand.NewSource(17))
+	var cold []Example
+	for _, ex := range randExamples(rng, 60, 6, 16) {
+		if ex.Label != "label00" {
+			cold = append(cold, ex)
+		}
+	}
+	return []cloneFit{
+		{"cold", cold, false, false, false},
+		{"warm new labels", append(slices.Clone(base), randExamples(rng, 30, 7, 16)...), true, true, false},
+		{"warm wider features", append(slices.Clone(base), randExamples(rng, 30, 5, 40)...), true, false, true},
+		{"warm nothing new", append(slices.Clone(base), base[:20]...), true, false, false},
+	}
+}
+
+// cloneFit is one retraining set and the shape of fit it must produce
+// (newLabels and wider apply to warm fits).
+type cloneFit struct {
+	name                   string
+	set                    []Example
+	warm, newLabels, wider bool
+}
+
+// TestCloneIndependence pins the copy-on-write contract. A fresh clone
+// scores bit-identically to its parent. Then, for each of the four kinds
+// of fit, the parent trains and then the clone trains; after each fit the
+// other model's Labels, labelIdx and Probs are bit-identical to before.
+// Both fits must also equal the same fit of a model nobody cloned, which
+// trains in place.
 func TestCloneIndependence(t *testing.T) {
-	orig := New(Config{Seed: 3})
-	base := separableSet(90, 11)
-	if err := orig.Train(base); err != nil {
-		t.Fatal(err)
-	}
-	clone := orig.Clone()
+	cfg := Config{Seed: 3, Epochs: 4}
+	base := randExamples(rand.New(rand.NewSource(11)), 60, 5, 16)
+	probe := randFeatures(rand.New(rand.NewSource(42)), 20, 40)
+	for _, fit := range cloneFits(base) {
+		t.Run(fit.name, func(t *testing.T) {
+			parent := New(cfg)
+			if err := parent.Train(base); err != nil {
+				t.Fatal(err)
+			}
+			dim, nL := parent.dim, parent.NumLabels()
+			clone := parent.Clone()
+			if clone.TrainedOn() != parent.TrainedOn() || clone.NumLabels() != nL {
+				t.Fatalf("clone metadata: TrainedOn=%d/%d NumLabels=%d/%d",
+					clone.TrainedOn(), parent.TrainedOn(), clone.NumLabels(), nL)
+			}
+			mustSameView(t, "fresh clone", viewOf(parent, probe), viewOf(clone, probe))
 
-	probe := separableSet(20, 42)
-	for _, ex := range probe {
-		a, b := orig.Probs(ex.Features), clone.Probs(ex.Features)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("clone probs diverge on fresh clone: %v vs %v", a, b)
+			ref := New(cfg)
+			for _, set := range [][]Example{base, fit.set} {
+				if err := ref.Train(set); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ref.WarmStarted() != fit.warm ||
+				fit.warm && ((ref.NumLabels() != nL) != fit.newLabels || (ref.dim != dim) != fit.wider) {
+				t.Fatalf("fit shape: warm %v, labels %d -> %d, dim %d -> %d",
+					ref.WarmStarted(), nL, ref.NumLabels(), dim, ref.dim)
+			}
+			want := viewOf(ref, probe)
+
+			before := viewOf(clone, probe)
+			if err := parent.Train(fit.set); err != nil {
+				t.Fatal(err)
+			}
+			mustSameView(t, "clone after the parent's fit", before, viewOf(clone, probe))
+			mustSameView(t, "parent fit vs unshared fit", want, viewOf(parent, probe))
+
+			before = viewOf(parent, probe)
+			if err := clone.Train(fit.set); err != nil {
+				t.Fatal(err)
+			}
+			mustSameView(t, "parent after the clone's fit", before, viewOf(parent, probe))
+			mustSameView(t, "clone fit vs unshared fit", want, viewOf(clone, probe))
+		})
+	}
+}
+
+// TestCloneConcurrentTraining: two clones of one parent train concurrently
+// while the parent itself retrains and a third clone scores; each ends
+// bit-identical to the same fit run sequentially on a model nobody cloned.
+// Under -race this is the check that copy-on-write never writes a shared
+// buffer.
+func TestCloneConcurrentTraining(t *testing.T) {
+	cfg := Config{Seed: 5, Epochs: 4}
+	base := randExamples(rand.New(rand.NewSource(13)), 60, 5, 16)
+	probe := randFeatures(rand.New(rand.NewSource(7)), 20, 40)
+	fits := cloneFits(base)
+	// Both clones grow the vocabulary, by different labels: the 5-label
+	// vocabulary has spare capacity, so an append that skipped the copy
+	// would write both into the same shared slot.
+	renamed := slices.Clone(fits[1].set)
+	for i := range renamed {
+		if renamed[i].Label >= "label05" {
+			renamed[i].Label = "other" + renamed[i].Label
+		}
+	}
+	sets := [][]Example{fits[1].set, renamed, fits[2].set} // clone, clone, parent
+
+	want := make([]modelView, len(sets))
+	for i, set := range sets {
+		ref := New(cfg)
+		for _, s := range [][]Example{base, set} {
+			if err := ref.Train(s); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
-	if clone.TrainedOn() != orig.TrainedOn() || clone.NumLabels() != orig.NumLabels() {
-		t.Fatalf("clone metadata: TrainedOn=%d/%d NumLabels=%d/%d",
-			clone.TrainedOn(), orig.TrainedOn(), clone.NumLabels(), orig.NumLabels())
+		want[i] = viewOf(ref, probe)
 	}
 
-	// Train the clone on more data; the original must not move.
-	before := orig.Probs(probe[0].Features)
-	if err := clone.Train(separableSet(150, 5)); err != nil {
+	parent := New(cfg)
+	if err := parent.Train(base); err != nil {
 		t.Fatal(err)
 	}
-	after := orig.Probs(probe[0].Features)
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatal("training the clone perturbed the original")
+	models := []*Classifier{parent.Clone(), parent.Clone(), parent}
+	reader := parent.Clone()
+	errs := make([]error, len(models))
+	var wg sync.WaitGroup
+	for i, m := range models {
+		wg.Add(1)
+		go func(i int, m *Classifier) {
+			defer wg.Done()
+			errs[i] = m.Train(sets[i])
+		}(i, m)
+	}
+	// A third clone keeps scoring from the shared buffers meanwhile.
+	for _, f := range probe {
+		reader.Analyze(f, 3)
+	}
+	wg.Wait()
+	for i, m := range models {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
-	}
-
-	// Two clones trained on the same data remain bit-identical to each
-	// other (shared rounds counter -> same shuffle stream).
-	c1, c2 := orig.Clone(), orig.Clone()
-	more := separableSet(120, 9)
-	if err := c1.Train(more); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Train(more); err != nil {
-		t.Fatal(err)
-	}
-	if c1.WarmStarted() != c2.WarmStarted() {
-		t.Fatal("clones diverged on warm-start decision")
-	}
-	for _, ex := range probe {
-		a, b := c1.Probs(ex.Features), c2.Probs(ex.Features)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatal("identically trained clones diverged")
-			}
-		}
+		mustSameView(t, fmt.Sprintf("model %d", i), want[i], viewOf(m, probe))
 	}
 }
 
@@ -601,8 +720,13 @@ func TestWarmStartLabelGrowth(t *testing.T) {
 	oldDim := c.dim
 
 	// The re-layout alone keeps every known weight in place under the
-	// wider stride and zeroes everything new.
-	relaid := c.Clone()
+	// wider stride and zeroes everything new. It writes in place, so it
+	// runs on a private model trained like c, never on a clone sharing
+	// c's buffers.
+	relaid := New(Config{Seed: 4, Epochs: 6})
+	if err := relaid.Train(ab); err != nil {
+		t.Fatal(err)
+	}
 	relaid.addLabels(abc)
 	relaid.grow(8, 2)
 	if relaid.dim != 8 || len(relaid.w) != 8*3 || len(relaid.gsq) != 8*3 {
@@ -704,48 +828,4 @@ func TestWarmGrowthDeterministic(t *testing.T) {
 	if m1.NumLabels() != 12 {
 		t.Errorf("NumLabels = %d after growth to 12", m1.NumLabels())
 	}
-}
-
-// TestCloneIntoAfterLabelGrowth: re-priming a pooled model that is
-// narrower than a grown source (fewer labels, smaller width) scores and
-// retrains exactly like a fresh Clone.
-func TestCloneIntoAfterLabelGrowth(t *testing.T) {
-	pool, ends := growthPool(8, 30, []int{2, 4, 7})
-	src := New(Config{Seed: 2, Epochs: 4})
-	for _, end := range ends {
-		if err := src.Train(pool[:end]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !src.WarmStarted() {
-		t.Fatal("source should have grown warm")
-	}
-	dst := New(Config{Seed: 2, Epochs: 4})
-	if err := dst.Train(pool[:ends[0]]); err != nil {
-		t.Fatal(err)
-	}
-	src.CloneInto(dst)
-	fresh := src.Clone()
-
-	fs := randFeatures(rand.New(rand.NewSource(3)), 20, 40)
-	check := func(stage string) {
-		t.Helper()
-		p1, e1 := dst.AnalyzeBatch(fs, 3)
-		p2, e2 := fresh.AnalyzeBatch(fs, 3)
-		if !reflect.DeepEqual(p1, p2) || !reflect.DeepEqual(e1, e2) {
-			t.Fatalf("%s: CloneInto model scores differ from Clone", stage)
-		}
-	}
-	check("after CloneInto")
-
-	more := append(append([]Example(nil), pool...), randExamples(rand.New(rand.NewSource(5)), 30, 9, 48)...)
-	for _, m := range []*Classifier{dst, fresh} {
-		if err := m.Train(more); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !dst.WarmStarted() || !fresh.WarmStarted() {
-		t.Fatal("further growth should warm start both copies")
-	}
-	check("after a further growth retrain")
 }

@@ -299,60 +299,36 @@ func TestRunPoolCapsWorkersAtJobs(t *testing.T) {
 	}
 }
 
-// TestSpawnReleaseReuse: an engine released after a full run (which
-// retrained it at every batch barrier) and re-spawned from the snapshot
-// must behave bit-identically to a pristine spawn, and re-priming clears
-// the per-run caches.
+// TestSpawnReleaseReuse: an engine derived for a run is disposable. After
+// a full run (which retrained its clone at every batch barrier) a fresh
+// clone of the source still behaves bit-identically to a pristine one and
+// starts with empty per-run caches; a clone taken from a clone before the
+// middle one runs is unaffected by that run's retraining, since the
+// models it shares are copied before they are written.
 func TestSpawnReleaseReuse(t *testing.T) {
 	w, pipe := batchFixture(t)
 	e := engineOver(t, w, pipe, nil)
 	if err := e.Train(w.Document.Claims); err != nil {
 		t.Fatal(err)
 	}
-	snap := e.Snapshot()
+	vc := VerifyConfig{BatchSize: 20}
 
-	run := func(eng *Engine) *Result {
-		t.Helper()
-		team, err := crowd.NewTeam("W", 3, 0.97, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Verify(context.Background(), w.Document, team, VerifyConfig{BatchSize: 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	want := verifyOn(t, e.Clone(), w.Document, vc) // pristine reference
+
+	used := e.Clone()
+	nested := used.Clone()
+	verifyOn(t, used, w.Document, vc)
+	if used.Generation() == e.Generation() {
+		t.Fatal("run should have retrained the cloned engine past the source generation")
 	}
-
-	want := run(snap.Spawn()) // pristine reference, never released
-
-	// Deterministic re-prime check (sync.Pool reuse is best-effort, so the
-	// dirty->pristine transition is exercised directly too).
-	dirty := snap.Spawn()
-	run(dirty)
-	if dirty.Generation() == snap.Generation() {
-		t.Fatal("run should have retrained the spawned engine past the snapshot generation")
+	if nested.Generation() != e.Generation() {
+		t.Fatalf("nested clone generation %d moved with its parent's run (source %d)", nested.Generation(), e.Generation())
 	}
-	dirty.reprime(snap)
-	mustEqualRuns(t, "re-primed dirty engine vs pristine spawn", want, run(dirty))
+	mustEqualRuns(t, "clone of a clone after the middle run vs pristine clone", want, verifyOn(t, nested, w.Document, vc))
 
-	// Release / Spawn round trip through the pool.
-	used := snap.Spawn()
-	run(used)
-	used.Release()
-	if len(used.featCache) != 0 || len(used.assessed) != 0 {
-		t.Fatal("Release must clear the per-run caches")
+	re := e.Clone()
+	if len(re.featCache) != 0 || len(re.assessed) != 0 {
+		t.Fatal("a clone taken after a run must start with empty per-run caches")
 	}
-	re := snap.Spawn()
-	if re == used {
-		t.Log("pool recycled the released engine")
-	}
-	mustEqualRuns(t, "respawn after release vs pristine spawn", want, run(re))
-
-	// Release is a no-op on double release, non-spawned and nil engines.
-	re.Release()
-	re.Release()
-	e.Release()
-	var nilEngine *Engine
-	nilEngine.Release()
+	mustEqualRuns(t, "clone after a finished run vs pristine clone", want, verifyOn(t, re, w.Document, vc))
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -167,24 +168,25 @@ func TestCancelStartDocument(t *testing.T) {
 	}
 }
 
-// TestCancelReleasesPooledEngine: a run cancelled mid-verification gives
-// its spawned engine back to the snapshot pool on Release, and the pooled
-// engine re-primes cleanly — a later spawn completes a full verification
-// from pristine snapshot state.
-func TestCancelReleasesPooledEngine(t *testing.T) {
+// TestCancelLeavesSourceEngineIntact: a run cancelled mid-verification on
+// a clone (after at least one retrain barrier) leaves the engine it was
+// cloned from untouched — its models predict exactly as before, and a
+// later clone completes a full verification bit-identical to a run on a
+// clone taken before the cancelled one.
+func TestCancelLeavesSourceEngineIntact(t *testing.T) {
 	e, w := buildEngine(t, tinyWorld())
 	if err := e.Train(w.Document.Claims); err != nil {
 		t.Fatal(err)
 	}
-	snap := e.Snapshot()
+	before := modelOutputs(e, w.Document.Claims)
+	reference := e.Clone()
+
 	team, err := crowd.NewTeam("W", 3, 0.97, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	spawned := snap.Spawn()
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err = spawned.Verify(ctx, w.Document, team, VerifyConfig{
+	_, err = e.Clone().Verify(ctx, w.Document, team, VerifyConfig{
 		BatchSize:  10,
 		AfterBatch: func(b, verified int, outs []*Outcome) { cancel() },
 	})
@@ -192,25 +194,16 @@ func TestCancelReleasesPooledEngine(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	spawned.Release()
+	if !reflect.DeepEqual(before, modelOutputs(e, w.Document.Claims)) {
+		t.Fatal("the cancelled run perturbed the source engine's models")
+	}
 
-	// The next spawn takes the pooled engine (same P, nothing between the
-	// Release and the Spawn) and must behave exactly like a fresh one.
-	reused := snap.Spawn()
-	if reused != spawned {
-		t.Log("pool returned a different engine (GC ran); exercising it anyway")
+	vc := VerifyConfig{BatchSize: 10}
+	got := verifyOn(t, e.Clone(), w.Document, vc)
+	if len(got.Outcomes) != len(w.Document.Claims) {
+		t.Fatalf("clone after a cancelled run verified %d of %d claims", len(got.Outcomes), len(w.Document.Claims))
 	}
-	team2, err := crowd.NewTeam("W", 3, 0.97, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := reused.Verify(context.Background(), w.Document, team2, VerifyConfig{BatchSize: 10})
-	if err != nil {
-		t.Fatalf("verify on reused engine after cancelled run: %v", err)
-	}
-	if len(res.Outcomes) != len(w.Document.Claims) {
-		t.Fatalf("reused engine verified %d of %d claims", len(res.Outcomes), len(w.Document.Claims))
-	}
+	mustEqualRuns(t, "clone after a cancelled run", verifyOn(t, reference, w.Document, vc), got)
 }
 
 // settleGoroutines polls until the goroutine count returns to the

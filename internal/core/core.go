@@ -178,7 +178,7 @@ type Engine struct {
 	// QueryCache); fc caches everything derivable from a formula string
 	// alone — the parse, the canonical rendering, the alias list and the
 	// compiled program (all corpus- and training-independent, so the cache
-	// is shared across every engine spawned from one snapshot lineage).
+	// is shared by an engine and every Clone derived from it).
 	qcache *QueryCache
 	fc     *formulaCache
 
@@ -210,12 +210,6 @@ type Engine struct {
 	// the reference implementation the batch path is pinned against in
 	// the equivalence tests. Never set outside tests.
 	seqAssess bool
-
-	// origin is the snapshot this engine was spawned from, when it came
-	// through ModelSnapshot.Spawn; Release returns the engine to the
-	// snapshot's spare pool so its caches and model buffers are recycled
-	// by the next Spawn.
-	origin *ModelSnapshot
 }
 
 // assessment is everything one scoring pass over the four models yields for
@@ -261,6 +255,37 @@ func NewEngine(corpus *table.Corpus, pipe *feature.Pipeline, cfg Config) (*Engin
 	return e, nil
 }
 
+// Clone derives an independent engine with the same trained state — how a
+// verification run gets an engine it may retrain at every batch barrier
+// without racing other runs. The four classifiers are O(1) copy-on-write
+// clones (see package classifier), so neither side's retraining perturbs
+// the other. The corpus, feature pipeline, formula library and caches are
+// shared: they are immutable, internally synchronized, or (the library)
+// replaced rather than mutated by Train. The feature and assessment caches
+// start empty: they are per-run state keyed by claim ID, and distinct runs
+// may verify distinct documents whose claim IDs collide. Clone must not
+// run concurrently with Train on the receiver; it is safe against
+// concurrent scoring and other Clones.
+func (e *Engine) Clone() *Engine {
+	cp := &Engine{
+		corpus:      e.corpus,
+		pipe:        e.pipe,
+		cfg:         e.cfg,
+		models:      make(map[PropertyKind]*classifier.Classifier, len(e.models)),
+		lib:         e.lib,
+		qcache:      e.qcache,
+		fc:          e.fc,
+		genOverride: e.genOverride,
+		featCache:   make(map[int]textproc.Sparse),
+		assessed:    make(map[int]*assessment),
+		gen:         e.Generation(),
+	}
+	for k, m := range e.models {
+		cp.models[k] = m.Clone()
+	}
+	return cp
+}
+
 // Corpus returns the engine's relational corpus.
 func (e *Engine) Corpus() *table.Corpus { return e.corpus }
 
@@ -292,8 +317,8 @@ type fcEntry struct {
 // per-claim hot path — parse the top-k formula options, render their
 // canonical keys, walk their alias lists, compile — degenerates to map
 // hits after the first claim of a vocabulary. One cache is shared by an
-// engine and every engine spawned from its snapshots. All methods are
-// safe for concurrent use.
+// engine and every Clone derived from it. All methods are safe for
+// concurrent use.
 type formulaCache struct {
 	mu    sync.RWMutex
 	bySrc map[string]*fcEntry

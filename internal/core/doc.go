@@ -54,22 +54,26 @@
 // enumeration compiles it. The engine routes all of that through one
 // internal cache keyed by both source string and parsed node, memoizing the
 // parse, the canonical rendering, the alias list and the compiled program.
-// Snapshots and spawned engines share the cache across a verifier's whole
-// lineage — it holds derived, immutable data only.
+// An engine and every Clone derived from it share the cache — it holds
+// derived, immutable data only.
 //
-// # Pooled run engines
+// # Run engines share models copy-on-write
 //
-// A ModelSnapshot freezes an engine's trained state; Spawn turns it back
-// into a private engine that a verification run may retrain freely. Released
-// engines (Engine.Release) return to the snapshot's pool, and the next
-// Spawn re-primes one in place — classifier weights copy into the existing
-// buffers, per-run caches keep their capacity — so a service handling many
-// short runs allocates the engine machinery once, not per request.
+// A verification run retrains its models at every barrier, so it needs an
+// engine of its own: Engine.Clone derives one from a trained engine in
+// O(1). The four classifiers are copy-on-write clones (see package
+// classifier): they read the source's weights until a fit writes, and a
+// fit copies only what it writes. A run's first fit normally refits cold
+// into fresh buffers (see above), so the source's weights are never
+// copied; only a warm first fit that adds no labels and no features
+// copies the weight matrices. The
+// source engine may itself keep training (Verifier.Retrain) while runs
+// cloned from it are live. The per-run feature and assessment caches start
+// empty; a finished run's engine is simply collected.
 //
-// A ModelSnapshot lives in memory only and has no serialized form. The
-// trained state is a deterministic function of the training claims and the
-// configuration, so a restarted service rebuilds its engines by retraining
-// from its journal.
+// Trained state lives in memory only and has no serialized form. It is a
+// deterministic function of the training claims and the configuration, so
+// a restarted service rebuilds its engines by retraining from its journal.
 //
 // # Parallelism
 //
@@ -84,7 +88,7 @@
 //
 // # Lock domains
 //
-// Concurrent runs (many engines spawned from one verifier, many verifiers
+// Concurrent runs (many engines cloned from one verifier, many verifiers
 // over one corpus) share exactly three mutable structures, each with its
 // own isolated lock domain so the serving hot path never funnels through
 // a single mutex:
@@ -103,10 +107,11 @@
 //     rebuilds only.
 //
 // Everything else an engine touches is either private to its run (claim
-// state, assessment cache, scratch buffers) or immutable after
-// construction (ModelSnapshot weights, the fitted pipeline, corpus
-// relations under the service's freeze-on-first-verifier rule), which is
-// what makes the sharing above sufficient. The same discipline continues
+// state, assessment cache, scratch buffers), immutable after construction
+// (the fitted pipeline, corpus relations under the service's
+// freeze-on-first-verifier rule), or copy-on-write (classifier weights: a
+// fit copies a shared buffer before writing it), which is what makes the
+// sharing above sufficient. The same discipline continues
 // one layer up: session.Manager splits its registry RWMutex from the
 // per-session locks and serves activity stamps and stats from per-session
 // atomics, and Verifier counts runs atomically so StartRun never contends

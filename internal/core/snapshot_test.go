@@ -2,72 +2,88 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
+	"github.com/repro/scrutinizer/internal/claims"
+	"github.com/repro/scrutinizer/internal/classifier"
 	"github.com/repro/scrutinizer/internal/crowd"
 )
 
-// TestSnapshotSpawnEquivalence: spawning twice from one snapshot yields
-// engines whose full verification runs are bit-identical — and running one
-// spawn (which retrains it at batch barriers) must not perturb the
-// snapshot or later spawns.
+// A run's engine is an Engine.Clone of the trained engine: a snapshot of
+// its trained state whose four classifiers share weights copy-on-write.
+// The tests below pin that a run on a clone — however much it retrains —
+// never reaches back into the engine it was cloned from.
+
+// modelOutputs records what every model of e predicts for every claim: the
+// observable trained state a run must not perturb.
+func modelOutputs(e *Engine, cs []*claims.Claim) map[PropertyKind][][]classifier.Prediction {
+	out := make(map[PropertyKind][][]classifier.Prediction, 4)
+	for _, k := range PropertyKinds() {
+		for _, c := range cs {
+			out[k] = append(out[k], e.Model(k).TopK(e.Featurize(c), 1<<20))
+		}
+	}
+	return out
+}
+
+// verifyOn runs the whole document on eng with a fixed simulated team.
+func verifyOn(t *testing.T, eng *Engine, doc *claims.Document, vc VerifyConfig) *Result {
+	t.Helper()
+	team, err := crowd.NewTeam("W", 3, 0.97, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Verify(context.Background(), doc, team, vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestSnapshotSpawnEquivalence: runs on clones of one trained engine are
+// bit-identical, each starts with empty per-run caches, and none of them
+// — although every run retrains its clone at each batch barrier — moves
+// the source engine's models or generation.
 func TestSnapshotSpawnEquivalence(t *testing.T) {
-	e, w := buildEngine(t, tinyWorld())
+	w, pipe := batchFixture(t)
+	e := engineOver(t, w, pipe, nil)
 	if err := e.Train(w.Document.Claims); err != nil {
 		t.Fatal(err)
 	}
-	snap := e.Snapshot()
+	gen := e.Generation()
+	before := modelOutputs(e, w.Document.Claims)
+	vc := VerifyConfig{BatchSize: 20}
 
-	run := func(spawned *Engine) *Result {
-		team, err := crowd.NewTeam("W", 3, 0.97, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := spawned.Verify(context.Background(), w.Document, team, VerifyConfig{BatchSize: 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	first := e.Clone()
+	if len(first.featCache) != 0 || len(first.assessed) != 0 {
+		t.Fatal("a clone must start with empty per-run caches")
 	}
-
-	first := run(snap.Spawn())
-	// The first run retrained its spawned engine several times; a fresh
-	// spawn must still start from the pristine snapshot state.
-	second := run(snap.Spawn())
-
-	if first.Seconds != second.Seconds || first.Batches != second.Batches {
-		t.Fatalf("spawned runs diverged: %v/%d vs %v/%d batches",
-			first.Seconds, first.Batches, second.Seconds, second.Batches)
+	want := verifyOn(t, first, w.Document, vc)
+	if first.Generation() == gen {
+		t.Fatal("the run should have retrained its clone past the source generation")
 	}
-	if len(first.Outcomes) != len(second.Outcomes) {
-		t.Fatalf("outcome counts: %d vs %d", len(first.Outcomes), len(second.Outcomes))
+	for i := 0; i < 2; i++ {
+		mustEqualRuns(t, "repeated clone run", want, verifyOn(t, e.Clone(), w.Document, vc))
 	}
-	for i := range first.Outcomes {
-		a, b := first.Outcomes[i], second.Outcomes[i]
-		if a.ClaimID != b.ClaimID || a.Verdict != b.Verdict || a.Seconds != b.Seconds || a.Value != b.Value {
-			t.Fatalf("outcome %d diverged: %+v vs %+v", i, a, b)
-		}
+	if e.Generation() != gen {
+		t.Fatalf("source generation moved %d -> %d", gen, e.Generation())
 	}
-
-	// The snapshot's source engine is untouched too: a clone of it equals
-	// a spawn of the snapshot.
-	third := run(e.Clone())
-	if third.Seconds != first.Seconds {
-		t.Fatalf("source engine drifted: clone run %v vs spawn run %v", third.Seconds, first.Seconds)
+	if !reflect.DeepEqual(before, modelOutputs(e, w.Document.Claims)) {
+		t.Fatal("runs on clones perturbed the source engine's models")
 	}
 }
 
-// TestSnapshotConcurrentSpawns: many spawns of one snapshot verifying
-// concurrently (each retraining its own engine at batch barriers) agree
-// with each other — the -race run is the actual assertion that no state
-// is shared mutably.
+// TestSnapshotConcurrentSpawns: clones taken concurrently from one engine
+// and verifying concurrently (each retraining its own clone at batch
+// barriers) agree with each other — the -race run is the actual assertion
+// that no state is shared mutably.
 func TestSnapshotConcurrentSpawns(t *testing.T) {
 	e, w := buildEngine(t, tinyWorld())
 	if err := e.Train(w.Document.Claims); err != nil {
 		t.Fatal(err)
 	}
-	snap := e.Snapshot()
 
 	const n = 4
 	results := make([]*Result, n)
@@ -82,7 +98,7 @@ func TestSnapshotConcurrentSpawns(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			results[i], errs[i] = snap.Spawn().Verify(context.Background(), w.Document, team, VerifyConfig{
+			results[i], errs[i] = e.Clone().Verify(context.Background(), w.Document, team, VerifyConfig{
 				BatchSize: 20, Parallelism: 2,
 			})
 		}(i)
@@ -94,32 +110,29 @@ func TestSnapshotConcurrentSpawns(t *testing.T) {
 		}
 	}
 	for i := 1; i < n; i++ {
-		if results[i].Seconds != results[0].Seconds || results[i].Batches != results[0].Batches {
-			t.Fatalf("concurrent run %d diverged: %v vs %v", i, results[i].Seconds, results[0].Seconds)
-		}
-		for j := range results[0].Outcomes {
-			if results[i].Outcomes[j].Verdict != results[0].Outcomes[j].Verdict {
-				t.Fatalf("run %d outcome %d verdict diverged", i, j)
-			}
-		}
+		mustEqualRuns(t, "concurrent clone run", results[0], results[i])
 	}
 }
 
-// TestSnapshotGeneration: the snapshot records the generation it was taken
-// at and spawns inherit it.
+// TestSnapshotGeneration: a clone inherits the generation of the engine it
+// was taken from, and retraining the clone advances only the clone's.
 func TestSnapshotGeneration(t *testing.T) {
 	e, w := buildEngine(t, tinyWorld())
-	if e.Snapshot().Generation() != 0 {
-		t.Fatal("cold snapshot generation != 0")
+	if e.Clone().Generation() != 0 {
+		t.Fatal("clone of a cold engine has generation != 0")
 	}
 	if err := e.Train(w.Document.Claims); err != nil {
 		t.Fatal(err)
 	}
-	snap := e.Snapshot()
-	if snap.Generation() != e.Generation() || snap.Generation() == 0 {
-		t.Fatalf("snapshot generation %d, engine %d", snap.Generation(), e.Generation())
+	gen := e.Generation()
+	c := e.Clone()
+	if c.Generation() != gen || gen == 0 {
+		t.Fatalf("clone generation %d, engine %d", c.Generation(), gen)
 	}
-	if got := snap.Spawn().Generation(); got != snap.Generation() {
-		t.Fatalf("spawn generation %d, want %d", got, snap.Generation())
+	if err := c.Train(w.Document.Claims[:20]); err != nil {
+		t.Fatal(err)
+	}
+	if c.Generation() != gen+1 || e.Generation() != gen {
+		t.Fatalf("after the clone's retrain: clone %d, engine %d (was %d)", c.Generation(), e.Generation(), gen)
 	}
 }

@@ -109,13 +109,6 @@ func (e *Engine) VerifyClaimWith(ctx context.Context, c *claims.Claim, oracle Or
 	return PumpClaim(ctx, run, oracle)
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Ordering selects the claim-ordering strategy of the §6.2 comparison.
 type Ordering int
 

@@ -16,7 +16,7 @@ import (
 
 // warmGrowthRun mirrors one verifier run of the service: an engine under
 // cfg is trained on the first half of a SmallScale world's document (the
-// archive of checked claims), and a spawn of it verifies the second half
+// archive of checked claims), and a clone of it verifies the second half
 // (the draft) in batches of 10 with a team of three 97%-accurate checkers.
 // It returns the run's result and accuracy, and for every barrier the
 // warm flags of the models fitted there, in order.
@@ -60,7 +60,7 @@ func warmGrowthRun(t *testing.T, seed int64, cfg Config) (*Result, float64, [][]
 		ModelFit: func(warm bool) { barriers[len(barriers)-1] = append(barriers[len(barriers)-1], warm) },
 	})
 	defer SetObserver(nil)
-	res, err := e.Snapshot().Spawn().Verify(context.Background(), draft, team, VerifyConfig{BatchSize: 10, Parallelism: 2})
+	res, err := e.Clone().Verify(context.Background(), draft, team, VerifyConfig{BatchSize: 10, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

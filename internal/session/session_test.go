@@ -242,13 +242,6 @@ func TestParkedSessionHoldsNoGoroutines(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestSnapshotRestore parks a half-answered session, snapshots it,
 // replays the snapshot on a freshly built engine and finishes both; the
 // restored session must be bit-identical to the original.

@@ -321,15 +321,8 @@ func runAssisted(w *worldgen.World, cfg SimulationConfig, sys System) (SystemRes
 // sectionSecondsSoFar approximates accumulated skim time for the series; the
 // exact total is in res.Seconds, this keeps the per-batch curve monotone.
 func sectionSecondsSoFar(batches int, w *worldgen.World, cfg SimulationConfig) float64 {
-	perBatch := float64(w.Document.Sections) / maxF(1, float64(len(w.Document.Claims))/float64(cfg.BatchSize))
+	perBatch := float64(w.Document.Sections) / max(1, float64(len(w.Document.Claims))/float64(cfg.BatchSize))
 	return float64(batches) * perBatch * cfg.SectionReadCost * float64(cfg.TeamSize)
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // evalProbe selects the held-out accuracy sample.

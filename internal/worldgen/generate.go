@@ -376,10 +376,10 @@ func (g *claimGen) candidates(t *claims.GroundTruth, relIdx, keyIdx int) Candida
 	for i := 0; i < g.cfg.CandidateBreadth; i++ {
 		var sib relSpec
 		if i%2 == 0 {
-			sc := (rs.scenario + 1 + g.rng.Intn(maxInt(g.cfg.Scenarios-1, 1))) % maxInt(g.cfg.Scenarios, 1)
+			sc := (rs.scenario + 1 + g.rng.Intn(max(g.cfg.Scenarios-1, 1))) % max(g.cfg.Scenarios, 1)
 			sib = g.findRel(rs.family, rs.region, sc)
 		} else {
-			rg := (rs.region + 1 + g.rng.Intn(maxInt(g.cfg.Regions-1, 1))) % maxInt(g.cfg.Regions, 1)
+			rg := (rs.region + 1 + g.rng.Intn(max(g.cfg.Regions-1, 1))) % max(g.cfg.Regions, 1)
 			sib = g.findRel(rs.family, rg, rs.scenario)
 		}
 		if sib.name != "" && sib.name != rs.name {
@@ -444,13 +444,6 @@ func dedupe(ss []string) []string {
 		}
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // yearGap returns |a-b| for numeric year labels, or 0 when either label is

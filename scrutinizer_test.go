@@ -150,13 +150,6 @@ func TestDocumentJSONAndCSVFacade(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestSessionFacade walks the interactive API end to end at the facade
 // level: start a session on a cold verifier, answer a few screens,
 // snapshot, replay the snapshot on a freshly built verifier, and check the

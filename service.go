@@ -12,9 +12,9 @@ package scrutinizer
 //   - Verifier: a corpus-bound trained model bundle — the feature pipeline
 //     fitted once on a training document, classifiers trained on its
 //     annotations and warm-start retrainable as new checked claims
-//     accumulate. Internally the verifier keeps an immutable model
-//     snapshot; starting a run spawns a private engine from it, so any
-//     number of concurrent runs never race batch-boundary retraining.
+//     accumulate. Starting a run gives it an O(1) copy-on-write clone of
+//     the verifier's engine, so any number of concurrent runs never race
+//     batch-boundary retraining.
 //   - Run: one document verification — batch (Run.Verify) or interactive
 //     (Verifier.StartSession) — executed against a Verifier.
 //
@@ -49,10 +49,11 @@ type FeatureCoverage = feature.Coverage
 // Verifier is a corpus-bound, trained, reusable model bundle: the feature
 // pipeline is fitted once on a training document and the four property
 // classifiers are trained on its annotated claims. A Verifier is safe for
-// concurrent use — StartRun and StartSession spawn private engines from an
-// immutable snapshot of the trained state, and Retrain swaps the snapshot
-// atomically — so one Verifier can serve any number of documents and
-// concurrent runs without refitting features or racing retraining.
+// concurrent use — StartRun and StartSession give each run an O(1)
+// copy-on-write clone of the trained engine, and Retrain trains that engine
+// in place without disturbing live clones — so one Verifier can serve any
+// number of documents and concurrent runs without refitting features or
+// racing retraining.
 type Verifier struct {
 	id       string // assigned by Service; "" for standalone verifiers
 	corpusID string
@@ -62,10 +63,12 @@ type Verifier struct {
 	opts     Options
 	created  time.Time
 
+	// mu guards base: Retrain trains it under the write lock, StartRun
+	// clones it under the read lock. The models are copy-on-write, so a
+	// Retrain never disturbs the clones live runs hold.
 	mu      sync.RWMutex
-	base    *core.Engine        // training home; mutated only by Retrain
-	snap    *core.ModelSnapshot // lazily derived from base, reset by Retrain
-	trained int                 // annotated claims in the last (re)train
+	base    *core.Engine // trained state; every run engine is a Clone of it
+	trained int          // annotated claims in the last (re)train
 
 	// runs counts runs + sessions started. An atomic, not mu-guarded:
 	// StartRun is on the per-request hot path, and bumping a counter must
@@ -153,8 +156,8 @@ func (v *Verifier) Corpus() *Corpus { return v.corpus }
 // Retrain refits the classifiers on a set of annotated claims (claims
 // without Truth are skipped). When the label vocabulary is stable the
 // underlying models warm-start from their previous weights. Retraining
-// affects only runs started afterwards: live runs keep the snapshot they
-// spawned from.
+// affects only runs started afterwards: live runs keep the models they
+// cloned.
 func (v *Verifier) Retrain(annotated []*Claim) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -168,32 +171,14 @@ func (v *Verifier) Retrain(annotated []*Claim) error {
 		}
 	}
 	v.trained = n
-	v.snap = nil // next run snapshots the new state
 	return nil
 }
 
-// snapshot returns the current immutable model snapshot, deriving it from
-// the base engine on first use after construction or Retrain.
-func (v *Verifier) snapshot() *core.ModelSnapshot {
-	v.mu.RLock()
-	s := v.snap
-	v.mu.RUnlock()
-	if s != nil {
-		return s
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.snap == nil {
-		v.snap = v.base.Snapshot()
-	}
-	return v.snap
-}
-
 // StartRun starts one batch verification of a document against the
-// verifier's trained state. The run owns a private engine spawned from
-// the current snapshot: its batch-boundary retraining warms it up over
-// the course of the run without ever touching the verifier, so concurrent
-// runs are independent and deterministic.
+// verifier's trained state. The run owns a private engine, a Clone of the
+// verifier's: its batch-boundary retraining warms it up over the course of
+// the run without ever touching the verifier, so concurrent runs are
+// independent and deterministic.
 func (v *Verifier) StartRun(ctx context.Context, doc *Document) (*Run, error) {
 	if doc == nil {
 		return nil, fmt.Errorf("scrutinizer: nil document")
@@ -204,19 +189,21 @@ func (v *Verifier) StartRun(ctx context.Context, doc *Document) (*Run, error) {
 	if len(doc.Claims) == 0 {
 		return nil, fmt.Errorf("scrutinizer: document has no claims")
 	}
-	// Spawning is cheap (pooled engines), but refuse work for a caller
-	// that has already hung up rather than hand out an engine for it.
+	// Cloning is O(1) (the models are copy-on-write), but refuse work for
+	// a caller that has already hung up rather than hand out an engine.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("scrutinizer: start run: %w", err)
 	}
-	engine := v.snapshot().Spawn()
+	v.mu.RLock()
+	engine := v.base.Clone()
+	v.mu.RUnlock()
 	v.runs.Add(1)
 	return &Run{verifier: v, engine: engine, doc: doc}, nil
 }
 
 // StartSession parks a document in an interactive verification session
-// registered with m, executing against a private engine spawned from the
-// verifier's current snapshot (the interactive counterpart of StartRun).
+// registered with m, executing against a private clone of the verifier's
+// engine (the interactive counterpart of StartRun).
 // The session is tagged with the verifier's ID for registry statistics.
 // When the verifier's service has a store attached, the session (document
 // plus options) is journaled before the handle is returned — and every
@@ -247,11 +234,10 @@ func (v *Verifier) StartSession(ctx context.Context, m *SessionManager, doc *Doc
 }
 
 // RestoreSession rebuilds a session from a snapshot by replaying its
-// answer log against a fresh spawn of the verifier's current model
-// snapshot. The verifier must be in the same trained state as when the
-// snapshotted session was created (same corpus, training data, options
-// and seed, no intervening Retrain); replay then reaches a bit-identical
-// session state.
+// answer log against a fresh clone of the verifier's engine. The verifier
+// must be in the same trained state as when the snapshotted session was
+// created (same corpus, training data, options and seed, no intervening
+// Retrain); replay then reaches a bit-identical session state.
 func (v *Verifier) RestoreSession(ctx context.Context, m *SessionManager, doc *Document, opts SessionOptions, snap *SessionSnapshot) (*Session, error) {
 	if m == nil {
 		return nil, fmt.Errorf("scrutinizer: nil session manager")
@@ -332,9 +318,8 @@ func (v *Verifier) Created() time.Time { return v.created }
 // plus TF-IDF vocabulary size).
 func (v *Verifier) FeatureDim() int { return v.pipe.Dim() }
 
-// Run is one document verification against a Verifier: a private engine
-// spawned from the verifier's trained snapshot plus the document under
-// check. A Run is single-use (Verify consumes it) and not safe for
+// Run is one document verification against a Verifier: a private clone of
+// the verifier's trained engine plus the document under check. A Run is single-use (Verify consumes it) and not safe for
 // concurrent use; start one Run per goroutine instead — they are cheap,
 // which is the point of the split.
 type Run struct {
@@ -386,18 +371,15 @@ func (r *Run) VerifyClaimWith(ctx context.Context, c *Claim, oracle Oracle) (*Ou
 	return r.engine.VerifyClaimWith(ctx, c, oracle)
 }
 
-// Close releases the run's private engine back to the verifier's snapshot
-// pool, where the next StartRun against the same trained state re-primes
-// it in place instead of allocating a fresh engine. Optional (a run that
-// is never closed is simply collected), safe to call more than once, and
+// Close drops the run's private engine so it can be collected even while
+// the Run value stays reachable. Optional (a run that is never closed is
+// simply collected), safe to call more than once and on a nil Run, and
 // terminal: the Run must not be used afterwards. Results and Outcomes
 // already returned stay valid.
 func (r *Run) Close() {
-	if r == nil || r.engine == nil {
-		return
+	if r != nil {
+		r.engine = nil
 	}
-	r.engine.Release()
-	r.engine = nil
 }
 
 // Service ---------------------------------------------------------------------
@@ -627,7 +609,7 @@ func (s *Service) CorpusQueryCache(id string) (*QueryCache, bool) {
 
 // RemoveCorpus drops a corpus and every verifier bound to it, reporting
 // whether the corpus was registered. Live runs and sessions keep working
-// on their spawned engines; they just can no longer be recreated. With a
+// on their own engines; they just can no longer be recreated. With a
 // store attached the cascade is journaled before the call returns, so
 // recovery never resurrects any of it; a failed journal append rolls the
 // removal back and surfaces as ErrJournal.

@@ -5,8 +5,7 @@ package scrutinizer
 // embeddings + TF-IDF on the document, train four classifiers, then
 // verify. The warm pair is the /v1 path: one
 // trained Verifier serves every request, and per-request setup collapses
-// to spawning an engine from the model snapshot (classifier deep-copies,
-// no fitting). Setup benches isolate the per-request construction cost;
+// to cloning its engine (copy-on-write classifiers, no fitting). Setup benches isolate the per-request construction cost;
 // Verify benches measure the full request including the Algorithm 1 loop.
 
 import (
@@ -40,8 +39,8 @@ func BenchmarkServiceSetupCold(b *testing.B) {
 }
 
 // BenchmarkServiceSetupWarm is the per-request construction cost of the
-// service path: StartRun on a shared trained Verifier (snapshot spawn —
-// no feature fitting, no training).
+// service path: StartRun on a shared trained Verifier (an engine clone —
+// no feature fitting, no training, no weight copies).
 func BenchmarkServiceSetupWarm(b *testing.B) {
 	w := benchServiceWorld(b)
 	v, err := NewVerifier(w.Corpus, w.Document, Options{Seed: 11})
@@ -154,10 +153,8 @@ func BenchmarkRecoveryBoot(b *testing.B) {
 
 // BenchmarkServiceVerifyWarm is the full service request: StartRun +
 // verify + Close against one shared trained Verifier (the tracked
-// headline for the fit-once / verify-many amortization). Closing the run
-// returns its engine to the verifier's pool, so steady-state requests
-// re-prime a pooled engine instead of allocating one — exactly what the
-// /v1 batch-run handler does.
+// headline for the fit-once / verify-many amortization) — exactly what
+// the /v1 batch-run handler does.
 func BenchmarkServiceVerifyWarm(b *testing.B) {
 	w := benchServiceWorld(b)
 	v, err := NewVerifier(w.Corpus, w.Document, Options{Seed: 11})

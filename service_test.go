@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/repro/scrutinizer/internal/core"
 )
 
 // splitWorldDoc splits a world's document into two documents over the same
@@ -142,7 +145,7 @@ func TestVerifierServesManyDocumentsWarm(t *testing.T) {
 	gotB := runDoc(shared, docB)
 
 	// Serving two documents must not have refit features or retrained the
-	// verifier itself: run-level retraining stays on the spawned engines.
+	// verifier itself: run-level retraining stays on the runs' engines.
 	if shared.Generation() != genBefore || shared.FeatureDim() != dimBefore {
 		t.Fatalf("runs mutated the verifier: gen %d->%d dim %d->%d",
 			genBefore, shared.Generation(), dimBefore, shared.FeatureDim())
@@ -159,7 +162,7 @@ func TestVerifierServesManyDocumentsWarm(t *testing.T) {
 	mustEqualResults(t, "docB shared vs dedicated", wantB, gotB)
 
 	// And the runs were warm: the shared verifier's trained state seeded
-	// every spawn, visible as a non-zero starting generation.
+	// every run, visible as a non-zero starting generation.
 	if genBefore == 0 {
 		t.Fatal("verifier should be trained (generation > 0)")
 	}
@@ -273,8 +276,11 @@ func TestVerifierSessionPrivateEngines(t *testing.T) {
 	}
 }
 
-// TestVerifierRetrainIsolation: retraining the verifier swaps the snapshot
-// for future runs but never perturbs runs already started.
+// TestVerifierRetrainIsolation: retraining the verifier changes what
+// future runs start from but never perturbs runs already started — not a
+// parked run, and not runs verifying on other goroutines while Retrain
+// trains the verifier's models in place (the -race run is the assertion
+// that copy-on-write keeps the two apart).
 func TestVerifierRetrainIsolation(t *testing.T) {
 	w := testWorld(t)
 	docA, _ := splitWorldDoc(w)
@@ -295,20 +301,54 @@ func TestVerifierRetrainIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Start (but do not yet execute) a run, then retrain the verifier.
-	parked, err := v.StartRun(context.Background(), docA)
-	if err != nil {
-		t.Fatal(err)
+	// Start (but do not yet execute) runs, then retrain the verifier: warm
+	// on its whole training set again, which writes every model buffer the
+	// runs share, then cold on half of it. Three runs verify meanwhile.
+	const live = 3
+	runs := make([]*Run, live+1)
+	for i := range runs {
+		if runs[i], err = v.StartRun(context.Background(), docA); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parked := runs[live]
+	results := make([]*Result, live)
+	errs := make([]error, live)
+	var wg sync.WaitGroup
+	for i := 0; i < live; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			team, err := v.NewTeam(3)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			results[i], errs[i] = runs[i].Verify(context.Background(), team, vopts)
+		}(i)
 	}
 	genBefore := v.Generation()
+	if err := v.Retrain(w.Document.Claims); err != nil {
+		t.Fatal(err)
+	}
+	if !v.base.Model(core.PropRelation).WarmStarted() {
+		t.Fatal("retraining on the unchanged training set should warm start")
+	}
 	if err := v.Retrain(w.Document.Claims[:len(w.Document.Claims)/2]); err != nil {
 		t.Fatal(err)
 	}
-	if v.Generation() <= genBefore {
-		t.Fatal("Retrain did not advance the generation")
+	if v.Generation() != genBefore+2 {
+		t.Fatalf("generation %d after two retrains from %d", v.Generation(), genBefore)
+	}
+	wg.Wait()
+	for i := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		mustEqualResults(t, "run verifying across retrain", want, results[i])
 	}
 
-	// The parked run still verifies from the snapshot it spawned under.
+	// The parked run still verifies from the state it was started under.
 	team2, err := v.NewTeam(3)
 	if err != nil {
 		t.Fatal(err)
@@ -318,6 +358,39 @@ func TestVerifierRetrainIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEqualResults(t, "parked run across retrain", want, got)
+}
+
+// TestStartRunCopiesNoWeights: starting a run clones the verifier's models
+// copy-on-write, so it allocates a few kilobytes of engine bookkeeping,
+// not a copy of the four models' weights and AdaGrad accumulators. The
+// runs are deliberately left open: nothing is recycled.
+func TestStartRunCopiesNoWeights(t *testing.T) {
+	w := testWorld(t)
+	v := mustVerifier(t, w, Options{Seed: 5})
+	labels := 0
+	for _, k := range core.PropertyKinds() {
+		labels += v.base.Model(k).NumLabels()
+	}
+	// A float64 weight and accumulator per (feature, label) per model.
+	weightBytes := uint64(16 * labels * v.FeatureDim())
+
+	const n = 50
+	runs := make([]*Run, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range runs {
+		r, err := v.StartRun(context.Background(), w.Document)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = r
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("StartRun allocates %d B; the models' weights are %d B", perRun, weightBytes)
+	if perRun > weightBytes/20 {
+		t.Fatalf("StartRun allocates %d B per run, want well below the models' %d B of weights", perRun, weightBytes)
+	}
 }
 
 // TestServiceRegistry covers the corpus/verifier registry: registration,
@@ -451,11 +524,11 @@ func TestVerifierCoverage(t *testing.T) {
 	}
 }
 
-// TestRunCloseRecyclesEngine: closing a finished run returns its engine to
-// the verifier's pool, and a later run that recycles it — even though the
-// first run retrained the engine at every batch barrier — is bit-identical
-// to the first. Close is idempotent.
-func TestRunCloseRecyclesEngine(t *testing.T) {
+// TestRunCloseIdempotent: runs started and closed one after another are
+// bit-identical — every run retrains its own engine at each batch barrier
+// and none of that reaches the verifier — and Close is idempotent and
+// nil-safe.
+func TestRunCloseIdempotent(t *testing.T) {
 	w := testWorld(t)
 	vopts := VerifyOptions{BatchSize: 10}
 	v := mustVerifier(t, w, Options{Seed: 5})
@@ -480,7 +553,7 @@ func TestRunCloseRecyclesEngine(t *testing.T) {
 
 	first := runOnce()
 	for i := 0; i < 3; i++ {
-		mustEqualResults(t, "recycled run", first, runOnce())
+		mustEqualResults(t, "repeated run", first, runOnce())
 	}
 
 	// Close twice (and on a nil run) is a no-op.
@@ -490,13 +563,16 @@ func TestRunCloseRecyclesEngine(t *testing.T) {
 	}
 	run.Close()
 	run.Close()
+	if run.Engine() != nil {
+		t.Fatal("Close must drop the run's engine")
+	}
 	var nilRun *Run
 	nilRun.Close()
 }
 
 // TestRunCloseConcurrent: concurrent StartRun / Verify / Close cycles
-// against one verifier recycle engines safely (the -race run is the real
-// assertion) and deterministically.
+// against one verifier are safe (the -race run is the real assertion) and
+// deterministic.
 func TestRunCloseConcurrent(t *testing.T) {
 	w := testWorld(t)
 	vopts := VerifyOptions{BatchSize: 10, Parallelism: 2}
@@ -534,6 +610,6 @@ func TestRunCloseConcurrent(t *testing.T) {
 		}
 	}
 	for i := 1; i < len(results); i++ {
-		mustEqualResults(t, "concurrent recycled run", results[0], results[i])
+		mustEqualResults(t, "concurrent run", results[0], results[i])
 	}
 }
