@@ -70,11 +70,14 @@ type trackedBench struct {
 // the run-lifecycle metric hooks: <2% ns/op and equal allocs/op.
 // BenchmarkRetrainLabelGrowth pins warm-start retraining over a growing
 // label vocabulary; cold refits would cost about 3x.
+// BenchmarkScorePaperShape times one paper-shape scoring pass per sweep
+// body (/go, and /avx2 where the CPU has it): the AVX2 body should take
+// at most ~0.6x the Go body's ns/op.
 // BenchmarkServiceAddCorpus/ephemeral pins that registering a corpus
 // without a store builds no journal record (a few dozen allocs, not one
 // per cell).
 var defaultTracked = []trackedBench{
-	{Pkg: "./internal/classifier", Bench: "BenchmarkTrain500x200|BenchmarkWarmRetrain500x200|BenchmarkRetrainLabelGrowth|BenchmarkPredictTopK|BenchmarkEntropy"},
+	{Pkg: "./internal/classifier", Bench: "BenchmarkTrain500x200|BenchmarkWarmRetrain500x200|BenchmarkRetrainLabelGrowth|BenchmarkPredictTopK|BenchmarkEntropy|BenchmarkScorePaperShape"},
 	{Pkg: "./internal/textproc", Bench: "BenchmarkSparseDot|BenchmarkTransform"},
 	{Pkg: "./internal/table", Bench: "BenchmarkCellLookup$|BenchmarkCellLookupString"},
 	{Pkg: "./internal/query", Bench: "BenchmarkPlanExecute|BenchmarkExecuteCompiled|BenchmarkExecuteInterpreted"},

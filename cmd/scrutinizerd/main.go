@@ -77,7 +77,7 @@
 // Endpoints:
 //
 //	GET    /metrics                              Prometheus text-format metrics for every serving layer
-//	GET    /healthz                              liveness + version, tenant and session statistics
+//	GET    /healthz                              liveness + version, score kernel, tenant and session statistics
 //	GET    /readyz                               readiness (503 while the journal replays)
 //	POST   /v1/corpora                           create a corpus (optionally seeded with inline CSV relations)
 //	GET    /v1/corpora                           list corpora
@@ -131,6 +131,7 @@ import (
 	"time"
 
 	"github.com/repro/scrutinizer"
+	"github.com/repro/scrutinizer/internal/classifier"
 	"github.com/repro/scrutinizer/internal/core"
 	"github.com/repro/scrutinizer/internal/guard"
 	"github.com/repro/scrutinizer/internal/obs"
@@ -257,7 +258,9 @@ func main() {
 	// 503 until boot finishes, instead of the whole port being dark.
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	daemonLog.Info("listening", "addr", *addr)
+	// score_kernel tells hosts apart whose classifier scoring runs the
+	// AVX2 kernel ("avx2") or the portable loop ("go", about half as fast).
+	daemonLog.Info("listening", "addr", *addr, "score_kernel", classifier.Kernel())
 
 	if err := s.boot(corpus); err != nil {
 		if closeStore != nil {
@@ -595,6 +598,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"by_owner":         snap.sess.ByOwner,
 		},
 		"parallelism":    s.parallel,
+		"score_kernel":   classifier.Kernel(),
 		"uptime_seconds": int(time.Since(s.started).Seconds()),
 		// admission: the global in-flight gate — shedding means the daemon
 		// is at -max-inflight and rejecting expensive requests with 503.

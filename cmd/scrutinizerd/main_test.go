@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/repro/scrutinizer"
+	"github.com/repro/scrutinizer/internal/classifier"
 )
 
 func testServer(t *testing.T) (*server, *scrutinizer.World) {
@@ -62,6 +63,10 @@ func TestHealthz(t *testing.T) {
 	if status != "ok" || service.PerCorpus["default"].Relations != w.Corpus.Len() {
 		t.Errorf("healthz status %q, per_corpus %+v; want ok with %d default relations",
 			status, service.PerCorpus, w.Corpus.Len())
+	}
+	var kernel string
+	if err := json.Unmarshal(body["score_kernel"], &kernel); err != nil || kernel != classifier.Kernel() {
+		t.Errorf("healthz score_kernel %s, want %q", body["score_kernel"], classifier.Kernel())
 	}
 	// The fields that described only the startup corpus are gone.
 	for _, gone := range []string{"corpus", "query_cache", "interner"} {

@@ -90,10 +90,7 @@ func BenchmarkEntropy(b *testing.B) {
 // cold; every later round takes the warm growth path, so a slide back to
 // cold refits shows up as about 3x ns/op.
 func BenchmarkRetrainLabelGrowth(b *testing.B) {
-	var pool []Example
-	for r := 0; r < 8; r++ {
-		pool = append(pool, benchSet(100, 100+45*r, 40, int64(r+1))...)
-	}
+	pool := labelGrowthPool()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := New(Config{Epochs: 6, Seed: 1})
@@ -106,4 +103,15 @@ func BenchmarkRetrainLabelGrowth(b *testing.B) {
 			b.Fatal("expected warm-start retrains over a growing vocabulary")
 		}
 	}
+}
+
+// labelGrowthPool is the retrain sequence of BenchmarkRetrainLabelGrowth:
+// eight batches of 100 examples whose label count grows every batch, to
+// ~300 labels.
+func labelGrowthPool() []Example {
+	var pool []Example
+	for r := 0; r < 8; r++ {
+		pool = append(pool, benchSet(100, 100+45*r, 40, int64(r+1))...)
+	}
+	return pool
 }

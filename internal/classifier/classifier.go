@@ -14,14 +14,22 @@
 // # Representation
 //
 // Weights live in one dense flat matrix laid out feature-major:
-// w[fi*numLabels+class]. Feature vectors are textproc.Sparse (sorted
-// slice-backed pairs), so a scoring pass walks the vector's nonzeros and,
-// per feature, a contiguous row of per-class weights — no hashing, no
-// branches, no bounds checks. The pass takes four feature rows per sweep
-// over the class dimension, so each score is loaded and stored once per
-// four products. Each score still adds its products one at a time in
-// feature order, exactly as a row-at-a-time pass does, and floating-point
-// results depend only on that order: the scores are bit-identical.
+// w[fi*stride+class], where the class stride is at least the label count
+// and the columns past the label count are zero. Feature vectors are
+// textproc.Sparse (sorted slice-backed pairs), so a scoring pass walks the
+// vector's nonzeros and, per feature, a contiguous row of per-class
+// weights — no hashing, no branches, no bounds checks. The pass takes four
+// feature rows per sweep over the class dimension, so each score is loaded
+// and stored once per four products. Each score still adds its products
+// one at a time in feature order, exactly as a row-at-a-time pass does,
+// and floating-point results depend only on that order: the scores are
+// bit-identical.
+//
+// The sweep has two bodies, picked once at init: an AVX2 kernel on amd64
+// CPUs that have it (four classes per instruction, multiply then add,
+// never FMA), and a portable Go loop everywhere else and in -race builds.
+// They round every product and sum identically, so they are bit-identical
+// too (see sweep4AVX2; Kernel reports the choice).
 //
 // The AdaGrad accumulators share the layout, and L2 is applied lazily:
 // only the features present in an example are regularised on its update,
@@ -39,10 +47,14 @@
 // paper scale every batch brings new labels. As long as no previously
 // known label has vanished, Train reuses the existing weights and AdaGrad
 // state and runs only Config.WarmStartEpochs passes. New labels are
-// appended in first-seen order with zero weights, and the dense matrices
-// are re-laid out once per retrain to the wider label stride and any new
-// feature rows. On the first fit, or when a known label vanished, Train
-// refits from scratch, so stale classes can never linger.
+// appended in first-seen order with zero weights. A cold fit lays the
+// matrices out at exactly the label count; new labels that fit the class
+// stride take its zero spare columns in place, and labels that outgrow it
+// re-lay the matrices out at strideGrowth times the stride, so a run's
+// growing vocabulary costs O(log labels) re-layouts, not one per barrier.
+// New feature rows append at the same stride. On the first fit, or when a
+// known label vanished, Train refits from scratch, so stale classes can
+// never linger.
 // Config.ColdStart disables the warm path entirely for callers that need
 // scratch-identical models.
 //
@@ -54,9 +66,11 @@
 // Clone is therefore O(1). Parent and clone share the vocabulary, weights
 // and AdaGrad state and are both marked shared, and Train copies only what
 // it is about to write, only while the mark is set. A cold fit and a warm
-// fit that widens the matrices already write into fresh buffers; a warm
-// fit of a shared model copies the vocabulary and bias vectors, and the
-// matrices too when nothing grew. A model nobody cloned trains in place.
+// fit that re-lays the matrices out already write into fresh buffers; a
+// warm fit of a shared model copies the vocabulary and bias vectors, and
+// the matrices too when they were not re-laid out, including when new
+// labels fit the stride (their spare columns are in the shared buffer). A
+// model nobody cloned trains in place.
 //
 // # Batch scoring
 //
@@ -151,12 +165,15 @@ type Classifier struct {
 	labelIdx map[string]int
 	// dim is the feature-space width: weights exist for indexes [0, dim).
 	dim int
-	// w is the dense feature-major weight matrix, w[fi*len(labels)+class];
-	// gsq is the AdaGrad accumulator with the same shape.
-	w    []float64
-	gsq  []float64
-	bias []float64
-	gsqB []float64
+	// w is the dense feature-major weight matrix, w[fi*stride+class];
+	// gsq is the AdaGrad accumulator with the same shape. Only classes
+	// [0, len(labels)) are ever read or written; the columns from there to
+	// stride stay zero, ready for labels a warm fit adds.
+	w      []float64
+	gsq    []float64
+	stride int
+	bias   []float64
+	gsqB   []float64
 
 	trained int  // examples seen by the last Train call
 	rounds  int  // Train invocations (drives the warm-start shuffle stream)
@@ -197,6 +214,7 @@ func (c *Classifier) Clone() *Classifier {
 		dim:      c.dim,
 		w:        c.w,
 		gsq:      c.gsq,
+		stride:   c.stride,
 		bias:     c.bias,
 		gsqB:     c.gsqB,
 		trained:  c.trained,
@@ -266,10 +284,14 @@ func (c *Classifier) Train(examples []Example) error {
 			c.labelIdx = maps.Clone(c.labelIdx)
 			c.bias = slices.Clone(c.bias)
 			c.gsqB = slices.Clone(c.gsqB)
+			// Without spare capacity, new feature rows cannot append
+			// into the other model's buffers.
+			c.w, c.gsq = slices.Clip(c.w), slices.Clip(c.gsq)
 		}
-		oldL := len(c.labels)
 		c.addLabels(examples)
-		if !c.grow(maxIdx+1, oldL) && shared {
+		if !c.grow(maxIdx+1) && shared {
+			// Also when the new labels fit the stride: the columns they
+			// fill live in the buffer the other model reads.
 			c.w = slices.Clone(c.w)
 			c.gsq = slices.Clone(c.gsq)
 		}
@@ -279,6 +301,7 @@ func (c *Classifier) Train(examples []Example) error {
 		c.addLabels(examples)
 		nL := len(c.labels)
 		c.dim = maxIdx + 1
+		c.stride = nL
 		c.w = make([]float64, c.dim*nL)
 		c.gsq = make([]float64, c.dim*nL)
 		c.bias = make([]float64, nL)
@@ -332,30 +355,48 @@ func (c *Classifier) addLabels(examples []Example) {
 	}
 }
 
+// strideGrowth is the factor by which a warm fit widens the class stride
+// when its labels outgrow it. A run's barriers add labels at every batch,
+// so growing geometrically re-lays the matrices out O(log labels) times
+// per run instead of at every barrier, for at most this factor of spare
+// columns.
+const strideGrowth = 1.5
+
 // grow widens a warm model to the current label count and to at least
-// width features. The weight and accumulator matrices are re-laid out to
-// the wider feature-major stride in one fresh pair of buffers: feature
-// rows append at the end, class columns at the end of every row, and
-// everything new — rows, columns, bias and bias accumulators — starts at
-// zero. oldL is the label count the matrices are laid out for. It reports
-// whether it re-laid the matrices out into fresh buffers.
-func (c *Classifier) grow(width, oldL int) bool {
+// width features, appending zero bias and bias accumulators for the new
+// labels. When the labels fit the class stride and the feature rows fit
+// the matrices' capacity, the matrices are extended in place: the columns
+// and rows they gain are still zero. Otherwise they are re-laid out in one
+// fresh pair of buffers, each dimension that overflowed growing to
+// max(needed, strideGrowth × current); rows append at the end, and
+// everything new starts at zero. It reports whether the matrices now live
+// in fresh buffers.
+func (c *Classifier) grow(width int) bool {
 	nL := len(c.labels)
-	if width < c.dim {
-		width = c.dim
-	}
-	if width == c.dim && nL == oldL {
-		return false
-	}
-	w := make([]float64, width*nL)
-	gsq := make([]float64, width*nL)
-	for fi := 0; fi < c.dim; fi++ {
-		copy(w[fi*nL:], c.w[fi*oldL:(fi+1)*oldL])
-		copy(gsq[fi*nL:], c.gsq[fi*oldL:(fi+1)*oldL])
-	}
-	c.w, c.gsq, c.dim = w, gsq, width
+	oldL := len(c.bias)
 	c.bias = append(c.bias, make([]float64, nL-oldL)...)
 	c.gsqB = append(c.gsqB, make([]float64, nL-oldL)...)
+	width = max(width, c.dim)
+	stride, rows := c.stride, min(cap(c.w), cap(c.gsq))/c.stride
+	if nL <= stride && width <= rows {
+		n := width * stride
+		c.w, c.gsq = c.w[:n], c.gsq[:n]
+		c.dim = width
+		return false
+	}
+	if nL > stride {
+		stride = max(nL, int(strideGrowth*float64(stride)))
+	}
+	if width > rows {
+		rows = max(width, int(strideGrowth*float64(rows)))
+	}
+	w := make([]float64, width*stride, rows*stride)
+	gsq := make([]float64, width*stride, rows*stride)
+	for fi := 0; fi < c.dim; fi++ {
+		copy(w[fi*stride:], c.w[fi*c.stride:][:oldL])
+		copy(gsq[fi*stride:], c.gsq[fi*c.stride:][:oldL])
+	}
+	c.w, c.gsq, c.dim, c.stride = w, gsq, width, stride
 	return true
 }
 
@@ -403,7 +444,7 @@ func (c *Classifier) sgdStep(ex Example, scores, grads []float64, active []int32
 	ix, vals := ex.Features.Raw()
 	for k, fi := range ix {
 		x := vals[k]
-		base := int(fi) * nL
+		base := int(fi) * c.stride
 		wrow := c.w[base : base+nL]
 		grow := c.gsq[base : base+nL]
 		for _, cls := range active {
@@ -418,10 +459,10 @@ func (c *Classifier) sgdStep(ex Example, scores, grads []float64, active []int32
 // scoreInto fills scores (len == numLabels) with the linear scores of f:
 // bias plus the weight rows of f's nonzeros, each scaled by its value.
 // Indexes at or above the trained width carry zero weight and are dropped
-// up front. The class dimension is swept once per four rows (the leftover
-// zero to three take the single-row loop) without reordering any class's
-// sum, so the scores are bit-identical to a row-at-a-time sweep (pinned by
-// TestScoreIntoMatchesReference).
+// up front. The class dimension is swept once per four rows by sweep4 (the
+// leftover zero to three take the single-row loop) without reordering any
+// class's sum, so the scores are bit-identical to a row-at-a-time sweep
+// (pinned by TestScoreIntoMatchesReference).
 func (c *Classifier) scoreInto(f textproc.Sparse, scores []float64) {
 	copy(scores, c.bias)
 	nL := len(scores)
@@ -430,24 +471,19 @@ func (c *Classifier) scoreInto(f textproc.Sparse, scores []float64) {
 	for n > 0 && int(ix[n-1]) >= c.dim {
 		n-- // indexes are sorted: the out-of-range ones form the tail
 	}
-	// Rows are resliced to len(scores) so the compiler drops the bounds
-	// checks in the sweeps below.
-	row := func(k int) []float64 { return c.w[int(ix[k])*nL:][:nL] }
+	// Rows are resliced to len(scores): the spare columns past it are
+	// never read, and the compiler drops the bounds checks in the
+	// single-row loop below.
+	row := func(k int) []float64 { return c.w[int(ix[k])*c.stride:][:nL] }
 	k := 0
 	for ; k+4 <= n; k += 4 {
-		r0, r1, r2, r3 := row(k), row(k+1), row(k+2), row(k+3)
-		x0, x1, x2, x3 := vals[k], vals[k+1], vals[k+2], vals[k+3]
-		for j, s := range scores {
-			v := s + r0[j]*x0
-			v += r1[j] * x1
-			v += r2[j] * x2
-			scores[j] = v + r3[j]*x3
-		}
+		sweep4(scores, row(k), row(k+1), row(k+2), row(k+3),
+			vals[k], vals[k+1], vals[k+2], vals[k+3])
 	}
 	for ; k < n; k++ {
 		r, x := row(k), vals[k]
 		for j, wv := range r {
-			scores[j] += wv * x
+			scores[j] += float64(wv * x)
 		}
 	}
 }

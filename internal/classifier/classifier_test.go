@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -513,10 +514,12 @@ func mustSameView(t *testing.T, what string, want, got modelView) {
 	}
 }
 
-// cloneFits are the four ways a Train call can meet a clone's shared
+// cloneFits are the five ways a Train call can meet a clone's shared
 // buffers, each built on top of the 5-label, 16-wide base pool: a cold
-// refit (a known label vanished), a warm fit that adds labels, a warm fit
-// that only widens the feature space, and a warm fit with nothing new.
+// refit (a known label vanished), a warm fit that adds labels beyond the
+// class stride, a warm fit that adds a label into a spare column of the
+// stride, a warm fit that only widens the feature space, and a warm fit
+// with nothing new.
 func cloneFits(base []Example) []cloneFit {
 	rng := rand.New(rand.NewSource(17))
 	var cold []Example
@@ -525,24 +528,44 @@ func cloneFits(base []Example) []cloneFit {
 			cold = append(cold, ex)
 		}
 	}
-	return []cloneFit{
-		{"cold", cold, false, false, false},
-		{"warm new labels", append(slices.Clone(base), randExamples(rng, 30, 7, 16)...), true, true, false},
-		{"warm wider features", append(slices.Clone(base), randExamples(rng, 30, 5, 40)...), true, false, true},
-		{"warm nothing new", append(slices.Clone(base), base[:20]...), true, false, false},
+	fits := []cloneFit{
+		{"cold", nil, cold, false, false, false, false},
+		{"warm new labels", nil, append(slices.Clone(base), randExamples(rng, 30, 7, 16)...), true, true, false, false},
+		{"warm wider features", nil, append(slices.Clone(base), randExamples(rng, 30, 5, 40)...), true, false, true, false},
+		{"warm nothing new", nil, append(slices.Clone(base), base[:20]...), true, false, false, false},
 	}
+	// A sixth label widens the stride from 5 to 7 columns, so the seventh
+	// fits the spare one.
+	grown := append(slices.Clone(base), randExamples(rng, 30, 6, 16)...)
+	spare := append(slices.Clone(grown), randExamples(rng, 30, 7, 16)...)
+	return append(fits, cloneFit{"warm new labels in spare columns", grown, spare, true, true, false, true})
 }
 
 // cloneFit is one retraining set and the shape of fit it must produce
-// (newLabels and wider apply to warm fits).
+// (newLabels, wider and spare apply to warm fits). grown, when set, is a
+// warm growth trained after the base pool and before cloning; spare means
+// the new labels fit the class stride.
 type cloneFit struct {
-	name                   string
-	set                    []Example
-	warm, newLabels, wider bool
+	name                          string
+	grown, set                    []Example
+	warm, newLabels, wider, spare bool
+}
+
+// trainAll trains m on each set in turn.
+func trainAll(t *testing.T, m *Classifier, sets ...[]Example) {
+	t.Helper()
+	for _, set := range sets {
+		if set == nil {
+			continue
+		}
+		if err := m.Train(set); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestCloneIndependence pins the copy-on-write contract. A fresh clone
-// scores bit-identically to its parent. Then, for each of the four kinds
+// scores bit-identically to its parent. Then, for each of the five kinds
 // of fit, the parent trains and then the clone trains; after each fit the
 // other model's Labels, labelIdx and Probs are bit-identical to before.
 // Both fits must also equal the same fit of a model nobody cloned, which
@@ -554,10 +577,8 @@ func TestCloneIndependence(t *testing.T) {
 	for _, fit := range cloneFits(base) {
 		t.Run(fit.name, func(t *testing.T) {
 			parent := New(cfg)
-			if err := parent.Train(base); err != nil {
-				t.Fatal(err)
-			}
-			dim, nL := parent.dim, parent.NumLabels()
+			trainAll(t, parent, base, fit.grown)
+			dim, nL, stride := parent.dim, parent.NumLabels(), parent.stride
 			clone := parent.Clone()
 			if clone.TrainedOn() != parent.TrainedOn() || clone.NumLabels() != nL {
 				t.Fatalf("clone metadata: TrainedOn=%d/%d NumLabels=%d/%d",
@@ -566,15 +587,12 @@ func TestCloneIndependence(t *testing.T) {
 			mustSameView(t, "fresh clone", viewOf(parent, probe), viewOf(clone, probe))
 
 			ref := New(cfg)
-			for _, set := range [][]Example{base, fit.set} {
-				if err := ref.Train(set); err != nil {
-					t.Fatal(err)
-				}
-			}
+			trainAll(t, ref, base, fit.grown, fit.set)
 			if ref.WarmStarted() != fit.warm ||
-				fit.warm && ((ref.NumLabels() != nL) != fit.newLabels || (ref.dim != dim) != fit.wider) {
-				t.Fatalf("fit shape: warm %v, labels %d -> %d, dim %d -> %d",
-					ref.WarmStarted(), nL, ref.NumLabels(), dim, ref.dim)
+				fit.warm && ((ref.NumLabels() != nL) != fit.newLabels || (ref.dim != dim) != fit.wider ||
+					fit.newLabels && (ref.stride == stride) != fit.spare) {
+				t.Fatalf("fit shape: warm %v, labels %d -> %d, dim %d -> %d, stride %d -> %d",
+					ref.WarmStarted(), nL, ref.NumLabels(), dim, ref.dim, stride, ref.stride)
 			}
 			want := viewOf(ref, probe)
 
@@ -595,43 +613,49 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestCloneConcurrentTraining: two clones of one parent train concurrently
-// while the parent itself retrains and a third clone scores; each ends
-// bit-identical to the same fit run sequentially on a model nobody cloned.
-// Under -race this is the check that copy-on-write never writes a shared
-// buffer.
+// TestCloneConcurrentTraining: three clones of one parent train
+// concurrently while the parent itself retrains and a fourth clone
+// scores; each ends bit-identical to the same fit run sequentially on a
+// model nobody cloned. Under -race this is the check that copy-on-write
+// never writes a shared buffer.
 func TestCloneConcurrentTraining(t *testing.T) {
 	cfg := Config{Seed: 5, Epochs: 4}
 	base := randExamples(rand.New(rand.NewSource(13)), 60, 5, 16)
 	probe := randFeatures(rand.New(rand.NewSource(7)), 20, 40)
-	fits := cloneFits(base)
-	// Both clones grow the vocabulary, by different labels: the 5-label
-	// vocabulary has spare capacity, so an append that skipped the copy
-	// would write both into the same shared slot.
-	renamed := slices.Clone(fits[1].set)
+	rng := rand.New(rand.NewSource(19))
+	// The parent grows to 6 labels under a 7-column stride.
+	grown := append(slices.Clone(base), randExamples(rng, 30, 6, 16)...)
+	spare := append(slices.Clone(grown), randExamples(rng, 30, 7, 16)...)
+	// Two clones add a seventh label, a different one each, into the same
+	// spare column of the shared matrices, and into the same spare slot
+	// of the shared vocabulary: a fit that skipped either copy would write
+	// both into one buffer.
+	renamed := slices.Clone(spare)
 	for i := range renamed {
-		if renamed[i].Label >= "label05" {
+		if renamed[i].Label >= "label06" {
 			renamed[i].Label = "other" + renamed[i].Label
 		}
 	}
-	sets := [][]Example{fits[1].set, renamed, fits[2].set} // clone, clone, parent
+	sets := [][]Example{
+		spare,   // clone: new label in the spare column
+		renamed, // clone: another new label in the same column
+		append(slices.Clone(grown), randExamples(rng, 30, 9, 16)...), // clone: beyond the stride
+		append(slices.Clone(grown), randExamples(rng, 30, 6, 40)...), // parent: wider features
+	}
 
 	want := make([]modelView, len(sets))
 	for i, set := range sets {
 		ref := New(cfg)
-		for _, s := range [][]Example{base, set} {
-			if err := ref.Train(s); err != nil {
-				t.Fatal(err)
-			}
-		}
+		trainAll(t, ref, base, grown, set)
 		want[i] = viewOf(ref, probe)
 	}
 
 	parent := New(cfg)
-	if err := parent.Train(base); err != nil {
-		t.Fatal(err)
+	trainAll(t, parent, base, grown)
+	if parent.stride <= parent.NumLabels() {
+		t.Fatalf("stride %d leaves no spare column for %d labels", parent.stride, parent.NumLabels())
 	}
-	models := []*Classifier{parent.Clone(), parent.Clone(), parent}
+	models := []*Classifier{parent.Clone(), parent.Clone(), parent.Clone(), parent}
 	reader := parent.Clone()
 	errs := make([]error, len(models))
 	var wg sync.WaitGroup
@@ -642,7 +666,7 @@ func TestCloneConcurrentTraining(t *testing.T) {
 			errs[i] = m.Train(sets[i])
 		}(i, m)
 	}
-	// A third clone keeps scoring from the shared buffers meanwhile.
+	// A fourth clone keeps scoring from the shared buffers meanwhile.
 	for _, f := range probe {
 		reader.Analyze(f, 3)
 	}
@@ -720,26 +744,31 @@ func TestWarmStartLabelGrowth(t *testing.T) {
 	oldDim := c.dim
 
 	// The re-layout alone keeps every known weight in place under the
-	// wider stride and zeroes everything new. It writes in place, so it
-	// runs on a private model trained like c, never on a clone sharing
-	// c's buffers.
+	// wider stride and zeroes everything new, spare columns included. It
+	// writes in place, so it runs on a private model trained like c, never
+	// on a clone sharing c's buffers.
 	relaid := New(Config{Seed: 4, Epochs: 6})
 	if err := relaid.Train(ab); err != nil {
 		t.Fatal(err)
 	}
 	relaid.addLabels(abc)
-	relaid.grow(8, 2)
-	if relaid.dim != 8 || len(relaid.w) != 8*3 || len(relaid.gsq) != 8*3 {
-		t.Fatalf("re-layout shape: dim %d, len(w) %d, len(gsq) %d", relaid.dim, len(relaid.w), len(relaid.gsq))
+	relaid.grow(8)
+	stride := relaid.stride
+	if relaid.dim != 8 || stride < 3 || len(relaid.w) != 8*stride || len(relaid.gsq) != 8*stride {
+		t.Fatalf("re-layout shape: dim %d, stride %d, len(w) %d, len(gsq) %d",
+			relaid.dim, stride, len(relaid.w), len(relaid.gsq))
 	}
 	for fi := 0; fi < relaid.dim; fi++ {
-		for cls := 0; cls < 3; cls++ {
+		for cls := 0; cls < stride; cls++ {
 			want := 0.0
 			if fi < oldDim && cls < 2 {
 				want = oldW[fi*2+cls]
 			}
-			if got := relaid.w[fi*3+cls]; got != want {
+			if got := relaid.w[fi*stride+cls]; got != want {
 				t.Fatalf("w[%d][%d] = %g after re-layout, want %g", fi, cls, got, want)
+			}
+			if cls >= 3 && relaid.gsq[fi*stride+cls] != 0 {
+				t.Fatalf("gsq[%d][%d] = %g in a spare column", fi, cls, relaid.gsq[fi*stride+cls])
 			}
 		}
 	}
@@ -769,6 +798,40 @@ func TestWarmStartLabelGrowth(t *testing.T) {
 		if got, _, ok := c.Predict(ex.Features); !ok || got != ex.Label {
 			t.Errorf("Predict(%v) = %q after growth, want %q", ex.Features, got, ex.Label)
 		}
+	}
+}
+
+// TestWarmGrowthInSpareColumnsAllocatesNoMatrix: a warm fit whose new
+// labels fit the class stride trains in the matrices it already has. The
+// bound is a quarter of one weight matrix, so a re-layout (two matrices)
+// fails it.
+func TestWarmGrowthInSpareColumnsAllocatesNoMatrix(t *testing.T) {
+	const dim = 3000
+	rng := rand.New(rand.NewSource(31))
+	// The widest feature is in the first fit, so later fits add no rows.
+	pool := append(randExamples(rng, 40, 8, dim),
+		Example{Features: vec(textproc.Vector{0: 1, dim - 1: 1}), Label: "label00"})
+	c := New(Config{Seed: 2, Epochs: 2})
+	trainAll(t, c, pool)
+	pool = append(pool, randExamples(rng, 20, 10, dim)...)
+	trainAll(t, c, pool) // 8 -> 10 labels: the stride grows to 12
+	pool = append(pool, randExamples(rng, 24, 12, dim)...)
+	w := &c.w[0]
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	trainAll(t, c, pool) // 10 -> 12 labels
+	runtime.ReadMemStats(&after)
+
+	matrix := uint64(dim * c.NumLabels() * 8)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= matrix/4 {
+		t.Errorf("warm fit into spare columns allocated %d B; one weight matrix is %d B", got, matrix)
+	}
+	if !c.WarmStarted() || c.NumLabels() != 12 || c.dim != dim {
+		t.Fatalf("fit shape: warm %v, %d labels, dim %d", c.WarmStarted(), c.NumLabels(), c.dim)
+	}
+	if &c.w[0] != w {
+		t.Error("the weight matrix moved")
 	}
 }
 

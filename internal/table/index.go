@@ -179,17 +179,12 @@ type indexCache struct {
 }
 
 // Generation reports the corpus mutation generation: it advances whenever a
-// relation is added or any relation's rows/cells change. Consumers that
-// cache work derived from corpus contents (the Index itself, memoized
-// tentative-execution results in the query generator) key their caches by
-// this value.
-func (c *Corpus) Generation() uint64 {
-	g := c.adds + c.drops
-	for _, name := range c.names {
-		g += c.byName[name].version
-	}
-	return g
-}
+// relation is added or removed or any held relation's rows/cells change,
+// and never goes back. Consumers that cache work derived from corpus
+// contents (the Index itself, memoized tentative-execution results in the
+// query generator) key their caches by this value. It is one counter
+// that those mutations bump, so reading it is O(1).
+func (c *Corpus) Generation() uint64 { return c.gen }
 
 // Index returns the interned snapshot of the corpus, building it on first
 // use and rebuilding after mutations (detected through Generation). The

@@ -127,3 +127,52 @@ func TestIndexCacheInvalidation(t *testing.T) {
 		t.Error("Add did not advance the generation")
 	}
 }
+
+// TestGenerationSharedRelation: a relation held by two corpora advances
+// both corpora's generations when it mutates, and stops advancing a
+// corpus it was removed from; each corpus's index rebuilds accordingly.
+func TestGenerationSharedRelation(t *testing.T) {
+	a, b := indexFixture(t), NewCorpus()
+	shared, err := a.Relation("Fin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Add(shared); err != nil {
+		t.Fatal(err)
+	}
+	ixA, ixB := a.Index(), b.Index()
+	genA, genB := a.Generation(), b.Generation()
+	if err := shared.Set("Revenue", "2017", 1300); err != nil {
+		t.Fatal(err)
+	}
+	if a.Generation() <= genA || b.Generation() <= genB {
+		t.Fatalf("Set on a shared relation: generations %d -> %d and %d -> %d, want both to advance",
+			genA, a.Generation(), genB, b.Generation())
+	}
+	for name, c := range map[string]*Corpus{"a": a, "b": b} {
+		ix := c.Index()
+		if ix == ixA || ix == ixB {
+			t.Fatalf("corpus %s kept its stale index", name)
+		}
+		rid, _ := ix.RelID("Fin")
+		row, _ := ix.RowID(rid, "Revenue")
+		col, _ := ix.ColID(rid, "2017")
+		if v, ok := ix.Cell(rid, row, col); !ok || v != 1300 {
+			t.Fatalf("corpus %s index reads %v, %v after the shared Set", name, v, ok)
+		}
+	}
+
+	if !b.Remove("Fin") {
+		t.Fatal("Remove reported Fin absent")
+	}
+	genA, genB = a.Generation(), b.Generation()
+	if err := shared.AddRow("Costs", []float64{700}); err != nil {
+		t.Fatal(err)
+	}
+	if a.Generation() <= genA {
+		t.Error("AddRow did not advance the generation of the corpus still holding the relation")
+	}
+	if b.Generation() != genB {
+		t.Error("AddRow advanced the generation of a corpus the relation was removed from")
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,7 +48,9 @@ type Relation struct {
 	cells    [][]float64 // rows × attrs
 	present  [][]bool    // whether a cell holds a value (NULL tracking)
 	metadata map[string]string
-	version  uint64 // bumped on every row/cell mutation (index invalidation)
+	// owners are the corpora holding the relation: a row or cell mutation
+	// advances each one's generation (index invalidation).
+	owners []*Corpus
 }
 
 // NewRelation creates an empty relation with the given name, key attribute
@@ -163,7 +166,7 @@ func (r *Relation) AddRow(key string, values []float64) error {
 		pres[i] = true
 	}
 	r.present = append(r.present, pres)
-	r.version++
+	r.touch()
 	return nil
 }
 
@@ -189,7 +192,7 @@ func (r *Relation) AddSparseRow(key string, values map[string]float64) error {
 	r.rowKeys = append(r.rowKeys, key)
 	r.cells = append(r.cells, row)
 	r.present = append(r.present, pres)
-	r.version++
+	r.touch()
 	return nil
 }
 
@@ -205,8 +208,15 @@ func (r *Relation) Set(key, attr string, v float64) error {
 	}
 	r.cells[ri][ai] = v
 	r.present[ri][ai] = true
-	r.version++
+	r.touch()
 	return nil
+}
+
+// touch advances the generation of every corpus holding r.
+func (r *Relation) touch() {
+	for _, c := range r.owners {
+		c.gen++
+	}
 }
 
 // Get returns the value of the cell identified by (key, attr).
@@ -356,8 +366,7 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 type Corpus struct {
 	byName map[string]*Relation
 	names  []string
-	adds   uint64     // relations added; part of Generation
-	drops  uint64     // removal weight (see Remove); part of Generation
+	gen    uint64     // mutation counter; see Generation
 	idx    indexCache // lazily built interned snapshot (index.go)
 }
 
@@ -366,7 +375,10 @@ func NewCorpus() *Corpus {
 	return &Corpus{byName: make(map[string]*Relation)}
 }
 
-// Add inserts a relation; duplicate names are rejected.
+// Add inserts a relation; duplicate names are rejected. A relation may be
+// held by several corpora; mutating it advances every holder's
+// generation, so Add must not race another Add or Remove of the same
+// relation.
 func (c *Corpus) Add(r *Relation) error {
 	if r == nil {
 		return fmt.Errorf("table: nil relation")
@@ -376,7 +388,8 @@ func (c *Corpus) Add(r *Relation) error {
 	}
 	c.byName[r.Name()] = r
 	c.names = append(c.names, r.Name())
-	c.adds++
+	r.owners = append(r.owners, c)
+	c.gen++
 	return nil
 }
 
@@ -397,11 +410,8 @@ func (c *Corpus) Remove(name string) bool {
 			break
 		}
 	}
-	// Generation sums relation versions; fold the removed relation's
-	// version (plus one for the removal itself) into drops so the
-	// generation strictly advances and can never collide with a
-	// pre-removal value.
-	c.drops += r.version + 1
+	r.owners = slices.DeleteFunc(r.owners, func(o *Corpus) bool { return o == c })
+	c.gen++
 	return true
 }
 
