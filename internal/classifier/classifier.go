@@ -423,7 +423,10 @@ func (c *Classifier) sgdStep(ex Example, scores, grads []float64, active []int32
 
 	// Collect the active set: the classes whose gradient reaches
 	// gradCutoff. Every other class is left alone, like the sparse
-	// updates of mature learners. Bias updates happen here too.
+	// updates of mature learners. Bias updates happen here too. Every
+	// product is converted to float64 explicitly, which by the Go spec
+	// forbids fusing it with an add into an FMA, so the updates round
+	// alike on every architecture (CI greps the arm64 assembly).
 	active = active[:0]
 	for class, p := range scores {
 		g := p
@@ -435,8 +438,8 @@ func (c *Classifier) sgdStep(ex Example, scores, grads []float64, active []int32
 		}
 		active = append(active, int32(class))
 		grads[class] = g
-		gb := g + l2*c.bias[class]
-		c.gsqB[class] += gb * gb
+		gb := g + float64(l2*c.bias[class])
+		c.gsqB[class] += float64(gb * gb)
 		c.bias[class] -= lr * gb / (math.Sqrt(c.gsqB[class]) + 1e-8)
 	}
 
@@ -448,8 +451,8 @@ func (c *Classifier) sgdStep(ex Example, scores, grads []float64, active []int32
 		wrow := c.w[base : base+nL]
 		grow := c.gsq[base : base+nL]
 		for _, cls := range active {
-			grad := grads[cls]*x + l2*wrow[cls]
-			grow[cls] += grad * grad
+			grad := float64(grads[cls]*x) + float64(l2*wrow[cls])
+			grow[cls] += float64(grad * grad)
 			wrow[cls] -= lr * grad / (math.Sqrt(grow[cls]) + 1e-8)
 		}
 	}
@@ -492,7 +495,8 @@ func (c *Classifier) scoreInto(f textproc.Sparse, scores []float64) {
 // Shannon entropy (nats) of the resulting distribution. The entropy falls
 // out of the normalisation pass — H = ln z − (Σ eᵢ·sᵢ)/z with sᵢ the
 // max-shifted scores — so no per-element logarithm is needed, which is
-// what makes the scheduler's utility scan cheap.
+// what makes the scheduler's utility scan cheap. The products are
+// converted to float64 explicitly, so no compiler fuses them (see sgdStep).
 func softmaxInPlace(scores []float64) float64 {
 	maxScore := math.Inf(-1)
 	for _, s := range scores {
@@ -506,13 +510,13 @@ func softmaxInPlace(scores []float64) float64 {
 		e := math.Exp(shifted)
 		scores[i] = e
 		z += e
-		dot += e * shifted
+		dot += float64(e * shifted)
 	}
 	inv := 1 / z
 	for i := range scores {
 		scores[i] *= inv
 	}
-	return math.Log(z) - dot*inv
+	return math.Log(z) - float64(dot*inv)
 }
 
 // getScratch returns a pooled probability buffer of the current width.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/repro/scrutinizer/internal/claims"
 	"github.com/repro/scrutinizer/internal/classifier"
@@ -40,6 +41,10 @@ func (p PropertyKind) String() string {
 	}
 	return fmt.Sprintf("PropertyKind(%d)", int(p))
 }
+
+// numKinds is the number of property kinds; a kind indexes arrays of this
+// length.
+const numKinds = int(PropFormula) + 1
 
 // PropertyKinds lists all four kinds in canonical order.
 func PropertyKinds() []PropertyKind {
@@ -206,6 +211,12 @@ type Engine struct {
 	gen      uint64
 	assessed map[int]*assessment // claim ID -> cached assessment
 
+	// pending is the fit a run's last batch barrier prepared but did not
+	// run (see ensureFitted); nil when the models are current. fitMu
+	// serialises the readers that race to run it.
+	pending atomic.Pointer[fitPlan]
+	fitMu   sync.Mutex
+
 	// seqAssess forces assessAll onto the legacy per-claim scoring path —
 	// the reference implementation the batch path is pinned against in
 	// the equivalence tests. Never set outside tests.
@@ -265,8 +276,10 @@ func NewEngine(corpus *table.Corpus, pipe *feature.Pipeline, cfg Config) (*Engin
 // start empty: they are per-run state keyed by claim ID, and distinct runs
 // may verify distinct documents whose claim IDs collide. Clone must not
 // run concurrently with Train on the receiver; it is safe against
-// concurrent scoring and other Clones.
+// concurrent scoring and other Clones. A fit the receiver deferred runs
+// first, so the clone starts from the fitted models.
 func (e *Engine) Clone() *Engine {
+	e.ensureFitted()
 	cp := &Engine{
 		corpus:      e.corpus,
 		pipe:        e.pipe,
@@ -485,13 +498,18 @@ func (e *Engine) Config() Config { return e.cfg }
 // Library returns the formula library accumulated from training labels.
 func (e *Engine) Library() *formula.Library { return e.lib }
 
-// Model returns the classifier for a property kind.
-func (e *Engine) Model(kind PropertyKind) *classifier.Classifier { return e.models[kind] }
+// Model returns the classifier for a property kind, running a deferred
+// fit first (see ensureFitted).
+func (e *Engine) Model(kind PropertyKind) *classifier.Classifier {
+	e.ensureFitted()
+	return e.models[kind]
+}
 
 // Generation returns the model generation: how many times retraining has
 // refit the classifiers. Cached per-claim assessments are valid for
 // exactly one generation; session front ends surface it as a progress /
-// health signal.
+// health signal. A deferred fit already counts (its barrier bumped the
+// generation), so Generation never forces it.
 func (e *Engine) Generation() uint64 {
 	e.assessMu.RLock()
 	defer e.assessMu.RUnlock()
@@ -540,8 +558,30 @@ func (e *Engine) Train(annotated []*claims.Claim) error {
 // sequential baseline. It returns, for every model it fitted, whether that
 // fit warm-started.
 func (e *Engine) train(annotated []*claims.Claim, parallelism int) ([]bool, error) {
-	sets := make(map[PropertyKind][]classifier.Example, 4)
+	return e.retrain(annotated, parallelism, false)
+}
+
+// fitPlan is a prepared retrain: the example set of every property kind,
+// empty for a kind with no labels, and the fan-out to fit them with.
+type fitPlan struct {
+	sets        [numKinds][]classifier.Example
+	parallelism int
+}
+
+// retrain builds the per-kind example sets and the formula library from
+// the annotated claims and fits every kind that has examples. With
+// deferFit it stops short of the fit: the library and the generation are
+// already the fitted state's, and the fit waits on the engine until
+// something reads the models (ensureFitted); fits is then nil. A batch
+// barrier defers the fit when it ends its run. Any error comes from the
+// preparation, so a deferred fit fails at its barrier as an eager one
+// would.
+func (e *Engine) retrain(annotated []*claims.Claim, parallelism int, deferFit bool) ([]bool, error) {
+	// A fit still pending is the previous state a warm start builds on.
+	e.ensureFitted()
+	p := &fitPlan{parallelism: parallelism}
 	e.lib = formula.NewLibrary()
+	labelled := false
 	for _, c := range annotated {
 		if c == nil || c.Truth == nil {
 			continue
@@ -552,7 +592,8 @@ func (e *Engine) train(annotated []*claims.Claim, parallelism int) ([]bool, erro
 			if label == "" {
 				continue
 			}
-			sets[k] = append(sets[k], classifier.Example{Features: f, Label: label})
+			p.sets[k] = append(p.sets[k], classifier.Example{Features: f, Label: label})
+			labelled = true
 		}
 		if c.Truth.Formula != "" {
 			// The cached equivalent of lib.AddString: the same annotation
@@ -565,16 +606,39 @@ func (e *Engine) train(annotated []*claims.Claim, parallelism int) ([]bool, erro
 			e.lib.AddKeyed(ent.canon, ent.f)
 		}
 	}
+	if !labelled {
+		return nil, nil
+	}
+	var fits []bool
+	if deferFit {
+		e.pending.Store(p)
+	} else {
+		var err error
+		if fits, err = e.fit(p); err != nil {
+			return nil, err
+		}
+	}
+	// Model state changed: stamp a new generation so cached per-claim
+	// assessments recompute lazily on next use.
+	e.assessMu.Lock()
+	e.gen++
+	e.assessMu.Unlock()
+	return fits, nil
+}
+
+// fit trains every kind of p that has examples, concurrently under
+// p.parallelism, and returns the warm flag of each model it fitted in
+// kind order. A kind without examples keeps its previous model — for a
+// run, the verifier's model, or untrained on a fresh engine.
+func (e *Engine) fit(p *fitPlan) ([]bool, error) {
 	kinds := PropertyKinds()
 	errs := make([]error, len(kinds))
-	runPool(len(kinds), parallelism, func(i int) {
+	runPool(len(kinds), p.parallelism, func(i int) {
 		k := kinds[i]
-		if len(sets[k]) == 0 {
-			// Nothing to learn from: keep the previous model — for a run,
-			// the verifier's model, or untrained on a fresh engine.
+		if len(p.sets[k]) == 0 {
 			return
 		}
-		if err := e.models[k].Train(sets[k]); err != nil {
+		if err := e.models[k].Train(p.sets[k]); err != nil {
 			errs[i] = fmt.Errorf("core: training %s classifier: %w", k, err)
 		}
 	})
@@ -585,18 +649,39 @@ func (e *Engine) train(annotated []*claims.Claim, parallelism int) ([]bool, erro
 	}
 	var fits []bool
 	for _, k := range kinds {
-		if len(sets[k]) > 0 {
+		if len(p.sets[k]) > 0 {
 			fits = append(fits, e.models[k].WarmStarted())
 		}
 	}
-	if len(fits) > 0 {
-		// Model state changed: stamp a new generation so cached per-claim
-		// assessments recompute lazily on next use.
-		e.assessMu.Lock()
-		e.gen++
-		e.assessMu.Unlock()
-	}
 	return fits, nil
+}
+
+// ensureFitted runs the fit a run's last barrier deferred, once, before
+// anything reads the models. It is the one choke point of every reader:
+// Model, Clone, assess and assessMany (and through them StartDocument,
+// VerifyClaim and VerifyClaimWith), and a later retrain, whose warm start
+// builds on the fitted state. The fit is the one the barrier would have
+// run, on the same sets, so readers see exactly the models an eager fit
+// gives; a finished run nobody reads never pays for it. With nothing
+// pending it costs one atomic load.
+func (e *Engine) ensureFitted() {
+	if e.pending.Load() == nil {
+		return
+	}
+	e.fitMu.Lock()
+	defer e.fitMu.Unlock()
+	p := e.pending.Load()
+	if p == nil {
+		return // a racing reader ran it
+	}
+	fits, err := e.fit(p)
+	if err != nil {
+		// retrain puts only non-empty sets of non-empty labels into a
+		// plan, and classifier.Train rejects nothing else.
+		panic(fmt.Sprintf("core: deferred fit: %v", err))
+	}
+	e.pending.Store(nil)
+	obsModelFits(fits)
 }
 
 // assess returns the claim's cached assessment, computing it when the
@@ -605,6 +690,7 @@ func (e *Engine) train(annotated []*claims.Claim, parallelism int) ([]bool, erro
 // workers racing the same cold claim) is deterministic and harmless — the
 // last writer wins with an identical value.
 func (e *Engine) assess(c *claims.Claim) *assessment {
+	e.ensureFitted()
 	e.assessMu.RLock()
 	a, ok := e.assessed[c.ID]
 	gen := e.gen
@@ -660,6 +746,7 @@ func (e *Engine) assess(c *claims.Claim) *assessment {
 // accumulation order for the utility sum, same option values, same
 // BuildPlan inputs), pinned by the batch-vs-sequential equivalence tests.
 func (e *Engine) assessMany(cs []*claims.Claim, parallelism int) {
+	e.ensureFitted()
 	e.assessMu.RLock()
 	gen := e.gen
 	stale := make([]*claims.Claim, 0, len(cs))

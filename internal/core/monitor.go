@@ -29,8 +29,10 @@ type Observer struct {
 	// barrier.
 	Retrain func()
 	// ModelFit fires once per classifier fitted at a batch barrier, after
-	// Retrain, reporting whether the fit warm-started from the previous
-	// weights (see package classifier) or refit from scratch.
+	// the barrier's Retrain, reporting whether the fit warm-started from
+	// the previous weights (see package classifier) or refit from scratch.
+	// The barrier that ends a run defers its fit until something reads the
+	// models (see Engine.Model), so its fits fire then, or never.
 	ModelFit func(warm bool)
 	// BatchScored reports how many stale claims a batch-scored scheduler
 	// round featurized and scored.
@@ -64,17 +66,16 @@ func obsRound() {
 	}
 }
 
-// obsRetrain reports one barrier retrain; fits holds the warm flag of
-// every model it fitted.
-func obsRetrain(fits []bool) {
-	o := observer.Load()
-	if o == nil {
-		return
-	}
-	if o.Retrain != nil {
+func obsRetrain() {
+	if o := observer.Load(); o != nil && o.Retrain != nil {
 		o.Retrain()
 	}
-	if o.ModelFit != nil {
+}
+
+// obsModelFits reports a barrier's fits: the warm flag of every model
+// fitted.
+func obsModelFits(fits []bool) {
+	if o := observer.Load(); o != nil && o.ModelFit != nil {
 		for _, warm := range fits {
 			o.ModelFit(warm)
 		}

@@ -621,13 +621,17 @@ func (dr *DocumentRun) completeBatch() error {
 		}
 	}
 	// Retrain (Algorithm 1 line 20), fanning the four independent models
-	// out under the same parallelism knob as batch assessment.
+	// out under the same parallelism knob as batch assessment. The
+	// barrier that ends the run defers the fit itself: no batch follows to
+	// use the models, so only a later reader pays for it (see
+	// ensureFitted).
 	if len(dr.labelled) > 0 {
-		fits, err := dr.e.train(dr.labelled, dr.vc.Parallelism)
+		fits, err := dr.e.retrain(dr.labelled, dr.vc.Parallelism, len(dr.remaining) == 0)
 		if err != nil {
 			return err
 		}
-		obsRetrain(fits)
+		obsRetrain()
+		obsModelFits(fits)
 	}
 	dr.res.Batches++
 	if dr.vc.AfterBatch != nil {

@@ -60,10 +60,14 @@ func warmGrowthRun(t *testing.T, seed int64, cfg Config) (*Result, float64, [][]
 		ModelFit: func(warm bool) { barriers[len(barriers)-1] = append(barriers[len(barriers)-1], warm) },
 	})
 	defer SetObserver(nil)
-	res, err := e.Clone().Verify(context.Background(), draft, team, VerifyConfig{BatchSize: 10, Parallelism: 2})
+	run := e.Clone()
+	res, err := run.Verify(context.Background(), draft, team, VerifyConfig{BatchSize: 10, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The last barrier defers its fit until something reads the models;
+	// reading one runs it, so the last barrier reports its fits too.
+	run.Model(PropRelation)
 	return res, Accuracy(draft, res.Outcomes), barriers
 }
 

@@ -188,7 +188,7 @@ func TestCompileRejectsWhatEvalRejects(t *testing.T) {
 		BinOp{Op: "%", Left: Num{Value: 1}, Right: Num{Value: 2}},
 		Call{Fn: "NOSUCH", Args: []Node{Num{Value: 1}}},
 		Call{Fn: "POWER", Args: []Node{Num{Value: 1}}}, // arity
-		Call{Fn: "SUM"},                                // variadic needs >= 1
+		Call{Fn: "SUM"}, // variadic needs >= 1
 	}
 	for _, n := range bad {
 		if _, err := Compile(n); err == nil {

@@ -130,7 +130,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		want int // index into counts
 	}{
 		{0, 0},
-		{1, 0},                            // on the first bound: le includes it
+		{1, 0},                              // on the first bound: le includes it
 		{math.Nextafter(1, math.Inf(1)), 1}, // one ulp past
 		{2, 1},
 		{4, 2},
@@ -259,12 +259,12 @@ func TestRegistryPanics(t *testing.T) {
 	reg := NewRegistry()
 	reg.NewCounter("ok_total", "ok")
 	for name, fn := range map[string]func(){
-		"duplicate name":    func() { reg.NewGauge("ok_total", "dup") },
-		"invalid name":      func() { reg.NewCounter("bad name", "x") },
-		"invalid label":     func() { reg.NewCounterVec("v_total", "x", "bad label") },
-		"label count":       func() { reg.NewCounterVec("w_total", "x", "a").With("1", "2") },
-		"unsorted buckets":  func() { reg.NewHistogram("h_seconds", "x", []float64{2, 1}) },
-		"labelless vector":  func() { reg.NewCounterVec("x_total", "x") },
+		"duplicate name":       func() { reg.NewGauge("ok_total", "dup") },
+		"invalid name":         func() { reg.NewCounter("bad name", "x") },
+		"invalid label":        func() { reg.NewCounterVec("v_total", "x", "bad label") },
+		"label count":          func() { reg.NewCounterVec("w_total", "x", "a").With("1", "2") },
+		"unsorted buckets":     func() { reg.NewHistogram("h_seconds", "x", []float64{2, 1}) },
+		"labelless vector":     func() { reg.NewCounterVec("x_total", "x") },
 		"unknown SetMaxSeries": func() { reg.SetMaxSeries("nope", 3) },
 	} {
 		func() {

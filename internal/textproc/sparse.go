@@ -52,7 +52,9 @@ func (s Sparse) MaxIndex() int {
 }
 
 // Dot returns the inner product, computed as a two-pointer merge over the
-// sorted index slices.
+// sorted index slices. Dot and Norm convert each product to float64
+// explicitly, so no compiler fuses it into an FMA and the sums round alike
+// on every architecture.
 func (s Sparse) Dot(o Sparse) float64 {
 	var sum float64
 	i, j := 0, 0
@@ -63,7 +65,7 @@ func (s Sparse) Dot(o Sparse) float64 {
 		case s.ix[i] > o.ix[j]:
 			j++
 		default:
-			sum += s.val[i] * o.val[j]
+			sum += float64(s.val[i] * o.val[j])
 			i++
 			j++
 		}
@@ -75,7 +77,7 @@ func (s Sparse) Dot(o Sparse) float64 {
 func (s Sparse) Norm() float64 {
 	var sum float64
 	for _, x := range s.val {
-		sum += x * x
+		sum += float64(x * x)
 	}
 	return math.Sqrt(sum)
 }

@@ -96,7 +96,7 @@ func (v Vector) Dot(o Vector) float64 {
 	var s float64
 	for i, x := range a {
 		if y, ok := b[i]; ok {
-			s += x * y
+			s += float64(x * y)
 		}
 	}
 	return s
@@ -106,7 +106,7 @@ func (v Vector) Dot(o Vector) float64 {
 func (v Vector) Norm() float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }
