@@ -558,28 +558,41 @@ func (e *Engine) Train(annotated []*claims.Claim) error {
 // sequential baseline. It returns, for every model it fitted, whether that
 // fit warm-started.
 func (e *Engine) train(annotated []*claims.Claim, parallelism int) ([]bool, error) {
-	return e.retrain(annotated, parallelism, false)
+	return e.retrain(annotated, parallelism, nil, false)
 }
 
 // fitPlan is a prepared retrain: the example set of every property kind,
-// empty for a kind with no labels, and the fan-out to fit them with.
+// empty for a kind with no labels, whether each set extends the pool of
+// the kind's previous fit, and the fan-out to fit them with.
 type fitPlan struct {
 	sets        [numKinds][]classifier.Example
+	appended    [numKinds]bool
 	parallelism int
 }
 
 // retrain builds the per-kind example sets and the formula library from
-// the annotated claims and fits every kind that has examples. With
-// deferFit it stops short of the fit: the library and the generation are
-// already the fitted state's, and the fit waits on the engine until
+// the annotated claims and fits every kind that has examples.
+//
+// fitted is nil except at a run's batch barriers, where it marks the
+// kinds the run has fitted before. The run's pool only grows, in order,
+// so for those kinds the set provably extends the previous fit's pool, and
+// their fits replay-sample (classifier.TrainAppended); retrain then marks
+// every kind it fits. Every other fit passes over the whole set: Train,
+// and a run's first fit of a kind, whose previous pool was the verifier's.
+//
+// With deferFit it stops short of the fit: the library and the generation
+// are already the fitted state's, and the fit waits on the engine until
 // something reads the models (ensureFitted); fits is then nil. A batch
 // barrier defers the fit when it ends its run. Any error comes from the
 // preparation, so a deferred fit fails at its barrier as an eager one
 // would.
-func (e *Engine) retrain(annotated []*claims.Claim, parallelism int, deferFit bool) ([]bool, error) {
+func (e *Engine) retrain(annotated []*claims.Claim, parallelism int, fitted *[numKinds]bool, deferFit bool) ([]bool, error) {
 	// A fit still pending is the previous state a warm start builds on.
 	e.ensureFitted()
 	p := &fitPlan{parallelism: parallelism}
+	if fitted != nil {
+		p.appended = *fitted
+	}
 	e.lib = formula.NewLibrary()
 	labelled := false
 	for _, c := range annotated {
@@ -608,6 +621,11 @@ func (e *Engine) retrain(annotated []*claims.Claim, parallelism int, deferFit bo
 	}
 	if !labelled {
 		return nil, nil
+	}
+	if fitted != nil {
+		for k, set := range p.sets {
+			fitted[k] = fitted[k] || len(set) > 0
+		}
 	}
 	var fits []bool
 	if deferFit {
@@ -638,7 +656,11 @@ func (e *Engine) fit(p *fitPlan) ([]bool, error) {
 		if len(p.sets[k]) == 0 {
 			return
 		}
-		if err := e.models[k].Train(p.sets[k]); err != nil {
+		train := e.models[k].Train
+		if p.appended[k] {
+			train = e.models[k].TrainAppended
+		}
+		if err := train(p.sets[k]); err != nil {
 			errs[i] = fmt.Errorf("core: training %s classifier: %w", k, err)
 		}
 	})
