@@ -7,7 +7,7 @@
 //	go run ./cmd/bench -benchtime 2s      # steadier numbers
 //	go run ./cmd/bench -bench 'Train' -pkg ./internal/classifier
 //	go run ./cmd/bench -out /tmp -date 2026-01-31
-//	go run ./cmd/bench -baseline BENCH_2026-08-08.json -max-ratio 2
+//	go run ./cmd/bench -baseline BENCH_2026-10-18.json -max-ratio 2
 //	go run ./cmd/bench -cpu 2          # multi-core pass -> BENCH_<date>.cpu2.json
 //
 // The default tracked set covers the numeric hot path (classifier training

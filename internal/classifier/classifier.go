@@ -58,6 +58,12 @@
 // Config.ColdStart disables the warm path entirely for callers that need
 // scratch-identical models.
 //
+// A warm fit still passes over the whole pool, so retraining after every
+// batch costs a run work quadratic in its length. A caller that knows its
+// pool extends the previous fit's calls TrainAppended instead: the warm
+// passes then visit the new examples plus a seeded sample of ReplaySample
+// older ones, so each fit costs about the same however long the run.
+//
 // # Copy-on-write clones
 //
 // Every verification run retrains its own copy of the verifier's four
@@ -242,8 +248,8 @@ func (c *Classifier) TrainedOn() int { return c.trained }
 // it.
 func (c *Classifier) Steps() int { return c.steps }
 
-// WarmStarted reports whether the last Train call reused the previous
-// weights (warm start) rather than refitting from scratch.
+// WarmStarted reports whether the last fit reused the previous weights
+// (warm start) rather than refitting from scratch.
 func (c *Classifier) WarmStarted() bool { return c.warm }
 
 // Train fits the model on examples. When every label of the current

@@ -544,21 +544,8 @@ func (e *Engine) Featurize(c *claims.Claim) textproc.Sparse {
 // kind with no labels in the pool keeps its previous model. The four
 // models train concurrently; see train.
 func (e *Engine) Train(annotated []*claims.Claim) error {
-	_, err := e.train(annotated, DefaultParallelism())
+	_, err := e.train(annotated, DefaultParallelism(), nil, false)
 	return err
-}
-
-// train is Train with an explicit fan-out: the four models are independent
-// (own weights, own deterministic shuffle seed), so with parallelism > 1
-// they train concurrently — on a multi-core machine this takes the
-// per-batch retraining of Algorithm 1 from the sum of the four training
-// times down to the slowest single model, which is the serial bottleneck
-// of document verification at paper scale. Verify threads its
-// VerifyConfig.Parallelism through here so a Parallelism=1 run is a truly
-// sequential baseline. It returns, for every model it fitted, whether that
-// fit warm-started.
-func (e *Engine) train(annotated []*claims.Claim, parallelism int) ([]bool, error) {
-	return e.retrain(annotated, parallelism, nil, false)
 }
 
 // fitPlan is a prepared retrain: the example set of every property kind,
@@ -570,13 +557,22 @@ type fitPlan struct {
 	parallelism int
 }
 
-// retrain builds the per-kind example sets and the formula library from
-// the annotated claims and fits every kind that has examples.
+// train builds the per-kind example sets and the formula library from
+// the annotated claims and fits every kind that has examples. It returns,
+// for every model it fitted, whether that fit warm-started.
+//
+// The four models are independent (own weights, own deterministic shuffle
+// seed), so with parallelism > 1 they train concurrently — on a multi-core
+// machine this takes the per-batch retraining of Algorithm 1 from the sum
+// of the four training times down to the slowest single model, which is
+// the serial bottleneck of document verification at paper scale. Verify
+// threads its VerifyConfig.Parallelism through here so a Parallelism=1
+// run is a truly sequential baseline.
 //
 // fitted is nil except at a run's batch barriers, where it marks the
 // kinds the run has fitted before. The run's pool only grows, in order,
 // so for those kinds the set provably extends the previous fit's pool, and
-// their fits replay-sample (classifier.TrainAppended); retrain then marks
+// their fits replay-sample (classifier.TrainAppended); train then marks
 // every kind it fits. Every other fit passes over the whole set: Train,
 // and a run's first fit of a kind, whose previous pool was the verifier's.
 //
@@ -586,7 +582,7 @@ type fitPlan struct {
 // barrier defers the fit when it ends its run. Any error comes from the
 // preparation, so a deferred fit fails at its barrier as an eager one
 // would.
-func (e *Engine) retrain(annotated []*claims.Claim, parallelism int, fitted *[numKinds]bool, deferFit bool) ([]bool, error) {
+func (e *Engine) train(annotated []*claims.Claim, parallelism int, fitted *[numKinds]bool, deferFit bool) ([]bool, error) {
 	// A fit still pending is the previous state a warm start builds on.
 	e.ensureFitted()
 	p := &fitPlan{parallelism: parallelism}
@@ -698,7 +694,7 @@ func (e *Engine) ensureFitted() {
 	}
 	fits, err := e.fit(p)
 	if err != nil {
-		// retrain puts only non-empty sets of non-empty labels into a
+		// train puts only non-empty sets of non-empty labels into a
 		// plan, and classifier.Train rejects nothing else.
 		panic(fmt.Sprintf("core: deferred fit: %v", err))
 	}

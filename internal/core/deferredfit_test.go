@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/repro/scrutinizer/internal/claims"
@@ -131,5 +133,60 @@ func TestDeferredFitFailsAtBarrier(t *testing.T) {
 	}
 	if run.Generation() != genBefore {
 		t.Errorf("generation %d after the failed barrier, %d before", run.Generation(), genBefore)
+	}
+}
+
+// TestDeferredFitConcurrentReaders pins that readers racing to the
+// deferred fit run it exactly once and all see the fitted models: model
+// reads, clones and scoring from several goroutines at once (run it under
+// -race).
+func TestDeferredFitConcurrentReaders(t *testing.T) {
+	e, draft := archiveAndDraft(t)
+	team, err := crowd.NewTeam("W", 3, 0.97, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := e.Clone()
+	if _, err := run.Verify(context.Background(), draft, team, VerifyConfig{BatchSize: 10, Parallelism: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if run.pending.Load() == nil {
+		t.Fatal("the last barrier fitted its models; want the fit deferred")
+	}
+	var fits atomic.Int32
+	SetObserver(&Observer{ModelFit: func(bool) { fits.Add(1) }})
+	defer SetObserver(nil)
+
+	c := draft.Claims[0]
+	f := run.Featurize(c)
+	const readers = 8
+	probs := make([][]float64, readers)
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			switch i % 3 {
+			case 0:
+				probs[i] = run.Model(PropRelation).Probs(f)
+			case 1:
+				probs[i] = run.Clone().Model(PropRelation).Probs(f)
+			default:
+				run.Assess(c)
+				probs[i] = run.Model(PropRelation).Probs(f)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if run.pending.Load() != nil {
+		t.Fatal("a fit is still pending after the reads")
+	}
+	if n := int(fits.Load()); n != numKinds {
+		t.Errorf("the deferred fit reported %d model fits, want one per kind (%d)", n, numKinds)
+	}
+	for i := 1; i < readers; i++ {
+		if !reflect.DeepEqual(probs[i], probs[0]) {
+			t.Fatalf("reader %d saw other probabilities than reader 0", i)
+		}
 	}
 }

@@ -40,12 +40,28 @@
 // and keeps its previous model: the archive model for a run, untrained on
 // a fresh engine. Observer.ModelFit reports each fit as warm or cold.
 //
-// A fit's cost is its passes times the training pool times two classifier
-// kernels: the forward scoring pass, which sweeps every class, and the
-// AdaGrad update, which touches only the classes whose gradient is not
-// negligible (package classifier states the cutoff). The same scoring
+// A fit's cost is its passes times the examples it visits times two
+// classifier kernels: the forward scoring pass, which sweeps every class,
+// and the AdaGrad update, which touches only the classes whose gradient is
+// not negligible (package classifier states the cutoff). The same scoring
 // kernel serves the scheduler's batch assessment, so a barrier's
 // re-scoring of the remaining claims gets cheaper with it.
+//
+// Two things keep a run's training work linear in its length rather than
+// quadratic. From a kind's second fit in the run on, a barrier knows its
+// pool extends the pool of the kind's previous fit, and says so by calling
+// classifier.TrainAppended: a warm fit then visits the new examples plus
+// a fixed, seeded replay sample of the older ones (classifier.ReplaySample),
+// not the whole pool. Engine.Train, and so Verifier.Retrain, and a run's
+// first fit, which may warm-start from the verifier's model on another
+// pool, keep full passes. And the barrier that ends a run prepares its
+// retrain — the example sets and the formula library, where its errors
+// come from, and the generation bump — but leaves the fits pending on the
+// engine: no batch follows to use them. ensureFitted runs them once, on
+// the first read of the models (Model, Clone, the scoring paths, a later
+// retrain), and Generation does not force them; the fitted models are the
+// ones an eager fit gives. A run verified and then dropped never pays for
+// its last fit, and Observer.ModelFit reports those fits only if they run.
 //
 // # Formula cache
 //

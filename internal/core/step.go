@@ -624,12 +624,12 @@ func (dr *DocumentRun) completeBatch() error {
 	// Retrain (Algorithm 1 line 20), fanning the four independent models
 	// out under the same parallelism knob as batch assessment. From a
 	// kind's second fit in the run on, the fit passes over the new labels
-	// plus a fixed replay sample of the older ones (see retrain). The
+	// plus a fixed replay sample of the older ones (see train). The
 	// barrier that ends the run defers the fit itself: no batch follows to
 	// use the models, so only a later reader pays for it (see
 	// ensureFitted).
 	if len(dr.labelled) > 0 {
-		fits, err := dr.e.retrain(dr.labelled, dr.vc.Parallelism, &dr.fitted, len(dr.remaining) == 0)
+		fits, err := dr.e.train(dr.labelled, dr.vc.Parallelism, &dr.fitted, len(dr.remaining) == 0)
 		if err != nil {
 			return err
 		}

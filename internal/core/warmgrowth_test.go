@@ -184,7 +184,7 @@ func TestGradCutoffQualityLock(t *testing.T) {
 // previous model untouched — for a run, the verifier's archive model.
 func TestTrainKeepsModelOfUnlabelledKind(t *testing.T) {
 	e, w := buildEngine(t, tinyWorld())
-	if _, err := e.train(w.Document.Claims, 2); err != nil {
+	if _, err := e.train(w.Document.Claims, 2, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	formulaModel := e.models[PropFormula]
@@ -203,7 +203,7 @@ func TestTrainKeepsModelOfUnlabelledKind(t *testing.T) {
 		cp.Truth = &truth
 		noFormula = append(noFormula, &cp)
 	}
-	fits, err := e.train(noFormula, 2)
+	fits, err := e.train(noFormula, 2, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestTrainKeepsModelOfUnlabelledKind(t *testing.T) {
 
 	// On a fresh engine the unlabelled kind simply stays untrained.
 	fresh, _ := buildEngine(t, tinyWorld())
-	if _, err := fresh.train(noFormula, 2); err != nil {
+	if _, err := fresh.train(noFormula, 2, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	if n := fresh.models[PropFormula].NumLabels(); n != 0 {
