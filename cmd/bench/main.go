@@ -30,6 +30,16 @@
 // of similar class; the wide 2x timing threshold absorbs the remaining
 // machine-to-machine spread.
 //
+// Every pass with a duration -benchtime is also gated on ratios between
+// benchmarks of the same pass (ratioGates): the AVX2 classifier kernels
+// against their Go bodies, and, from -cpu 2 on, eight concurrent runs
+// against one. A lost kernel or lost multi-core scaling then fails the
+// pass on any machine, without a baseline; a 2x gate against a baseline
+// would barely notice either. The kernel gates are skipped on CPUs that
+// run the Go kernels, and every ratio gate is skipped under an
+// iteration-count -benchtime such as 1x, whose timings are too few to
+// compare.
+//
 // Every run passes `go test -cpu N` (GOMAXPROCS=N) and records gomaxprocs
 // as N. The default -cpu 1 is the single-core baseline, BENCH_<date>.json;
 // -cpu N > 1 writes BENCH_<date>.cpuN.json instead — the committed
@@ -52,6 +62,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/repro/scrutinizer/internal/classifier"
 	"github.com/repro/scrutinizer/internal/core"
 )
 
@@ -71,19 +82,47 @@ type trackedBench struct {
 // BenchmarkRetrainLabelGrowth pins warm-start retraining over a growing
 // label vocabulary; cold refits would cost about 3x.
 // BenchmarkScorePaperShape times one paper-shape scoring pass per sweep
-// body (/go, and /avx2 where the CPU has it): the AVX2 body should take
-// at most ~0.6x the Go body's ns/op.
+// body (/go, and /avx2 where the CPU has it), and
+// BenchmarkAdagradPaperShape one paper-shape AdaGrad update per update
+// body; ratioGates holds the AVX2 bodies to at most 0.6x and 0.75x of
+// the Go bodies' ns/op.
 // BenchmarkServiceAddCorpus/ephemeral pins that registering a corpus
 // without a store builds no journal record (a few dozen allocs, not one
 // per cell).
 var defaultTracked = []trackedBench{
-	{Pkg: "./internal/classifier", Bench: "BenchmarkTrain500x200|BenchmarkWarmRetrain500x200|BenchmarkRetrainLabelGrowth|BenchmarkPredictTopK|BenchmarkEntropy|BenchmarkScorePaperShape"},
+	{Pkg: "./internal/classifier", Bench: "BenchmarkTrain500x200|BenchmarkWarmRetrain500x200|BenchmarkRetrainLabelGrowth|BenchmarkPredictTopK|BenchmarkEntropy|BenchmarkScorePaperShape|BenchmarkAdagradPaperShape"},
 	{Pkg: "./internal/textproc", Bench: "BenchmarkSparseDot|BenchmarkTransform"},
 	{Pkg: "./internal/table", Bench: "BenchmarkCellLookup$|BenchmarkCellLookupString"},
 	{Pkg: "./internal/query", Bench: "BenchmarkPlanExecute|BenchmarkExecuteCompiled|BenchmarkExecuteInterpreted"},
 	{Pkg: "./internal/core", Bench: "BenchmarkGenerateQueries$|BenchmarkGenerateQueriesCold|BenchmarkGenerateQueriesInterpreted|BenchmarkVerifyEndToEnd|BenchmarkVerifyWithDeadline|BenchmarkVerifyInstrumented"},
 	{Pkg: "./internal/session", Bench: "BenchmarkSessionCreate|BenchmarkSessionAnswerPump|BenchmarkSessionEvict"},
 	{Pkg: ".", Bench: "BenchmarkVerifySequential/SmallWorld|BenchmarkVerifyParallel/SmallWorld|BenchmarkServiceVerifyCold|BenchmarkServiceVerifyWarm|BenchmarkServiceSetupCold|BenchmarkServiceSetupWarm|BenchmarkRecoveryBoot|BenchmarkServiceAddCorpus|BenchmarkConcurrentRunsSharedCorpus|BenchmarkServiceManyTenants"},
+}
+
+// ratioGate fails a pass when benchmark Num takes more than Max times the
+// ns/op of benchmark Den, both measured in that pass. Bench selects both
+// in Pkg, to re-measure them.
+type ratioGate struct {
+	Pkg, Bench, Num, Den string
+	Max                  float64
+	// AVX2 marks a kernel gate, skipped on CPUs that run the Go kernels.
+	AVX2 bool
+	// MinCPU is the lowest -cpu at which the gate applies.
+	MinCPU int
+}
+
+// ratioGates are the in-pass gates. On a 2-vCPU Xeon the AVX2 sweep
+// measured 0.38-0.55x its Go body and the AVX2 update 0.55-0.64x (the
+// upper ends in passes that shared the CPU), and eight concurrent runs
+// 1.9-2.4x faster than one. A lost kernel reads about 1.0x, well past
+// its limit; C8 against C1 holds at least a 1.5x speed-up.
+var ratioGates = []ratioGate{
+	{Pkg: "./internal/classifier", Bench: "BenchmarkScorePaperShape/labels=405$",
+		Num: "BenchmarkScorePaperShape/labels=405/avx2", Den: "BenchmarkScorePaperShape/labels=405/go", Max: 0.6, AVX2: true},
+	{Pkg: "./internal/classifier", Bench: "BenchmarkAdagradPaperShape$",
+		Num: "BenchmarkAdagradPaperShape/avx2", Den: "BenchmarkAdagradPaperShape/go", Max: 0.75, AVX2: true},
+	{Pkg: ".", Bench: "BenchmarkConcurrentRunsSharedCorpus$",
+		Num: "BenchmarkConcurrentRunsSharedCorpus/C8", Den: "BenchmarkConcurrentRunsSharedCorpus/C1", Max: 0.67, MinCPU: 2},
 }
 
 // result is one benchmark line, parsed.
@@ -193,12 +232,80 @@ func main() {
 			b.Name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
 	}
 
+	failed := false
+	if err := checkRatioGates(rep.Benchmarks, *benchtime, *cpuN); err != nil {
+		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+		failed = true
+	}
 	if *baseline != "" {
 		if err := gateAgainstBaseline(*baseline, tracked, rep.Benchmarks, *benchtime, *cpuN, *maxRatio, *maxAllocRatio); err != nil {
 			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
+			failed = true
 		}
 	}
+	if failed {
+		os.Exit(1)
+	}
+}
+
+// checkRatioGates applies ratioGates to a pass's results. A gate is
+// skipped unless the pass ran both of its benchmarks (a -bench selection
+// may leave them out). A ratio over its limit is re-measured once, like a
+// baseline regression, and fails only when the second pass is over the
+// limit too.
+func checkRatioGates(fresh []result, benchtime string, cpuN int) error {
+	if strings.HasSuffix(benchtime, "x") {
+		fmt.Printf("ratio gates skipped: -benchtime %s counts iterations\n", benchtime)
+		return nil
+	}
+	byName := make(map[string]result, len(fresh))
+	for _, r := range fresh {
+		byName[r.Name] = r
+	}
+	var failures []string
+	for _, g := range ratioGates {
+		if cpuN < g.MinCPU {
+			continue
+		}
+		if g.AVX2 && classifier.Kernel() != "avx2" {
+			fmt.Printf("ratio gate %s skipped: this CPU runs the %s kernels\n", g.Num, classifier.Kernel())
+			continue
+		}
+		num, okNum := byName[g.Num]
+		den, okDen := byName[g.Den]
+		if !okNum || !okDen || num.NsPerOp <= 0 || den.NsPerOp <= 0 {
+			continue // not both in this pass
+		}
+		ratio := num.NsPerOp / den.NsPerOp
+		if ratio > g.Max {
+			fmt.Printf("re-measuring %s / %s = %.2f (limit %.2f)\n", g.Num, g.Den, ratio, g.Max)
+			again, _, err := runBench(trackedBench{Pkg: g.Pkg, Bench: g.Bench}, benchtime, cpuN)
+			if err != nil {
+				return err
+			}
+			var n2, d2 float64
+			for _, r := range again {
+				switch r.Name {
+				case g.Num:
+					n2 = r.NsPerOp
+				case g.Den:
+					d2 = r.NsPerOp
+				}
+			}
+			if n2 > 0 && d2 > 0 {
+				ratio = min(ratio, n2/d2)
+			}
+		}
+		if ratio > g.Max {
+			failures = append(failures, fmt.Sprintf("%s takes %.2fx %s (limit %.2fx)", g.Num, ratio, g.Den, g.Max))
+			continue
+		}
+		fmt.Printf("ratio gate passed: %s takes %.2fx %s (limit %.2fx)\n", g.Num, ratio, g.Den, g.Max)
+	}
+	if len(failures) > 0 {
+		return errors.New("ratio gates failed:\n  " + strings.Join(failures, "\n  "))
+	}
+	return nil
 }
 
 // regression is one benchmark measurement (timing or allocation count)

@@ -258,8 +258,10 @@ func main() {
 	// 503 until boot finishes, instead of the whole port being dark.
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	// score_kernel tells hosts apart whose classifier scoring runs the
-	// AVX2 kernel ("avx2") or the portable loop ("go", about half as fast).
+	// score_kernel tells hosts apart whose classifier kernels, the score
+	// sweep and the AdaGrad update, run in AVX2 assembly ("avx2") or as
+	// the portable loops ("go": scoring about half as fast, updates about
+	// 1.7x slower).
 	daemonLog.Info("listening", "addr", *addr, "score_kernel", classifier.Kernel())
 
 	if err := s.boot(corpus); err != nil {

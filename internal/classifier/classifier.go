@@ -36,6 +36,17 @@
 // exactly as the sparse-map implementation did. An update touches only
 // the active set, the classes whose gradient reaches gradCutoff (1e-3):
 // about 6% of the classes of a paper-scale model with ~400 labels.
+//
+// The update has two bodies too, picked by the same check as the
+// sweep's: an AVX2 kernel that updates four active classes per
+// iteration (scalar-insert loads, then multiply, add, square root,
+// divide and subtract in the Go loop's order, never FMA), and the Go
+// loop. VSQRTPD and VDIVPD round like the SQRTSD and DIVSD the Go loop
+// compiles to, since IEEE 754 rounds square roots and quotients
+// correctly, and the four lanes write four distinct columns, so the
+// updates are bit-identical too (see adagradAVX2). Kernel names one
+// choice for both kernels.
+//
 // Scoring scratch buffers come from a sync.Pool so concurrent inference
 // (the engine fans claim scoring across goroutines) allocates nothing in
 // steady state.
@@ -358,8 +369,8 @@ func (c *Classifier) train(examples []Example, appended bool) error {
 
 	nL := len(c.labels)
 	scores := make([]float64, nL)
-	grads := make([]float64, nL)
 	active := make([]int32, 0, nL)
+	ga := make([]float64, 0, nL)
 
 	// Deterministic shuffled order via an LCG permutation per epoch; the
 	// stream advances with the round counter so warm-started retrains do
@@ -391,7 +402,7 @@ func (c *Classifier) train(examples []Example, appended bool) error {
 			order[i], order[j] = order[j], order[i]
 		}
 		for _, idx := range order {
-			active = c.sgdStep(examples[idx], scores, grads, active)
+			active, ga = c.sgdStep(examples[idx], scores, active, ga)
 		}
 	}
 	return nil
@@ -464,10 +475,11 @@ func (c *Classifier) grow(width int) bool {
 // unless its probability exceeds 0.999.
 const gradCutoff = 1e-3
 
-// sgdStep applies one AdaGrad update for a single example. scores, grads
-// and active are caller-owned scratch (len == numLabels); the possibly
-// regrown active slice is returned for reuse.
-func (c *Classifier) sgdStep(ex Example, scores, grads []float64, active []int32) []int32 {
+// sgdStep applies one AdaGrad update for a single example. scores is
+// caller-owned scratch (len == numLabels); active and ga are caller-owned
+// buffers (cap >= numLabels) for the active classes and their gradients,
+// returned for reuse.
+func (c *Classifier) sgdStep(ex Example, scores []float64, active []int32, ga []float64) ([]int32, []float64) {
 	c.scoreInto(ex.Features, scores)
 	softmaxInPlace(scores)
 	target := c.labelIdx[ex.Label]
@@ -475,12 +487,13 @@ func (c *Classifier) sgdStep(ex Example, scores, grads []float64, active []int32
 	l2 := c.cfg.L2
 
 	// Collect the active set: the classes whose gradient reaches
-	// gradCutoff. Every other class is left alone, like the sparse
-	// updates of mature learners. Bias updates happen here too. Every
-	// product is converted to float64 explicitly, which by the Go spec
-	// forbids fusing it with an add into an FMA, so the updates round
-	// alike on every architecture (CI greps the arm64 assembly).
-	active = active[:0]
+	// gradCutoff, with their gradients packed alongside. Every other
+	// class is left alone, like the sparse updates of mature learners.
+	// Bias updates happen here too. Every product is converted to float64
+	// explicitly, which by the Go spec forbids fusing it with an add into
+	// an FMA, so the updates round alike on every architecture (CI greps
+	// the arm64 assembly).
+	active, ga = active[:0], ga[:0]
 	for class, p := range scores {
 		g := p
 		if class == target {
@@ -490,26 +503,15 @@ func (c *Classifier) sgdStep(ex Example, scores, grads []float64, active []int32
 			continue
 		}
 		active = append(active, int32(class))
-		grads[class] = g
+		ga = append(ga, g)
 		gb := g + float64(l2*c.bias[class])
 		c.gsqB[class] += float64(gb * gb)
 		c.bias[class] -= lr * gb / (math.Sqrt(c.gsqB[class]) + 1e-8)
 	}
 
-	nL := len(c.labels)
 	ix, vals := ex.Features.Raw()
-	for k, fi := range ix {
-		x := vals[k]
-		base := int(fi) * c.stride
-		wrow := c.w[base : base+nL]
-		grow := c.gsq[base : base+nL]
-		for _, cls := range active {
-			grad := float64(grads[cls]*x) + float64(l2*wrow[cls])
-			grow[cls] += float64(grad * grad)
-			wrow[cls] -= lr * grad / (math.Sqrt(grow[cls]) + 1e-8)
-		}
-	}
-	return active
+	adagradUpdate(c.w, c.gsq, c.stride, ix, vals, active, ga, l2, lr)
+	return active, ga
 }
 
 // scoreInto fills scores (len == numLabels) with the linear scores of f:

@@ -317,69 +317,72 @@ func TestTrainingDeterministic(t *testing.T) {
 // TestWarmStartMatchesScratch is the warm-start equivalence check: growing
 // the training set batch by batch with warm-started retrains must land on
 // the same top-k predictions (within a probability tolerance) as one
-// from-scratch fit of the final set, on a fixed seed.
+// from-scratch fit of the final set, on a fixed seed, under each kernel
+// choice.
 func TestWarmStartMatchesScratch(t *testing.T) {
-	full := separableSet(240, 17)
+	underEachKernel(t, func(t *testing.T) {
+		full := separableSet(240, 17)
 
-	warm := New(Config{Seed: 3, Epochs: 6})
-	// Batch growth: 120, 180, then the full 240 — the label vocabulary is
-	// complete from the first batch, so the later rounds take the warm path.
-	if err := warm.Train(full[:120]); err != nil {
-		t.Fatal(err)
-	}
-	if warm.WarmStarted() {
-		t.Error("first fit cannot be warm")
-	}
-	for _, cut := range []int{180, 240} {
-		if err := warm.Train(full[:cut]); err != nil {
+		warm := New(Config{Seed: 3, Epochs: 6})
+		// Batch growth: 120, 180, then the full 240 — the label vocabulary is
+		// complete from the first batch, so the later rounds take the warm path.
+		if err := warm.Train(full[:120]); err != nil {
 			t.Fatal(err)
 		}
-		if !warm.WarmStarted() {
-			t.Fatalf("retrain at %d examples should warm start", cut)
+		if warm.WarmStarted() {
+			t.Error("first fit cannot be warm")
 		}
-	}
+		for _, cut := range []int{180, 240} {
+			if err := warm.Train(full[:cut]); err != nil {
+				t.Fatal(err)
+			}
+			if !warm.WarmStarted() {
+				t.Fatalf("retrain at %d examples should warm start", cut)
+			}
+		}
 
-	scratch := New(Config{Seed: 3, Epochs: 6, ColdStart: true})
-	if err := scratch.Train(full); err != nil {
-		t.Fatal(err)
-	}
-	if scratch.WarmStarted() {
-		t.Error("ColdStart config must never warm start")
-	}
+		scratch := New(Config{Seed: 3, Epochs: 6, ColdStart: true})
+		if err := scratch.Train(full); err != nil {
+			t.Fatal(err)
+		}
+		if scratch.WarmStarted() {
+			t.Error("ColdStart config must never warm start")
+		}
 
-	test := separableSet(60, 23)
-	for _, ex := range test {
-		tw := warm.TopK(ex.Features, 3)
-		ts := scratch.TopK(ex.Features, 3)
-		if len(tw) != len(ts) {
-			t.Fatalf("top-k lengths differ: %d vs %d", len(tw), len(ts))
-		}
-		// The confident prediction must be identical; the tail of the list
-		// may permute only among labels whose probabilities agree within
-		// the tolerance (near-ties deep in the softmax tail).
-		if tw[0].Label != ts[0].Label {
-			t.Fatalf("top-1 diverged: warm %v vs scratch %v", tw, ts)
-		}
-		byLabel := make(map[string]float64, len(ts))
-		for _, p := range ts {
-			byLabel[p.Label] = p.Prob
-		}
-		for i, p := range tw {
-			sp, ok := byLabel[p.Label]
-			if !ok {
-				t.Fatalf("label %q in warm top-k but not scratch: %v vs %v", p.Label, tw, ts)
+		test := separableSet(60, 23)
+		for _, ex := range test {
+			tw := warm.TopK(ex.Features, 3)
+			ts := scratch.TopK(ex.Features, 3)
+			if len(tw) != len(ts) {
+				t.Fatalf("top-k lengths differ: %d vs %d", len(tw), len(ts))
 			}
-			if math.Abs(p.Prob-sp) > 0.15 {
-				t.Fatalf("prob of %q diverged beyond tolerance: warm %v vs scratch %v", p.Label, tw, ts)
+			// The confident prediction must be identical; the tail of the list
+			// may permute only among labels whose probabilities agree within
+			// the tolerance (near-ties deep in the softmax tail).
+			if tw[0].Label != ts[0].Label {
+				t.Fatalf("top-1 diverged: warm %v vs scratch %v", tw, ts)
 			}
-			if math.Abs(p.Prob-ts[i].Prob) > 0.15 {
-				t.Fatalf("rank-%d prob diverged beyond tolerance: warm %v vs scratch %v", i, tw, ts)
+			byLabel := make(map[string]float64, len(ts))
+			for _, p := range ts {
+				byLabel[p.Label] = p.Prob
+			}
+			for i, p := range tw {
+				sp, ok := byLabel[p.Label]
+				if !ok {
+					t.Fatalf("label %q in warm top-k but not scratch: %v vs %v", p.Label, tw, ts)
+				}
+				if math.Abs(p.Prob-sp) > 0.15 {
+					t.Fatalf("prob of %q diverged beyond tolerance: warm %v vs scratch %v", p.Label, tw, ts)
+				}
+				if math.Abs(p.Prob-ts[i].Prob) > 0.15 {
+					t.Fatalf("rank-%d prob diverged beyond tolerance: warm %v vs scratch %v", i, tw, ts)
+				}
 			}
 		}
-	}
-	if acc := warm.Accuracy(test); acc < 0.95 {
-		t.Errorf("warm-started accuracy = %g, want >= 0.95", acc)
-	}
+		if acc := warm.Accuracy(test); acc < 0.95 {
+			t.Errorf("warm-started accuracy = %g, want >= 0.95", acc)
+		}
+	})
 }
 
 // TestWarmStartGrowsFeatureSpace checks that a warm retrain tolerates new

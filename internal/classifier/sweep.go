@@ -22,10 +22,11 @@ func pickSweep() sweepFunc {
 	return sweep4Go
 }
 
-// Kernel names the score-sweep body this process uses: "avx2" for the
-// amd64 assembly kernel, "go" for the portable loop (other architectures,
-// CPUs without AVX2, and -race builds, whose detector cannot see memory
-// accesses made from assembly).
+// Kernel names the bodies this process uses for both classifier kernels,
+// the score sweep and the AdaGrad update, which are always picked
+// together: "avx2" for the amd64 assembly kernels, "go" for the portable
+// loops (other architectures, CPUs without AVX2, and -race builds, whose
+// detector cannot see memory accesses made from assembly).
 func Kernel() string {
 	if avx2Sweep != nil {
 		return "avx2"

@@ -2,7 +2,10 @@
 
 package classifier
 
-// avx2Sweep is nil: this build has no assembly kernel. Race builds use
-// the Go body on amd64 too, because the race detector does not see memory
-// accesses made from assembly.
-var avx2Sweep sweepFunc
+// avx2Sweep and avx2Update are nil: this build has no assembly kernels.
+// Race builds use the Go bodies on amd64 too, because the race detector
+// does not see memory accesses made from assembly.
+var (
+	avx2Sweep  sweepFunc
+	avx2Update updateFunc
+)

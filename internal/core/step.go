@@ -529,9 +529,11 @@ func (dr *DocumentRun) selectBatch(ctx context.Context) error {
 	budget := vc.BatchBudget
 	if budget <= 0 {
 		// Generous default: worst case all-manual batch plus all
-		// section skims.
-		budget = float64(batchSize)*e.cfg.Cost.ManualCost()*float64(vc.Checkers)*2 +
-			float64(dr.doc.Sections)*vc.SectionReadCost
+		// section skims. The explicit float64 conversions forbid fusing
+		// a product into an add (the compiler turns the *2 into one), so
+		// the budget rounds alike on every architecture.
+		manual := float64(float64(batchSize) * e.cfg.Cost.ManualCost() * float64(vc.Checkers))
+		budget = float64(manual*2) + float64(float64(dr.doc.Sections)*vc.SectionReadCost)
 	}
 	cfg := scheduler.Config{
 		MaxCost:         budget,
@@ -575,7 +577,7 @@ func (dr *DocumentRun) selectBatch(ctx context.Context) error {
 
 	// Section skimming cost (Definition 8), paid once per section per
 	// batch by each checker.
-	dr.res.Seconds += float64(len(batch.Sections)) * vc.SectionReadCost * float64(vc.Checkers)
+	dr.res.Seconds += float64(float64(len(batch.Sections)) * vc.SectionReadCost * float64(vc.Checkers))
 
 	dr.batchIDs = append([]int(nil), batch.ClaimIDs...)
 	dr.runs = make(map[int]*ClaimRun, len(dr.batchIDs))

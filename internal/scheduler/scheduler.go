@@ -74,7 +74,7 @@ func BatchCost(items []Item, sectionReadCost float64) float64 {
 		cost += it.VerifyCost
 		sections[it.Section] = true
 	}
-	return cost + float64(len(sections))*sectionReadCost
+	return cost + float64(float64(len(sections))*sectionReadCost)
 }
 
 // SelectBatch solves the Definition 9 optimisation over the given items. A
@@ -96,7 +96,7 @@ func SelectBatch(items []Item, cfg Config) (*Batch, error) {
 	for i, it := range items {
 		obj := it.Utility
 		if cfg.UtilityWeight > 0 {
-			obj = cfg.UtilityWeight*it.Utility - it.VerifyCost
+			obj = float64(cfg.UtilityWeight*it.Utility) - it.VerifyCost
 		}
 		claimVar[i] = m.AddVar(fmt.Sprintf("cs_%d", it.ClaimID), obj)
 	}
@@ -182,7 +182,7 @@ func SelectBatch(items []Item, cfg Config) (*Batch, error) {
 		}
 	}
 	sort.Ints(b.Sections)
-	b.Cost += float64(len(b.Sections)) * cfg.SectionReadCost
+	b.Cost += float64(float64(len(b.Sections)) * cfg.SectionReadCost)
 	return b, nil
 }
 
