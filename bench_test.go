@@ -1,6 +1,6 @@
 // Benchmarks that regenerate every table and figure of the paper's §6 on
 // scaled-down worlds (so `go test -bench=.` completes in minutes), plus
-// ablation benches for the design choices called out in DESIGN.md §4.
+// ablation benches for the design choices called out in DESIGN.md §2.
 // Headline metrics are attached via b.ReportMetric; cmd/experiments prints
 // the full rows at small or paper scale.
 package scrutinizer
@@ -290,7 +290,7 @@ func BenchmarkVerifyParallel(b *testing.B) {
 	b.Run("PaperWorld", func(b *testing.B) { benchVerify(b, paperBenchCfg(), runtime.NumCPU()) })
 }
 
-// --- Ablations (DESIGN.md §4) ---------------------------------------------
+// --- Ablations (DESIGN.md §2) ---------------------------------------------
 
 // verifyWeeks runs a full assisted verification under a given ordering and
 // returns team-weeks.

@@ -79,8 +79,11 @@ type trackedBench struct {
 // the ≥5x ratio); the root Verify pair is the serving-throughput headline.
 // BenchmarkVerifyInstrumented vs BenchmarkVerifyEndToEnd pins the cost of
 // the run-lifecycle metric hooks: <2% ns/op and equal allocs/op.
-// BenchmarkRetrainLabelGrowth pins warm-start retraining over a growing
-// label vocabulary; cold refits would cost about 3x.
+// BenchmarkRetrainLabelGrowth/fresh pins warm-start retraining over a
+// growing label vocabulary (cold refits would cost about 3x), and /run a
+// run's own sequence: a cold refit of the verifier's clone, then appended
+// fits. The refit keeps the verifier's class stride, so re-laying the
+// matrices out at every few barriers again would show in its B/op.
 // BenchmarkScorePaperShape times one paper-shape scoring pass per sweep
 // body (/go, and /avx2 where the CPU has it), and
 // BenchmarkAdagradPaperShape one paper-shape AdaGrad update per update

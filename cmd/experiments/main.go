@@ -339,7 +339,7 @@ func (r *runner) fig9() error {
 	return nil
 }
 
-// ablations runs the DESIGN.md §4 ablation comparisons: claim-ordering
+// ablations runs the DESIGN.md §2 ablation comparisons: claim-ordering
 // strategies and the question-planning design choices.
 func (r *runner) ablations() error {
 	w, err := worldgen.Generate(r.worldCfg)

@@ -86,23 +86,59 @@ func BenchmarkEntropy(b *testing.B) {
 // paper-scale run: batches of 100 examples join an append-only pool whose
 // label count grows every round (the vocabulary reaches ~300 labels over
 // eight barriers, near the ~400 of the largest paper-scale model), and the
-// model retrains on the whole pool after each batch. Only the first fit is
-// cold; every later round takes the warm growth path, so a slide back to
-// cold refits shows up as about 3x ns/op.
+// model retrains after each batch.
+//
+//   - /fresh starts from a new model and retrains on the whole pool after
+//     each batch. Only the first fit is cold; every later round takes the
+//     warm growth path, so a slide back to cold refits shows up as about
+//     3x ns/op.
+//   - /run is a run's own sequence: a clone of a "verifier" fitted on the
+//     whole pool (outside the timer) refits cold on the first batch, which
+//     lacks most of its labels, then fits each later batch with
+//     TrainAppended. The refit keeps the verifier's class stride, so the
+//     growing vocabulary fills spare columns; a return to re-laying the
+//     matrices out at every few barriers shows up in B/op and ns/op.
 func BenchmarkRetrainLabelGrowth(b *testing.B) {
 	pool := labelGrowthPool()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := New(Config{Epochs: 6, Seed: 1})
-		for end := 100; end <= len(pool); end += 100 {
-			if err := c.Train(pool[:end]); err != nil {
-				b.Fatal(err)
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c := New(Config{Epochs: 6, Seed: 1})
+			for end := 100; end <= len(pool); end += 100 {
+				if err := c.Train(pool[:end]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !c.WarmStarted() {
+				b.Fatal("expected warm-start retrains over a growing vocabulary")
 			}
 		}
-		if !c.WarmStarted() {
-			b.Fatal("expected warm-start retrains over a growing vocabulary")
+	})
+	b.Run("run", func(b *testing.B) {
+		verifier := New(Config{Epochs: 6, Seed: 1})
+		if err := verifier.Train(pool); err != nil {
+			b.Fatal(err)
 		}
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := verifier.Clone()
+			if err := c.Train(pool[:100]); err != nil {
+				b.Fatal(err)
+			}
+			if c.WarmStarted() {
+				b.Fatal("expected a cold refit of the verifier's clone")
+			}
+			for end := 200; end <= len(pool); end += 100 {
+				if err := c.TrainAppended(pool[:end]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !c.WarmStarted() {
+				b.Fatal("expected warm appended fits over a growing vocabulary")
+			}
+		}
+	})
 }
 
 // labelGrowthPool is the retrain sequence of BenchmarkRetrainLabelGrowth:

@@ -58,14 +58,17 @@
 // paper scale every batch brings new labels. As long as no previously
 // known label has vanished, Train reuses the existing weights and AdaGrad
 // state and runs only Config.WarmStartEpochs passes. New labels are
-// appended in first-seen order with zero weights. A cold fit lays the
-// matrices out at exactly the label count; new labels that fit the class
-// stride take its zero spare columns in place, and labels that outgrow it
-// re-lay the matrices out at strideGrowth times the stride, so a run's
-// growing vocabulary costs O(log labels) re-layouts, not one per barrier.
-// New feature rows append at the same stride. On the first fit, or when a
-// known label vanished, Train refits from scratch, so stale classes can
-// never linger.
+// appended in first-seen order with zero weights. A first fit lays the
+// matrices out at exactly the label count, and a cold refit at the larger
+// of the label count and the stride of the model it replaces: a run's
+// first fit refits its verifier's clone on a pool that lacks most of the
+// verifier's labels, and its later fits add them back. New labels that fit
+// the class stride take its zero spare columns in place, and labels that
+// outgrow it re-lay the matrices out at strideGrowth times the stride, so
+// a run's growing vocabulary costs at most O(log labels) re-layouts, not
+// one per barrier. New feature rows append at the same stride. On the
+// first fit, or when a known label vanished, Train refits from scratch, so
+// stale classes can never linger.
 // Config.ColdStart disables the warm path entirely for callers that need
 // scratch-identical models.
 //
@@ -352,9 +355,12 @@ func (c *Classifier) train(examples []Example, appended bool) error {
 		c.addLabels(examples)
 		nL := len(c.labels)
 		c.dim = maxIdx + 1
-		c.stride = nL
-		c.w = make([]float64, c.dim*nL)
-		c.gsq = make([]float64, c.dim*nL)
+		// A refit keeps the stride of the model it replaces (a fresh
+		// model's is 0), so the labels a run's warm fits add back fill
+		// spare columns instead of re-laying the matrices out.
+		c.stride = max(nL, c.stride)
+		c.w = make([]float64, c.dim*c.stride)
+		c.gsq = make([]float64, c.dim*c.stride)
 		c.bias = make([]float64, nL)
 		c.gsqB = make([]float64, nL)
 		// Pooled scratch buffers of the old width are filtered out by the

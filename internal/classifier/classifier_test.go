@@ -805,37 +805,130 @@ func TestWarmStartLabelGrowth(t *testing.T) {
 }
 
 // TestWarmGrowthInSpareColumnsAllocatesNoMatrix: a warm fit whose new
-// labels fit the class stride trains in the matrices it already has. The
-// bound is a quarter of one weight matrix, so a re-layout (two matrices)
-// fails it.
+// labels fit the class stride trains in the matrices it already has, both
+// after warm growth widened the stride and after a cold refit kept a wider
+// model's stride (a run's first fit of its verifier's clone). The bound is
+// a quarter of one weight matrix, so a re-layout (two matrices) fails it.
 func TestWarmGrowthInSpareColumnsAllocatesNoMatrix(t *testing.T) {
 	const dim = 3000
-	rng := rand.New(rand.NewSource(31))
-	// The widest feature is in the first fit, so later fits add no rows.
-	pool := append(randExamples(rng, 40, 8, dim),
-		Example{Features: vec(textproc.Vector{0: 1, dim - 1: 1}), Label: "label00"})
-	c := New(Config{Seed: 2, Epochs: 2})
-	trainAll(t, c, pool)
-	pool = append(pool, randExamples(rng, 20, 10, dim)...)
-	trainAll(t, c, pool) // 8 -> 10 labels: the stride grows to 12
-	pool = append(pool, randExamples(rng, 24, 12, dim)...)
-	w := &c.w[0]
+	// fitInPlace runs fit and fails unless it trains warm into the
+	// matrices c already has, ending with labels labels.
+	fitInPlace := func(t *testing.T, c *Classifier, fit func() error, labels int) {
+		t.Helper()
+		w := &c.w[0]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := fit(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		matrix := uint64(dim * c.stride * 8)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= matrix/4 {
+			t.Errorf("warm fit into spare columns allocated %d B; one weight matrix is %d B", got, matrix)
+		}
+		if !c.WarmStarted() || c.NumLabels() != labels || c.dim != dim {
+			t.Fatalf("fit shape: warm %v, %d labels, dim %d", c.WarmStarted(), c.NumLabels(), c.dim)
+		}
+		if &c.w[0] != w {
+			t.Error("the weight matrix moved")
+		}
+	}
+	// The widest feature is in every first fit, so later fits add no rows.
+	widest := Example{Features: vec(textproc.Vector{0: 1, dim - 1: 1}), Label: "label00"}
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	trainAll(t, c, pool) // 10 -> 12 labels
-	runtime.ReadMemStats(&after)
+	t.Run("after warm growth", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		pool := append(randExamples(rng, 40, 8, dim), widest)
+		c := New(Config{Seed: 2, Epochs: 2})
+		trainAll(t, c, pool)
+		pool = append(pool, randExamples(rng, 20, 10, dim)...)
+		trainAll(t, c, pool) // 8 -> 10 labels: the stride grows to 12
+		pool = append(pool, randExamples(rng, 24, 12, dim)...)
+		fitInPlace(t, c, func() error { return c.Train(pool) }, 12) // 10 -> 12 labels
+	})
 
-	matrix := uint64(dim * c.NumLabels() * 8)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= matrix/4 {
-		t.Errorf("warm fit into spare columns allocated %d B; one weight matrix is %d B", got, matrix)
+	t.Run("appended after a cold refit", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(37))
+		verifier := New(Config{Seed: 2, Epochs: 2})
+		trainAll(t, verifier, append(randExamples(rng, 48, 12, dim), widest))
+		// Six of the verifier's twelve labels: a cold refit that keeps
+		// the 12-column stride.
+		run := verifier.Clone()
+		pool := append(randExamples(rng, 24, 6, dim), widest)
+		trainAll(t, run, pool)
+		if run.WarmStarted() || run.stride != verifier.stride || run.stride != 12 {
+			t.Fatalf("refit: warm %v, stride %d, want cold at the verifier's %d", run.WarmStarted(), run.stride, verifier.stride)
+		}
+		for _, nL := range []int{9, 12} {
+			pool = append(pool, randExamples(rng, 2*nL, nL, dim)...)
+			fitInPlace(t, run, func() error { return run.TrainAppended(pool) }, nL)
+		}
+	})
+}
+
+// TestColdRefitKeepsStride: a cold refit lays the matrices out at the
+// stride of the model it replaces when its labels fit it, and at the label
+// count when they do not. The stride never enters the arithmetic, so the
+// refit scores bit-identically to a model laid out at its label count, its
+// spare columns stay zero, and under copy-on-write the parent it was
+// cloned from is untouched.
+func TestColdRefitKeepsStride(t *testing.T) {
+	cfg := Config{Seed: 7, Epochs: 4}
+	rng := rand.New(rand.NewSource(23))
+	probe := randFeatures(rand.New(rand.NewSource(29)), 20, 40)
+	parent := New(cfg)
+	trainAll(t, parent, randExamples(rng, 120, 12, 24))
+	if parent.stride != 12 {
+		t.Fatalf("a first fit lays out at stride %d, want the label count 12", parent.stride)
 	}
-	if !c.WarmStarted() || c.NumLabels() != 12 || c.dim != dim {
-		t.Fatalf("fit shape: warm %v, %d labels, dim %d", c.WarmStarted(), c.NumLabels(), c.dim)
+	before := viewOf(parent, probe)
+
+	// sameAsFresh fits a fresh model on set at c's round count (the
+	// shuffle stream advances with it, and a clone inherits it) and
+	// requires c to score bit-identically.
+	sameAsFresh := func(t *testing.T, c *Classifier, set []Example) {
+		t.Helper()
+		ref := New(cfg)
+		ref.rounds = c.rounds - 1
+		trainAll(t, ref, set)
+		if ref.stride != ref.NumLabels() {
+			t.Fatalf("the fresh model's stride is %d, want its label count %d", ref.stride, ref.NumLabels())
+		}
+		mustSameView(t, "refit vs fresh fit", viewOf(ref, probe), viewOf(c, probe))
 	}
-	if &c.w[0] != w {
-		t.Error("the weight matrix moved")
+
+	// Four of the parent's twelve labels, over wider features: cold.
+	narrow := randExamples(rng, 40, 4, 32)
+	clone := parent.Clone()
+	trainAll(t, clone, narrow)
+	if clone.WarmStarted() || clone.NumLabels() != 4 || clone.stride != 12 || len(clone.w) != clone.dim*12 || len(clone.gsq) != clone.dim*12 {
+		t.Fatalf("refit shape: warm %v, %d labels, stride %d, len(w) %d, len(gsq) %d, dim %d; want cold, 4 labels at stride 12",
+			clone.WarmStarted(), clone.NumLabels(), clone.stride, len(clone.w), len(clone.gsq), clone.dim)
 	}
+	for fi := 0; fi < clone.dim; fi++ {
+		for cls := clone.NumLabels(); cls < clone.stride; cls++ {
+			if clone.w[fi*clone.stride+cls] != 0 || clone.gsq[fi*clone.stride+cls] != 0 {
+				t.Fatalf("spare column %d of row %d is nonzero", cls, fi)
+			}
+		}
+	}
+	sameAsFresh(t, clone, narrow)
+	mustSameView(t, "parent after the clone's refit", before, viewOf(parent, probe))
+
+	// Fifteen labels without label00, which the clone knows: cold again,
+	// and wider than the kept stride, so laid out at the label count.
+	var wide []Example
+	for _, ex := range randExamples(rng, 80, 16, 24) {
+		if ex.Label != "label00" {
+			wide = append(wide, ex)
+		}
+	}
+	trainAll(t, clone, wide)
+	if clone.WarmStarted() || clone.NumLabels() != 15 || clone.stride != 15 {
+		t.Fatalf("refit shape: warm %v, %d labels, stride %d; want cold at stride 15", clone.WarmStarted(), clone.NumLabels(), clone.stride)
+	}
+	sameAsFresh(t, clone, wide)
+	mustSameView(t, "parent after the clone's second refit", before, viewOf(parent, probe))
 }
 
 // TestWarmStartLabelSwapRefitsCold: gaining one label while losing another

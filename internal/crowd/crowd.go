@@ -97,7 +97,7 @@ func (w *Worker) AnswerScreen(options []planner.Option, truth string, cm planner
 	var ans Answer
 	for i, opt := range options {
 		ans.OptionsRead = i + 1
-		ans.Seconds += cm.VerifyProperty * w.Speed
+		ans.Seconds += float64(cm.VerifyProperty * w.Speed)
 		correctJudgement := w.rng.Float64() < w.Accuracy
 		if opt.Value == truth {
 			if correctJudgement {
@@ -114,7 +114,7 @@ func (w *Worker) AnswerScreen(options []planner.Option, truth string, cm planner
 		}
 	}
 	// Nothing accepted: suggest. An accurate worker suggests the truth.
-	ans.Seconds += cm.SuggestProperty * w.Speed
+	ans.Seconds += float64(cm.SuggestProperty * w.Speed)
 	ans.Suggested = true
 	if w.rng.Float64() < w.Accuracy {
 		ans.Value = truth
@@ -132,7 +132,7 @@ func (w *Worker) AnswerFinal(candidates []string, truth string, cm planner.CostM
 	var ans Answer
 	for i, cand := range candidates {
 		ans.OptionsRead = i + 1
-		ans.Seconds += cm.VerifyFull * w.Speed
+		ans.Seconds += float64(cm.VerifyFull * w.Speed)
 		correctJudgement := w.rng.Float64() < w.Accuracy
 		if cand == truth {
 			if correctJudgement {
@@ -146,7 +146,7 @@ func (w *Worker) AnswerFinal(candidates []string, truth string, cm planner.CostM
 			return ans
 		}
 	}
-	ans.Seconds += cm.SuggestFull * w.Speed
+	ans.Seconds += float64(cm.SuggestFull * w.Speed)
 	ans.Suggested = true
 	if w.rng.Float64() < w.Accuracy {
 		ans.Value = truth
@@ -184,8 +184,8 @@ func NewTeam(prefix string, n int, baseAccuracy float64, seed int64) (*Team, err
 	rng := rand.New(rand.NewSource(seed))
 	t := &Team{}
 	for i := 0; i < n; i++ {
-		speed := 0.75 + rng.Float64()*0.5
-		acc := baseAccuracy - 0.03 + rng.Float64()*0.05
+		speed := 0.75 + float64(rng.Float64()*0.5)
+		acc := baseAccuracy - 0.03 + float64(rng.Float64()*0.05)
 		if acc < 0 {
 			acc = 0
 		}

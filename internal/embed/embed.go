@@ -198,14 +198,14 @@ func Train(sentences []string, cfg Config) (*Model, error) {
 		pr := proj[t.c]
 		vw := vecs[t.w]
 		for d := range vw {
-			vw[d] += pmi * pr[d]
+			vw[d] += float64(pmi * pr[d])
 		}
 	}
 	// L2-normalise non-zero vectors.
 	for i := range vecs {
 		var n float64
 		for _, x := range vecs[i] {
-			n += x * x
+			n += float64(x * x)
 		}
 		if n > 0 {
 			n = math.Sqrt(n)
@@ -271,9 +271,9 @@ func (m *Model) Similarity(a, b string) float64 {
 	}
 	var dot, na, nb float64
 	for d := range va {
-		dot += va[d] * vb[d]
-		na += va[d] * va[d]
-		nb += vb[d] * vb[d]
+		dot += float64(va[d] * vb[d])
+		na += float64(va[d] * va[d])
+		nb += float64(vb[d] * vb[d])
 	}
 	if na == 0 || nb == 0 {
 		return 0

@@ -69,7 +69,7 @@ func (cm CostModel) NumScreens() int {
 // OverheadBound returns the Theorem 1 worst-case relative verification
 // overhead (nop*vf + nsc*(vp+sp)) / sf for the given screen/option counts.
 func (cm CostModel) OverheadBound(nop, nsc int) float64 {
-	return (float64(nop)*cm.VerifyFull + float64(nsc)*(cm.VerifyProperty+cm.SuggestProperty)) / cm.SuggestFull
+	return (float64(float64(nop)*cm.VerifyFull) + float64(float64(nsc)*(cm.VerifyProperty+cm.SuggestProperty))) / cm.SuggestFull
 }
 
 // Option is one candidate answer for a property, with its classifier
@@ -120,7 +120,7 @@ func SortOptions(opts []Option) []Option {
 func ExpectedVerificationCost(ordered []Option, vp float64) float64 {
 	var cost, cum float64
 	for _, o := range ordered {
-		cost += vp * (1 - cum)
+		cost += float64(vp * (1 - cum))
 		cum += o.Prob
 		if cum > 1 {
 			cum = 1
@@ -340,7 +340,7 @@ func BuildPlan(cs *CandidateSpace, cm CostModel) (*Plan, error) {
 		}
 		shown = math.Min(shown, 1)
 		cost := ExpectedVerificationCost(ordered, cm.VerifyProperty)
-		cost += (1 - shown) * cm.SuggestProperty
+		cost += float64((1 - shown) * cm.SuggestProperty)
 		plan.Screens = append(plan.Screens, Screen{
 			Property:     p.Name,
 			Options:      ordered,
@@ -357,8 +357,8 @@ func BuildPlan(cs *CandidateSpace, cm CostModel) (*Plan, error) {
 	survivors := cs.ExpectedSurvivors(sel)
 	finalShown := int(math.Min(float64(nop), math.Max(survivors, 1)))
 	plan.FinalOptions = finalShown
-	expectedScan := float64(finalShown) * cm.VerifyFull
-	plan.ExpectedCost += expectedScan + (1-coverage)*cm.SuggestFull
+	expectedScan := float64(float64(finalShown) * cm.VerifyFull)
+	plan.ExpectedCost += expectedScan + float64((1-coverage)*cm.SuggestFull)
 	return plan, nil
 }
 

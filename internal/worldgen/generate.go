@@ -185,7 +185,7 @@ func (g *claimGen) render(c *claims.Claim, spec formulaSpec, subject string,
 	attrs []string, value float64, explicit, correct bool) error {
 
 	perturb := func(v float64) float64 {
-		factor := 1.15 + g.rng.Float64()*0.6 // 15%..75% off
+		factor := 1.15 + float64(g.rng.Float64()*0.6) // 15%..75% off
 		if g.rng.Intn(2) == 0 {
 			return v / factor
 		}
@@ -206,7 +206,7 @@ func (g *claimGen) render(c *claims.Claim, spec formulaSpec, subject string,
 		rate := value
 		stated := round3(rate)
 		if !correct {
-			stated = round3(perturb(rate + signOf(rate)*0.001))
+			stated = round3(perturb(rate + float64(signOf(rate)*0.001)))
 			if claims.RelClose(stated, rate, 0.1) {
 				stated = rate + 0.05 // force a visible contradiction
 			}

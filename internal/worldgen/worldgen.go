@@ -392,13 +392,13 @@ func Generate(cfg Config) (*World, error) {
 			}
 			used[ki] = true
 			rels[ri].keyIdx = append(rels[ri].keyIdx, ki)
-			base := 50 + rng.Float64()*5000
-			growth := 0.985 + rng.Float64()*0.05 // -1.5% .. +3.5% per year
+			base := 50 + float64(rng.Float64()*5000)
+			growth := 0.985 + float64(rng.Float64()*0.05) // -1.5% .. +3.5% per year
 			row := make([]float64, len(attrs))
 			var sum, peak, min float64
 			min = math.Inf(1)
 			for yi := 0; yi < nYears; yi++ {
-				noise := 1 + (rng.Float64()-0.5)*0.01
+				noise := 1 + float64((float64(rng.Float64())-0.5)*0.01) // the inner float64 keeps Float64 unfused too
 				v := base * math.Pow(growth, float64(yi)) * noise
 				v = math.Round(v*100) / 100
 				row[yi] = v
