@@ -91,11 +91,14 @@ type trackedBench struct {
 // the Go bodies' ns/op.
 // BenchmarkServiceAddCorpus/ephemeral pins that registering a corpus
 // without a store builds no journal record (a few dozen allocs, not one
-// per cell).
+// per cell). BenchmarkReadCSV pins parsing a paper-shape relation
+// straight into its cells, the bulk of recovering a corpus, and
+// BenchmarkRecoveryBoot/File a restart over a file store, the open scan
+// included.
 var defaultTracked = []trackedBench{
 	{Pkg: "./internal/classifier", Bench: "BenchmarkTrain500x200|BenchmarkWarmRetrain500x200|BenchmarkRetrainLabelGrowth|BenchmarkPredictTopK|BenchmarkEntropy|BenchmarkScorePaperShape|BenchmarkAdagradPaperShape"},
 	{Pkg: "./internal/textproc", Bench: "BenchmarkSparseDot|BenchmarkTransform"},
-	{Pkg: "./internal/table", Bench: "BenchmarkCellLookup$|BenchmarkCellLookupString"},
+	{Pkg: "./internal/table", Bench: "BenchmarkCellLookup$|BenchmarkCellLookupString|BenchmarkReadCSV"},
 	{Pkg: "./internal/query", Bench: "BenchmarkPlanExecute|BenchmarkExecuteCompiled|BenchmarkExecuteInterpreted"},
 	{Pkg: "./internal/core", Bench: "BenchmarkGenerateQueries$|BenchmarkGenerateQueriesCold|BenchmarkGenerateQueriesInterpreted|BenchmarkVerifyEndToEnd|BenchmarkVerifyWithDeadline|BenchmarkVerifyInstrumented"},
 	{Pkg: "./internal/session", Bench: "BenchmarkSessionCreate|BenchmarkSessionAnswerPump|BenchmarkSessionEvict"},

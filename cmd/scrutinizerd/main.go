@@ -276,7 +276,9 @@ func main() {
 		daemonLog.Info("journal recovered", "dir", *dataDir,
 			"records", rec.Records, "corpora", rec.Corpora,
 			"verifiers", rec.Verifiers, "sessions", rec.Sessions,
-			"skipped", rec.SessionsSkipped)
+			"skipped", rec.SessionsSkipped, "replay_s", rec.ReplayS,
+			"corpora_s", rec.CorporaS, "verifiers_s", rec.VerifiersS,
+			"sessions_s", rec.SessionsS)
 	}
 	if ci, ok := s.svc.CorpusInfo(defaultCorpusID); ok {
 		daemonLog.Info("corpus ready, serving",

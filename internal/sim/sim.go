@@ -179,7 +179,7 @@ func RunUserStudy(cfg StudyConfig) (*StudyResult, error) {
 
 	// Manual group M1..Mn.
 	for i := 0; i < cfg.ManualCheckers; i++ {
-		worker, err := crowd.NewWorker(fmt.Sprintf("M%d", i+1), 0.8+rng.Float64()*0.5, cfg.WorkerAccuracy, rng.Int63())
+		worker, err := crowd.NewWorker(fmt.Sprintf("M%d", i+1), 0.8+float64(rng.Float64()*0.5), cfg.WorkerAccuracy, rng.Int63())
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +197,7 @@ func RunUserStudy(cfg StudyConfig) (*StudyResult, error) {
 				return nil, err
 			}
 			ans := worker.ManualVerify(truthQ.SQL(), StudyCostModel())
-			secs := ans.Seconds + cfg.BaseRead*worker.Speed
+			secs := ans.Seconds + float64(cfg.BaseRead*worker.Speed)
 			cr.Seconds += secs
 			timings = append(timings, timing{c.Complexity(), secs, true})
 			if judgeManual(c, ans) {
@@ -216,7 +216,7 @@ func RunUserStudy(cfg StudyConfig) (*StudyResult, error) {
 	}
 	var judgements []sysJudgement
 	for i := 0; i < cfg.SystemCheckers; i++ {
-		worker, err := crowd.NewWorker(fmt.Sprintf("S%d", i+1), 0.8+rng.Float64()*0.5, cfg.WorkerAccuracy, rng.Int63())
+		worker, err := crowd.NewWorker(fmt.Sprintf("S%d", i+1), 0.8+float64(rng.Float64()*0.5), cfg.WorkerAccuracy, rng.Int63())
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +234,7 @@ func RunUserStudy(cfg StudyConfig) (*StudyResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			secs := out.Seconds + cfg.BaseRead*worker.Speed
+			secs := out.Seconds + float64(cfg.BaseRead*worker.Speed)
 			cr.Seconds += secs
 			timings = append(timings, timing{c.Complexity(), secs, false})
 			right := out.Verdict != core.VerdictSkipped && (out.Verdict == core.VerdictCorrect) == c.Correct
@@ -363,7 +363,7 @@ func bucketTimings(timings []timing) []ComplexityPoint {
 		}
 		a.n++
 		a.sum += t.seconds
-		a.sum2 += t.seconds * t.seconds
+		a.sum2 += float64(t.seconds * t.seconds)
 		if t.complexity > maxC {
 			maxC = t.complexity
 		}
@@ -395,7 +395,7 @@ func stddev(sum, sum2 float64, n int) float64 {
 		return 0
 	}
 	mean := sum / float64(n)
-	v := sum2/float64(n) - mean*mean
+	v := sum2/float64(n) - float64(mean*mean)
 	if v < 0 {
 		v = 0
 	}

@@ -216,13 +216,13 @@ func runManual(w *worldgen.World, cfg SimulationConfig) (SystemResult, error) {
 	var seconds float64
 	var samples []Sample
 	// The manual process also reads each section once per checker.
-	seconds += float64(w.Document.Sections) * cfg.SectionReadCost * float64(cfg.TeamSize)
+	seconds += float64(float64(w.Document.Sections) * cfg.SectionReadCost * float64(cfg.TeamSize))
 	for i, c := range w.Document.Claims {
 		// Each claim is checked by all checkers (the IEA process).
 		truthSQL := c.Truth.Formula // opaque token; manual cost is constant
 		for _, worker := range team.Workers {
 			ans := worker.ManualVerify(truthSQL, cost)
-			seconds += ans.Seconds + cfg.BaseRead*worker.Speed
+			seconds += ans.Seconds + float64(cfg.BaseRead*worker.Speed)
 		}
 		if (i+1)%cfg.BatchSize == 0 || i == len(w.Document.Claims)-1 {
 			samples = append(samples, Sample{
@@ -278,7 +278,7 @@ func runAssisted(w *worldgen.World, cfg SimulationConfig, sys System) (SystemRes
 		AfterBatch: func(batch, verified int, outs []*core.Outcome) {
 			var batchSecs float64
 			for _, o := range outs {
-				batchSecs += o.Seconds + cfg.BaseRead*float64(cfg.TeamSize)
+				batchSecs += o.Seconds + float64(cfg.BaseRead*float64(cfg.TeamSize))
 			}
 			crowdSeconds += batchSecs
 			s := Sample{
@@ -297,7 +297,7 @@ func runAssisted(w *worldgen.World, cfg SimulationConfig, sys System) (SystemRes
 
 	// Total crowd time: outcome seconds + per-claim reading + section
 	// skims accounted by core (res.Seconds includes screens and skims).
-	total := res.Seconds + cfg.BaseRead*float64(cfg.TeamSize)*float64(len(res.Outcomes))
+	total := res.Seconds + float64(cfg.BaseRead*float64(cfg.TeamSize)*float64(len(res.Outcomes)))
 	sr.Weeks = total / SecondsPerWeek(cfg.TeamSize)
 	sr.Series = series
 	sr.ComputeMinutes = wall.Minutes()
@@ -322,7 +322,7 @@ func runAssisted(w *worldgen.World, cfg SimulationConfig, sys System) (SystemRes
 // exact total is in res.Seconds, this keeps the per-batch curve monotone.
 func sectionSecondsSoFar(batches int, w *worldgen.World, cfg SimulationConfig) float64 {
 	perBatch := float64(w.Document.Sections) / max(1, float64(len(w.Document.Claims))/float64(cfg.BatchSize))
-	return float64(batches) * perBatch * cfg.SectionReadCost * float64(cfg.TeamSize)
+	return float64(float64(batches) * perBatch * cfg.SectionReadCost * float64(cfg.TeamSize))
 }
 
 // evalProbe selects the held-out accuracy sample.

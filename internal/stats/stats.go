@@ -69,7 +69,7 @@ func StdDev(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(xs)))
 }
@@ -133,7 +133,7 @@ func Entropy(probs []float64) float64 {
 			continue
 		}
 		q := p / maxP / total
-		h -= q * math.Log(q)
+		h -= float64(q * math.Log(q))
 	}
 	return h
 }
@@ -163,7 +163,7 @@ func (a *Accumulator) Add(x float64) {
 	}
 	d := x - a.mean
 	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
+	a.m2 += float64(d * (x - a.mean))
 }
 
 // Count returns the number of observations recorded.
@@ -227,5 +227,5 @@ func (h *Histogram) Observe(x, y float64) {
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Bins))
-	return h.Lo + w*(float64(i)+0.5)
+	return h.Lo + float64(w*(float64(i)+0.5))
 }

@@ -61,33 +61,84 @@ func AppendRecord(buf []byte, rec *Record) ([]byte, error) {
 // returns a partially decoded record. The int is the number of journal
 // bytes the record occupied (0 on any error).
 func DecodeRecord(r *bufio.Reader) (*Record, int, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, 0, io.EOF // clean end at a frame boundary
-		}
-		return nil, 0, fmt.Errorf("%w: reading frame header: %v", ErrTorn, err)
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return nil, 0, fmt.Errorf("%w: journal ends inside a frame header", ErrTorn)
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if n > maxRecordBytes {
-		return nil, 0, fmt.Errorf("%w: frame length %d exceeds the %d byte cap", ErrCorrupt, n, maxRecordBytes)
-	}
-	payload := make([]byte, n)
-	if rd, err := io.ReadFull(r, payload); err != nil {
-		return nil, 0, fmt.Errorf("%w: journal ends %d bytes into a %d byte record", ErrTorn, rd, n)
-	}
-	if got := crc32.Checksum(payload, crcTable); got != sum {
-		return nil, 0, fmt.Errorf("%w: checksum %08x, frame says %08x", ErrCorrupt, got, sum)
+	var buf []byte
+	return decodeRecord(r, &buf)
+}
+
+// decodeRecord is DecodeRecord reading the payload into *buf, which it
+// grows as needed and the caller may reuse: the record copies what it
+// keeps.
+func decodeRecord(r *bufio.Reader, buf *[]byte) (*Record, int, error) {
+	payload, err := readFrame(r, buf)
+	if err != nil {
+		return nil, 0, err
 	}
 	var rec Record
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return nil, 0, fmt.Errorf("%w: payload is not a record: %v", ErrCorrupt, err)
 	}
-	return &rec, frameHeaderLen + int(n), nil
+	return &rec, frameHeaderLen + len(payload), nil
+}
+
+// readFrame reads one frame's payload into *buf and checks its length and
+// checksum; the payload is not interpreted. Errors are those of
+// DecodeRecord.
+func readFrame(r *bufio.Reader, buf *[]byte) ([]byte, error) {
+	var hdr [frameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
+		if errors.Is(err, io.EOF) {
+			return nil, io.EOF // clean end at a frame boundary
+		}
+		return nil, fmt.Errorf("%w: reading frame header: %v", ErrTorn, err)
+	}
+	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
+		return nil, fmt.Errorf("%w: journal ends inside a frame header", ErrTorn)
+	}
+	n := binary.LittleEndian.Uint32(hdr[0:4])
+	sum := binary.LittleEndian.Uint32(hdr[4:8])
+	if n > maxRecordBytes {
+		return nil, fmt.Errorf("%w: frame length %d exceeds the %d byte cap", ErrCorrupt, n, maxRecordBytes)
+	}
+	if uint32(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	payload := (*buf)[:n]
+	if rd, err := io.ReadFull(r, payload); err != nil {
+		return nil, fmt.Errorf("%w: journal ends %d bytes into a %d byte record", ErrTorn, rd, n)
+	}
+	if got := crc32.Checksum(payload, crcTable); got != sum {
+		return nil, fmt.Errorf("%w: checksum %08x, frame says %08x", ErrCorrupt, got, sum)
+	}
+	return payload, nil
+}
+
+// scanFrames walks r's frames without decoding records: each frame's
+// length and checksum are checked and its payload must be JSON, read into
+// one reused buffer. It returns the frame count and the offset just past
+// the last intact frame, with ScanJournal's verdicts. A frame that is JSON
+// but not a Record passes here; ScanJournal, the one full decoder, reports
+// it as ErrCorrupt.
+func scanFrames(r io.Reader) (uint64, int64, error) {
+	br := bufio.NewReader(r)
+	var (
+		buf   []byte
+		count uint64
+		off   int64
+	)
+	for {
+		payload, err := readFrame(br, &buf)
+		if errors.Is(err, io.EOF) {
+			return count, off, nil
+		}
+		if err != nil {
+			return count, off, err
+		}
+		if !json.Valid(payload) {
+			return count, off, fmt.Errorf("%w: payload is not JSON", ErrCorrupt)
+		}
+		count++
+		off += int64(frameHeaderLen + len(payload))
+	}
 }
 
 // ScanJournal decodes records from r in order, calling fn for each. It
@@ -98,9 +149,12 @@ func DecodeRecord(r *bufio.Reader) (*Record, int, error) {
 // verbatim.
 func ScanJournal(r io.Reader, fn func(*Record) error) (int64, error) {
 	br := bufio.NewReader(r)
-	var off int64
+	var (
+		buf []byte
+		off int64
+	)
 	for {
-		rec, n, err := DecodeRecord(br)
+		rec, n, err := decodeRecord(br, &buf)
 		if errors.Is(err, io.EOF) {
 			return off, nil
 		}

@@ -32,4 +32,10 @@
 // record or an error (io.EOF at a clean end, ErrTorn for a truncated tail,
 // ErrCorrupt for checksum/format damage), and it never panics on arbitrary
 // input (pinned by FuzzJournalDecode).
+//
+// Opening a file store checks frames without decoding records: length,
+// checksum and that the payload is JSON. A payload that is not JSON is
+// part of a damaged tail and truncated; a checksum-intact JSON payload
+// that is not a Record, which Append cannot write, is kept, and Replay —
+// the one decoder of records — reports it as ErrCorrupt.
 package store

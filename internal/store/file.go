@@ -32,7 +32,11 @@ type File struct {
 // OpenFileStore opens (creating as needed) a file store rooted at dir. If
 // the journal has a torn or corrupt tail — a crash mid-append — it is
 // truncated back to the last intact record before the store is returned;
-// Stats().TornTailRecovered reports that this happened.
+// Stats().TornTailRecovered reports that this happened. A tail is damaged
+// when its frame is cut short, fails its checksum or carries a payload
+// that is not JSON. A checksum-intact JSON frame that is not a Record is
+// kept, with everything after it, and Replay reports it as ErrCorrupt:
+// Append never writes one, so it is not a crash's leftover.
 func OpenFileStore(dir string) (*File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating data dir: %w", err)
@@ -43,8 +47,9 @@ func OpenFileStore(dir string) (*File, error) {
 		return nil, fmt.Errorf("store: opening journal: %w", err)
 	}
 	st := &File{dir: dir, f: f}
-	var count uint64
-	off, err := ScanJournal(f, func(*Record) error { count++; return nil })
+	// The open scan checks frames but decodes no record: Replay decodes
+	// each one, once, when the service recovers.
+	count, off, err := scanFrames(f)
 	if err != nil {
 		if !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) {
 			f.Close()

@@ -16,7 +16,8 @@ func newBufReader(b []byte) *bufio.Reader { return bufio.NewReader(bytes.NewRead
 // bytes: decoding never panics, never allocates past the record cap, and
 // classifies every journal as a clean prefix plus (optionally) one
 // torn/corrupt tail — the offset it reports always points at a frame
-// boundary that re-decodes cleanly.
+// boundary that re-decodes cleanly. The open scan, which checks frames
+// without decoding records, keeps every frame the decoder accepts.
 func FuzzJournalDecode(f *testing.F) {
 	// Seed corpus: an empty journal, intact journals of one and two
 	// records, every truncation point of a valid frame, and targeted
@@ -91,6 +92,19 @@ func FuzzJournalDecode(f *testing.F) {
 		}
 		if recs != recs2 {
 			t.Fatalf("ScanJournal saw %d records, DecodeRecord loop saw %d", recs, recs2)
+		}
+		// The open scan keeps at least the frames the full decoder
+		// accepts, and exactly those when the decoder reached a clean end
+		// or a frame the open scan also rejects.
+		frames, soff, serr := scanFrames(bytes.NewReader(data))
+		if soff < off || frames < uint64(recs) {
+			t.Fatalf("open scan kept %d frames (%d bytes), the decoder %d records (%d bytes)", frames, soff, recs, off)
+		}
+		if soff == off && (frames != uint64(recs) || (serr == nil) != (err == nil)) {
+			t.Fatalf("open scan: %d frames, %v; decoder: %d records, %v", frames, serr, recs, err)
+		}
+		if err == nil && (serr != nil || soff != off) {
+			t.Fatalf("open scan failed a clean journal: %v at %d", serr, soff)
 		}
 	})
 }

@@ -361,3 +361,83 @@ func TestDecodeRecordChecksumUsesCastagnoli(t *testing.T) {
 		t.Fatalf("IEEE-checksummed frame decoded: %v, want ErrCorrupt", err)
 	}
 }
+
+// rawFrame frames payload with an intact length and checksum, whatever the
+// payload is.
+func rawFrame(payload []byte) []byte {
+	var hdr [frameHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	return append(hdr[:], payload...)
+}
+
+// TestRecoveryOpenScanContract pins what OpenFileStore's scan checks
+// without decoding records: a checksum-intact frame whose payload is not
+// JSON is a corrupt tail and is truncated with everything after it, while
+// a checksum-intact JSON frame that is not a Record is kept (Append never
+// writes one, so it is not a crash's leftover) and Replay, the one full
+// decoder, reports it as ErrCorrupt.
+func TestRecoveryOpenScanContract(t *testing.T) {
+	keep := testRecord(OpCorpusCreate, "c1", "")
+	after := testRecord(OpCorpusDelete, "c1", "")
+	afterFrame, err := AppendRecord(nil, &Record{Seq: 3, Op: after.Op, Corpus: after.Corpus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// journalWith writes keep, then the bad frame, then one more intact
+	// record, and returns the directory and the journal's size.
+	journalWith := func(bad []byte) (string, int64) {
+		dir := t.TempDir()
+		s, err := OpenFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, s, keep)
+		s.Close()
+		f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(append(rawFrame(bad), afterFrame...)); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		fi, err := os.Stat(filepath.Join(dir, journalName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir, fi.Size()
+	}
+
+	t.Run("not JSON is truncated", func(t *testing.T) {
+		dir, _ := journalWith([]byte(`{"seq":2,"op":"corpus.delete"`))
+		s, err := OpenFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		st := s.Stats()
+		if !st.TornTailRecovered || st.Records != 1 {
+			t.Fatalf("Stats = %+v, want a recovered tail and 1 record", st)
+		}
+		checkRecords(t, replayAll(t, s), keep)
+	})
+
+	t.Run("JSON but not a record is kept", func(t *testing.T) {
+		dir, size := journalWith([]byte(`{"seq":2,"op":["corpus.delete"]}`))
+		s, err := OpenFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		st := s.Stats()
+		if st.TornTailRecovered || st.Records != 3 || st.JournalBytes != size {
+			t.Fatalf("Stats = %+v, want all 3 frames (%d bytes) kept", st, size)
+		}
+		var seen int
+		err = s.Replay(func(*Record) error { seen++; return nil })
+		if !errors.Is(err, ErrCorrupt) || seen != 1 {
+			t.Fatalf("Replay saw %d records and returned %v, want 1 and ErrCorrupt", seen, err)
+		}
+	})
+}

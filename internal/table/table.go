@@ -148,36 +148,19 @@ func (r *Relation) Metadata() map[string]string {
 // AddRow appends a row with the given key and values (one per attribute, in
 // attribute order). It fails on duplicate keys or arity mismatch.
 func (r *Relation) AddRow(key string, values []float64) error {
-	if key == "" {
-		return fmt.Errorf("table: empty row key in relation %q", r.name)
-	}
-	if _, dup := r.rowIdx[key]; dup {
-		return fmt.Errorf("table: duplicate row key %q in relation %q", key, r.name)
-	}
 	if len(values) != len(r.attrs) {
 		return fmt.Errorf("table: row %q has %d values, relation %q has %d attributes",
 			key, len(values), r.name, len(r.attrs))
 	}
-	r.rowIdx[key] = len(r.rowKeys)
-	r.rowKeys = append(r.rowKeys, key)
-	r.cells = append(r.cells, append([]float64(nil), values...))
 	pres := make([]bool, len(values))
 	for i := range pres {
 		pres[i] = true
 	}
-	r.present = append(r.present, pres)
-	r.touch()
-	return nil
+	return r.appendRow(key, append([]float64(nil), values...), pres)
 }
 
 // AddSparseRow appends a row where only some attributes have values.
 func (r *Relation) AddSparseRow(key string, values map[string]float64) error {
-	if key == "" {
-		return fmt.Errorf("table: empty row key in relation %q", r.name)
-	}
-	if _, dup := r.rowIdx[key]; dup {
-		return fmt.Errorf("table: duplicate row key %q in relation %q", key, r.name)
-	}
 	row := make([]float64, len(r.attrs))
 	pres := make([]bool, len(r.attrs))
 	for a, v := range values {
@@ -187,6 +170,19 @@ func (r *Relation) AddSparseRow(key string, values map[string]float64) error {
 		}
 		row[i] = v
 		pres[i] = true
+	}
+	return r.appendRow(key, row, pres)
+}
+
+// appendRow appends a row already laid out in attribute order, taking
+// ownership of row and pres. It is the one place rows are added, so the
+// empty-key and duplicate-key checks live here.
+func (r *Relation) appendRow(key string, row []float64, pres []bool) error {
+	if key == "" {
+		return fmt.Errorf("table: empty row key in relation %q", r.name)
+	}
+	if _, dup := r.rowIdx[key]; dup {
+		return fmt.Errorf("table: duplicate row key %q in relation %q", key, r.name)
 	}
 	r.rowIdx[key] = len(r.rowKeys)
 	r.rowKeys = append(r.rowKeys, key)
@@ -316,10 +312,14 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses a relation from CSV. The first column is the key attribute;
-// empty cells become NULLs.
+// empty cells become NULLs. Each row is parsed straight into its cells by
+// header position, and its key is copied out of the CSV line: encoding/csv
+// slices every field of a record out of one string, so a key left as read
+// would keep its whole line alive for the relation's lifetime.
 func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 	cr := csv.NewReader(rd)
 	cr.FieldsPerRecord = -1
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("table: reading header of %q: %w", name, err)
@@ -331,6 +331,9 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The reader reuses its record slice, so from here on the attribute
+	// names come from rel, which copied them.
+	attrs := rel.attrs
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -339,10 +342,11 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table: reading %q line %d: %w", name, line, err)
 		}
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("table: %q line %d has %d fields, want %d", name, line, len(rec), len(header))
+		if len(rec) != len(attrs)+1 {
+			return nil, fmt.Errorf("table: %q line %d has %d fields, want %d", name, line, len(rec), len(attrs)+1)
 		}
-		vals := make(map[string]float64, len(rec)-1)
+		row := make([]float64, len(attrs))
+		pres := make([]bool, len(attrs))
 		for i, cell := range rec[1:] {
 			cell = strings.TrimSpace(cell)
 			if cell == "" {
@@ -350,11 +354,12 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 			}
 			v, err := strconv.ParseFloat(cell, 64)
 			if err != nil {
-				return nil, fmt.Errorf("table: %q line %d column %q: %w", name, line, header[i+1], err)
+				return nil, fmt.Errorf("table: %q line %d column %q: %w", name, line, attrs[i], err)
 			}
-			vals[header[i+1]] = v
+			row[i] = v
+			pres[i] = true
 		}
-		if err := rel.AddSparseRow(rec[0], vals); err != nil {
+		if err := rel.appendRow(strings.Clone(rec[0]), row, pres); err != nil {
 			return nil, err
 		}
 	}

@@ -26,8 +26,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 	"unicode/utf8"
 
@@ -238,6 +241,15 @@ type RecoveryStats struct {
 	// referenced resources deleted later in the journal or failed replay.
 	Sessions        int `json:"sessions_restored"`
 	SessionsSkipped int `json:"sessions_skipped"`
+	// The phases of the pass, in seconds and in the order they run:
+	// replaying the journal into the surviving resource set, parsing and
+	// registering the corpora, retraining the verifiers and re-parking the
+	// sessions. Each starts where the previous one ended, so together
+	// they are the pass's wall time up to attaching the store.
+	ReplayS    float64 `json:"replay_s"`
+	CorporaS   float64 `json:"corpora_s"`
+	VerifiersS float64 `json:"verifiers_s"`
+	SessionsS  float64 `json:"sessions_s"`
 }
 
 // recVerifier is one surviving verifier.create during replay.
@@ -267,6 +279,13 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 		return RecoveryStats{}, fmt.Errorf("scrutinizer: nil store")
 	}
 	var stats RecoveryStats
+	mark := time.Now()
+	// phase times the span since the previous phase boundary.
+	phase := func(d *float64) {
+		now := time.Now()
+		*d = now.Sub(mark).Seconds()
+		mark = now
+	}
 
 	// Pass 1: fold the journal into the surviving resource set. Nothing is
 	// materialized yet, so a resource deleted later in the journal is never
@@ -365,6 +384,7 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 	if err != nil {
 		return stats, fmt.Errorf("scrutinizer: replaying journal: %w", err)
 	}
+	phase(&stats.ReplayS)
 
 	// Pass 2: materialize the surviving corpora, then register them,
 	// mutating state directly — the store is not attached yet, so nothing
@@ -400,6 +420,7 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 		s.verifierSeq = verifierSeq
 	}
 	s.mu.Unlock()
+	phase(&stats.CorporaS)
 
 	for _, id := range verifierOrder {
 		rv, ok := verifiers[id]
@@ -415,6 +436,7 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 		s.mu.Unlock()
 		stats.Verifiers++
 	}
+	phase(&stats.VerifiersS)
 
 	// Re-park sessions by answer-log replay. Hooks are not installed yet,
 	// so replay does not re-journal (and Session.Answer additionally
@@ -446,6 +468,7 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 			stats.Sessions++
 		}
 	}
+	phase(&stats.SessionsS)
 
 	// Attach: from here every accepted mutation journals.
 	s.store = st
@@ -481,46 +504,116 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 // buildCorpus applies one surviving corpus's journaled records — its create
 // dump, then relation puts and deletes — in journal order, which keeps
 // relation order (and so the corpus's interned index) as it was live.
+// Parsing the relations is nearly all of the work and each one stands
+// alone, so parseSteps does it first, in parallel; the apply loop is then
+// sequential and reports the error the one-pass rebuild would have met
+// first.
 func buildCorpus(id string, records []*store.Record) (*Corpus, error) {
-	c := NewCorpus()
+	var steps []relationStep
 	for _, rec := range records {
-		switch rec.Op {
-		case store.OpCorpusCreate:
-			var p store.CorpusPayload
-			if len(rec.Payload) > 0 {
-				if err := json.Unmarshal(rec.Payload, &p); err != nil {
-					return nil, fmt.Errorf("corpus %q payload: %w", id, err)
-				}
+		if rec.Op != store.OpCorpusCreate {
+			steps = append(steps, relationStep{rec: rec})
+			continue
+		}
+		var p store.CorpusPayload
+		if len(rec.Payload) > 0 {
+			if err := json.Unmarshal(rec.Payload, &p); err != nil {
+				return nil, fmt.Errorf("corpus %q payload: %w", id, err)
 			}
-			for _, rp := range p.Relations {
-				rel, err := decodeRelation(rp)
-				if err != nil {
-					return nil, fmt.Errorf("corpus %q relation %q: %w", id, rp.Name, err)
-				}
-				if err := c.Add(rel); err != nil {
-					return nil, fmt.Errorf("corpus %q: %w", id, err)
-				}
-			}
+		}
+		for _, rp := range p.Relations {
+			steps = append(steps, relationStep{dump: rp})
+		}
+	}
+	parseSteps(id, steps)
 
-		case store.OpRelationPut:
-			var rp store.RelationPayload
-			if err := json.Unmarshal(rec.Payload, &rp); err != nil {
-				return nil, fmt.Errorf("relation %q payload: %w", rec.Relation, err)
+	c := NewCorpus()
+	for i := range steps {
+		st := &steps[i]
+		if st.err != nil {
+			return nil, st.err
+		}
+		switch {
+		case st.rec == nil:
+			if err := c.Add(st.rel); err != nil {
+				return nil, fmt.Errorf("corpus %q: %w", id, err)
 			}
-			rel, err := decodeRelation(rp)
-			if err != nil {
-				return nil, fmt.Errorf("relation %q: %w", rec.Relation, err)
+		case st.rec.Op == store.OpRelationPut:
+			c.Remove(st.rel.Name())
+			if err := c.Add(st.rel); err != nil {
+				return nil, fmt.Errorf("relation %q: %w", st.rec.Relation, err)
 			}
-			c.Remove(rel.Name())
-			if err := c.Add(rel); err != nil {
-				return nil, fmt.Errorf("relation %q: %w", rec.Relation, err)
-			}
-
-		case store.OpRelationDelete:
-			c.Remove(rec.Relation)
+		case st.rec.Op == store.OpRelationDelete:
+			c.Remove(st.rec.Relation)
 		}
 	}
 	return c, nil
+}
+
+// relationStep is one step of a corpus rebuild: a relation of the create
+// dump, or a later put or delete record.
+type relationStep struct {
+	rec  *store.Record         // the put or delete; nil for a dump entry
+	dump store.RelationPayload // a dump entry's relation
+	// rel is the parsed relation of a dump entry or put; err is its
+	// parse failure, wrapped as the apply loop reports it.
+	rel *Relation
+	err error
+}
+
+// parse decodes the step's relation; a delete has none.
+func (st *relationStep) parse(corpusID string) {
+	if st.rec == nil {
+		st.rel, st.err = decodeRelation(st.dump)
+		if st.err != nil {
+			st.err = fmt.Errorf("corpus %q relation %q: %w", corpusID, st.dump.Name, st.err)
+		}
+		return
+	}
+	if st.rec.Op != store.OpRelationPut {
+		return
+	}
+	var rp store.RelationPayload
+	if err := json.Unmarshal(st.rec.Payload, &rp); err != nil {
+		st.err = fmt.Errorf("relation %q payload: %w", st.rec.Relation, err)
+		return
+	}
+	rel, err := decodeRelation(rp)
+	if err != nil {
+		st.err = fmt.Errorf("relation %q: %w", st.rec.Relation, err)
+		return
+	}
+	st.rel = rel
+}
+
+// parseSteps parses the steps' relations on up to GOMAXPROCS goroutines.
+// Workers take steps in journal order and take no more after the first
+// failure. Every step before a failed one was taken already, so the apply
+// loop meets the same first error as a sequential parse, and never reaches
+// a step left unparsed.
+func parseSteps(corpusID string, steps []relationStep) {
+	workers := min(runtime.GOMAXPROCS(0), len(steps))
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(steps) {
+					return
+				}
+				if steps[i].parse(corpusID); steps[i].err != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // rebuildVerifier re-materializes one verifier by deterministic retraining

@@ -108,7 +108,9 @@ func BenchmarkServiceVerifyCold(b *testing.B) {
 // store (one corpus, one trained verifier, one live session with a short
 // answer log): the restart latency a -data-dir deployment pays. Recovery
 // re-fits features and classifiers from the journaled training document —
-// the only boot path — so the sub-benchmark is named Retrain.
+// the only boot path — so the sub-benchmark over a memory store is named
+// Retrain. File replays the same journal from a file store and adds
+// OpenFileStore's scan of it: what a daemon restart pays.
 func BenchmarkRecoveryBoot(b *testing.B) {
 	w := benchServiceWorld(b)
 	st := NewMemoryStore()
@@ -141,6 +143,33 @@ func BenchmarkRecoveryBoot(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			svc2 := NewService()
 			stats, err := svc2.Recover(st, NewSessionManager(0, 0))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if stats.Verifiers != 1 || stats.Sessions != 1 {
+				b.Fatalf("unexpected recovery: %+v", stats)
+			}
+		}
+	})
+	dir := b.TempDir()
+	fst, err := OpenFileStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Replay(fst.Append); err != nil {
+		b.Fatal(err)
+	}
+	if err := fst.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("File", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fst, err := OpenFileStore(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			stats, err := NewService().Recover(fst, NewSessionManager(0, 0))
+			fst.Close()
 			if err != nil {
 				b.Fatal(err)
 			}
