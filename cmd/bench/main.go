@@ -94,7 +94,8 @@ type trackedBench struct {
 // per cell). BenchmarkReadCSV pins parsing a paper-shape relation
 // straight into its cells, the bulk of recovering a corpus, and
 // BenchmarkRecoveryBoot/File a restart over a file store, the open scan
-// included.
+// included. BenchmarkDecodeCorpusPayload pins decoding a paper-shape
+// corpus dump on the journal's canonical JSON path, not encoding/json.
 var defaultTracked = []trackedBench{
 	{Pkg: "./internal/classifier", Bench: "BenchmarkTrain500x200|BenchmarkWarmRetrain500x200|BenchmarkRetrainLabelGrowth|BenchmarkPredictTopK|BenchmarkEntropy|BenchmarkScorePaperShape|BenchmarkAdagradPaperShape"},
 	{Pkg: "./internal/textproc", Bench: "BenchmarkSparseDot|BenchmarkTransform"},
@@ -102,6 +103,7 @@ var defaultTracked = []trackedBench{
 	{Pkg: "./internal/query", Bench: "BenchmarkPlanExecute|BenchmarkExecuteCompiled|BenchmarkExecuteInterpreted"},
 	{Pkg: "./internal/core", Bench: "BenchmarkGenerateQueries$|BenchmarkGenerateQueriesCold|BenchmarkGenerateQueriesInterpreted|BenchmarkVerifyEndToEnd|BenchmarkVerifyWithDeadline|BenchmarkVerifyInstrumented"},
 	{Pkg: "./internal/session", Bench: "BenchmarkSessionCreate|BenchmarkSessionAnswerPump|BenchmarkSessionEvict"},
+	{Pkg: "./internal/store", Bench: "BenchmarkDecodeCorpusPayload"},
 	{Pkg: ".", Bench: "BenchmarkVerifySequential/SmallWorld|BenchmarkVerifyParallel/SmallWorld|BenchmarkServiceVerifyCold|BenchmarkServiceVerifyWarm|BenchmarkServiceSetupCold|BenchmarkServiceSetupWarm|BenchmarkRecoveryBoot|BenchmarkServiceAddCorpus|BenchmarkConcurrentRunsSharedCorpus|BenchmarkServiceManyTenants"},
 }
 

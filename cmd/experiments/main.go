@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (§6) on the synthetic world. Each experiment prints the same
 // rows/series the paper reports, plus the measured values, so the shape can
-// be compared directly (see EXPERIMENTS.md).
+// be compared directly (DESIGN.md §2 reports the ablation rows).
 //
 // Usage:
 //

@@ -409,3 +409,27 @@ func TestRecoveryRefusesNonUTF8Upload(t *testing.T) {
 		t.Fatalf("recovered corpus up holds %q, want only %q", names, "ok")
 	}
 }
+
+// TestRecoveryRefusesCRLFCorpus: a corpus is journaled as its relations'
+// CSV dumps, which read a quoted "\r\n" back as "\n", so POST /v1/corpora
+// with a relation whose row key holds "\r\n" is refused with 422, as a
+// relation upload the journal could not carry is, instead of being
+// acknowledged and then recovered with a different key.
+func TestRecoveryRefusesCRLFCorpus(t *testing.T) {
+	w := recoveryTestWorld(t)
+	fs, err := scrutinizer.OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	s, ts := storedServer(t, w, fs)
+	body := []byte(`{"id": "crlf", "relations": [{"name": "r", "csv": "Index,a\n\"x\r\r\ny\",1\n"}]}`)
+	resp := do(t, "POST", ts.URL+"/v1/corpora", body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("POST corpus: status %d, want 422", resp.StatusCode)
+	}
+	if _, ok := s.svc.Corpus("crlf"); ok {
+		t.Fatal("refused corpus is registered")
+	}
+}

@@ -72,6 +72,10 @@ func (s *server) handleCorpusCreate(w http.ResponseWriter, r *http.Request) {
 		status := http.StatusBadRequest
 		if _, taken := s.svc.Corpus(req.ID); taken {
 			status = http.StatusConflict
+		} else if errors.Is(err, scrutinizer.ErrNotUTF8) || errors.Is(err, scrutinizer.ErrCRLF) {
+			// A relation the journal could not carry, refused like an
+			// upload of one.
+			status = http.StatusUnprocessableEntity
 		}
 		httpError(w, status, err.Error())
 		return

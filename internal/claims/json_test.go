@@ -2,6 +2,7 @@ package claims
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -95,4 +96,44 @@ func TestJSONOmitsAbsentParam(t *testing.T) {
 	if strings.Contains(buf.String(), `"param"`) || strings.Contains(buf.String(), `"cmp"`) {
 		t.Errorf("param fields should be omitted:\n%s", buf.String())
 	}
+}
+
+// FuzzReadDocumentJSON holds ReadJSON, which decodes uploaded documents
+// and, at recovery, the journaled training and session documents, to two
+// properties on any input: it does not panic, and every document it
+// accepts round-trips through WriteJSON to an equal document.
+func FuzzReadDocumentJSON(f *testing.F) {
+	var buf bytes.Buffer
+	if err := sampleDocument().WriteJSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, s := range []string{
+		"", "{not json", "null", "{}", `{"title":"x","sections":1,"claims":[]}`,
+		`{"title":"x","sections":1,"claims":[{"id":1,"kind":"weird"}]}`,
+		`{"title":"x","sections":1,"claims":[{"id":1,"param":1,"cmp":"~"}]}`,
+		`{"title":"x","sections":1,"claims":[{"id":1},{"id":1}]}`,
+		`{"title":"x","sections":2,"claims":[{"id":1,"section":1,"param":-0,"truth":{}},null]}`,
+		`{"title":"\ud800 ","sections":1,"claims":[{"id":2,"text":"\xff","kind":"general","param":1e308,"cmp":">","truth":{"Relations":[],"Keys":null,"Value":1.5}}]} trailing`,
+		`{"unknown_field":true}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := d.WriteJSON(&out); err != nil {
+			t.Fatalf("writing an accepted document: %v", err)
+		}
+		back, err := ReadJSON(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading the WriteJSON output: %v\n%s", err, out.Bytes())
+		}
+		if !reflect.DeepEqual(d, back) {
+			t.Fatalf("round trip changed the document:\n%s", out.Bytes())
+		}
+	})
 }

@@ -264,7 +264,8 @@ func runAssisted(w *worldgen.World, cfg SimulationConfig, sys System) (SystemRes
 	// expensive and utility differentiates; once they are confident the
 	// cost term dominates and cheap claims are preferred, postponing
 	// difficult ones to the end (§6.2's discussion of Figure 8). The
-	// weight was calibrated by a sweep; see EXPERIMENTS.md.
+	// weight is a fixed setting, not a measured optimum; DESIGN.md §2
+	// compares the orderings.
 	utilityWeight := 5.0
 	if sys == SystemSequential {
 		utilityWeight = 0

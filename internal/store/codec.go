@@ -73,8 +73,8 @@ func decodeRecord(r *bufio.Reader, buf *[]byte) (*Record, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	rec, err := decodeCanon(payload, decodeRecordCanon)
+	if err != nil {
 		return nil, 0, fmt.Errorf("%w: payload is not a record: %v", ErrCorrupt, err)
 	}
 	return &rec, frameHeaderLen + len(payload), nil
@@ -113,11 +113,11 @@ func readFrame(r *bufio.Reader, buf *[]byte) ([]byte, error) {
 }
 
 // scanFrames walks r's frames without decoding records: each frame's
-// length and checksum are checked and its payload must be JSON, read into
-// one reused buffer. It returns the frame count and the offset just past
-// the last intact frame, with ScanJournal's verdicts. A frame that is JSON
-// but not a Record passes here; ScanJournal, the one full decoder, reports
-// it as ErrCorrupt.
+// length and checksum are checked and its payload, read into one reused
+// buffer, must be JSON (validJSON, json.Valid's verdict). It returns the
+// frame count and the offset just past the last intact frame, with
+// ScanJournal's verdicts. A frame that is JSON but not a Record passes
+// here; ScanJournal, the one full decoder, reports it as ErrCorrupt.
 func scanFrames(r io.Reader) (uint64, int64, error) {
 	br := bufio.NewReader(r)
 	var (
@@ -133,7 +133,7 @@ func scanFrames(r io.Reader) (uint64, int64, error) {
 		if err != nil {
 			return count, off, err
 		}
-		if !json.Valid(payload) {
+		if !validJSON(payload) {
 			return count, off, fmt.Errorf("%w: payload is not JSON", ErrCorrupt)
 		}
 		count++

@@ -38,4 +38,20 @@
 // part of a damaged tail and truncated; a checksum-intact JSON payload
 // that is not a Record, which Append cannot write, is kept, and Replay —
 // the one decoder of records — reports it as ErrCorrupt.
+//
+// # Decoding JSON
+//
+// The journal's JSON goes through one scanner. The open scan validates
+// each payload with a skip that gives json.Valid's verdict on every input
+// (nesting limit included), but reads string bodies, nearly all of a
+// journal's bytes, eight at a time instead of calling a state function
+// per byte. Replay decodes records, and recovery decodes corpus dumps and
+// relation puts (DecodeCorpusPayload, DecodeRelationPayload), in one pass
+// over the canonical bytes that AppendRecord and json.Marshal write: no
+// whitespace, fields in declared order, empty omitempty fields left out;
+// a record's payload is taken as its validated raw value. Anything else
+// — another field order, whitespace, a surrogate escape, invalid UTF-8,
+// a null where a string goes, an empty meta object, a seq that overflows
+// — goes to json.Unmarshal unchanged, so every input decodes to
+// encoding/json's value or error text (pinned by FuzzJSONScanner).
 package store

@@ -338,3 +338,66 @@ func TestRecoveryRefusesNonUTF8Relations(t *testing.T) {
 		t.Fatalf("recovered %+v with relations %v, want corpus c holding only %q", stats, c.Names(), "ok")
 	}
 }
+
+// TestRecoveryRefusesCRLFNames: a corpus is journaled as its relations'
+// WriteCSV dumps, and a CSV reader reads a quoted "\r\n" back as "\n". A
+// row key, key attribute or attribute name holding "\r\n" used to be
+// acknowledged and then recovered as a different one; registering such a
+// relation is now refused, and a restart recovers only what was
+// acknowledged. A lone "\n" round-trips and is accepted.
+func TestRecoveryRefusesCRLFNames(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := attachedService(t, fs, nil)
+	corpusOf := func(csv string) *Corpus {
+		t.Helper()
+		rel, err := ReadRelationCSV("r", strings.NewReader(csv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCorpus()
+		if err := c.Add(rel); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, csv := range []string{
+		"Index,a\n\"x\r\r\ny\",1\n", // row key "x\r\ny"
+		"Index,\"a\r\r\nb\"\nx,1\n", // attribute "a\r\nb"
+		"\"In\r\r\ndex\",a\nx,1\n",  // key attribute "In\r\ndex"
+	} {
+		if _, err := svc.AddCorpus("bad", corpusOf(csv)); !errors.Is(err, ErrCRLF) {
+			t.Fatalf("AddCorpus of %q: err = %v, want ErrCRLF", csv, err)
+		}
+	}
+	if _, err := svc.AddCorpus("ok", corpusOf("Index,a\n\"x\ny\",1\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fs2, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs2.Close()
+	svc2 := NewService()
+	if _, err := svc2.Recover(fs2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := svc2.Corpus("bad"); ok {
+		t.Fatal("refused corpus recovered")
+	}
+	c, _ := svc2.Corpus("ok")
+	rel, err := c.Relation("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys := rel.Keys(); len(keys) != 1 || keys[0] != "x\ny" {
+		t.Fatalf("recovered keys %q, want [\"x\\ny\"]", keys)
+	}
+}

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -162,8 +163,26 @@ func checkUTF8(p store.RelationPayload) error {
 	return nil
 }
 
+// ErrCRLF marks a relation whose key attribute, attribute names or row
+// keys hold "\r\n". A corpus is journaled as its WriteCSV dump, and a CSV
+// reader reads a quoted "\r\n" back as "\n", so such a relation is refused
+// instead of being recovered as a different one.
+var ErrCRLF = errors.New(`scrutinizer: key or attribute name holds "\r\n"`)
+
+// checkCRLF refuses a relation its WriteCSV dump could not carry.
+func checkCRLF(rel *Relation) error {
+	crlf := func(s string) bool { return strings.Contains(s, "\r\n") }
+	if crlf(rel.KeyAttr()) || slices.ContainsFunc(rel.Attrs(), crlf) || slices.ContainsFunc(rel.Keys(), crlf) {
+		return fmt.Errorf("%w: relation %q", ErrCRLF, rel.Name())
+	}
+	return nil
+}
+
 // relationPayload dumps one relation as its journal form.
 func relationPayload(rel *Relation) (store.RelationPayload, error) {
+	if err := checkCRLF(rel); err != nil {
+		return store.RelationPayload{}, err
+	}
 	var buf bytes.Buffer
 	if err := rel.WriteCSV(&buf); err != nil {
 		return store.RelationPayload{}, err
@@ -241,11 +260,15 @@ type RecoveryStats struct {
 	// referenced resources deleted later in the journal or failed replay.
 	Sessions        int `json:"sessions_restored"`
 	SessionsSkipped int `json:"sessions_skipped"`
-	// The phases of the pass, in seconds and in the order they run:
-	// replaying the journal into the surviving resource set, parsing and
-	// registering the corpora, retraining the verifiers and re-parking the
-	// sessions. Each starts where the previous one ended, so together
-	// they are the pass's wall time up to attaching the store.
+	// The phases of the pass, in seconds and in the order they end. Each
+	// starts where the previous one ended, so together they are the
+	// pass's wall time up to attaching the store.
+	//
+	// ReplayS folds the journal into the surviving resource set.
+	// CorporaS parses and registers the corpora; the verifiers retrain
+	// beside it from its start. VerifiersS is the retraining the corpus
+	// rebuild did not hide, plus binding the verifiers. SessionsS
+	// re-parks the sessions.
 	ReplayS    float64 `json:"replay_s"`
 	CorporaS   float64 `json:"corpora_s"`
 	VerifiersS float64 `json:"verifiers_s"`
@@ -386,33 +409,51 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 	}
 	phase(&stats.ReplayS)
 
-	// Pass 2: materialize the surviving corpora, then register them,
-	// mutating state directly — the store is not attached yet, so nothing
-	// re-journals. Deleting each corpus's records once taken frees their
-	// raw CSV before verifier retraining, and skips the second entry of an
-	// ID deleted and created again (only its last incarnation survived).
-	built := make(map[string]*Corpus, len(corpora))
+	// Pass 2: rebuild the surviving corpora while the verifiers retrain.
+	// Retraining reads a verifier's journaled training document and
+	// options, never its corpus (feature.Fit and Engine.Train do not), so
+	// it runs on its own goroutine from here; each corpus is filled in on
+	// this one, into the Corpus its verifiers will be bound to, and a
+	// verifier is bound — given its ID and registered — only once every
+	// corpus is built. State is mutated directly: the store is not
+	// attached yet, so nothing re-journals. Deleting each corpus's records
+	// once taken frees their raw CSV early, and skips the second entry of
+	// an ID deleted and created again (only its last incarnation
+	// survived).
+	entries := make(map[string]*serviceCorpus, len(corpora))
+	for id := range corpora {
+		entries[id] = &serviceCorpus{id: id, corpus: NewCorpus(), qcache: NewQueryCache(), created: time.Now()}
+	}
+	var live []*recVerifier
+	for _, id := range verifierOrder {
+		if rv, ok := verifiers[id]; ok {
+			delete(verifiers, id)
+			live = append(live, rv)
+		}
+	}
+	retrained := retrainVerifiers(live, entries)
+	// On every path out, no retraining outlives Recover.
+	defer retrained.stop()
+
 	for _, id := range corpusOrder {
 		recs, ok := corpora[id]
 		if !ok {
 			continue
 		}
 		delete(corpora, id)
-		c, err := buildCorpus(id, recs)
-		if err != nil {
+		if err := buildCorpus(entries[id].corpus, id, recs); err != nil {
 			return stats, fmt.Errorf("scrutinizer: rebuilding corpus: %w", err)
 		}
-		built[id] = c
 	}
 	s.mu.Lock()
 	if len(s.corpora) != 0 || len(s.verifiers) != 0 {
 		s.mu.Unlock()
 		return stats, fmt.Errorf("scrutinizer: Recover requires an empty service")
 	}
-	for id, c := range built {
-		s.corpora[id] = &serviceCorpus{id: id, corpus: c, qcache: NewQueryCache(), created: time.Now()}
+	for id, e := range entries {
+		s.corpora[id] = e
 	}
-	stats.Corpora = len(built)
+	stats.Corpora = len(entries)
 	if corpusSeq > s.corpusSeq {
 		s.corpusSeq = corpusSeq
 	}
@@ -422,20 +463,17 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 	s.mu.Unlock()
 	phase(&stats.CorporaS)
 
-	for _, id := range verifierOrder {
-		rv, ok := verifiers[id]
-		if !ok {
-			continue
-		}
-		v, err := s.rebuildVerifier(rv)
-		if err != nil {
-			return stats, fmt.Errorf("scrutinizer: rebuilding verifier %q: %w", id, err)
-		}
-		s.mu.Lock()
-		s.verifiers[id] = v
-		s.mu.Unlock()
-		stats.Verifiers++
+	vs, err := retrained.wait()
+	if err != nil {
+		return stats, err
 	}
+	s.mu.Lock()
+	for i, v := range vs {
+		v.id, v.corpusID, v.svc = live[i].id, live[i].corpusID, s
+		s.verifiers[v.id] = v
+	}
+	s.mu.Unlock()
+	stats.Verifiers = len(vs)
 	phase(&stats.VerifiersS)
 
 	// Re-park sessions by answer-log replay. Hooks are not installed yet,
@@ -502,13 +540,14 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 }
 
 // buildCorpus applies one surviving corpus's journaled records — its create
-// dump, then relation puts and deletes — in journal order, which keeps
-// relation order (and so the corpus's interned index) as it was live.
+// dump, then relation puts and deletes — to the empty corpus c in journal
+// order, which keeps relation order (and so the corpus's interned index)
+// as it was live.
 // Parsing the relations is nearly all of the work and each one stands
 // alone, so parseSteps does it first, in parallel; the apply loop is then
 // sequential and reports the error the one-pass rebuild would have met
 // first.
-func buildCorpus(id string, records []*store.Record) (*Corpus, error) {
+func buildCorpus(c *Corpus, id string, records []*store.Record) error {
 	var steps []relationStep
 	for _, rec := range records {
 		if rec.Op != store.OpCorpusCreate {
@@ -517,8 +556,9 @@ func buildCorpus(id string, records []*store.Record) (*Corpus, error) {
 		}
 		var p store.CorpusPayload
 		if len(rec.Payload) > 0 {
-			if err := json.Unmarshal(rec.Payload, &p); err != nil {
-				return nil, fmt.Errorf("corpus %q payload: %w", id, err)
+			var err error
+			if p, err = store.DecodeCorpusPayload(rec.Payload); err != nil {
+				return fmt.Errorf("corpus %q payload: %w", id, err)
 			}
 		}
 		for _, rp := range p.Relations {
@@ -527,27 +567,26 @@ func buildCorpus(id string, records []*store.Record) (*Corpus, error) {
 	}
 	parseSteps(id, steps)
 
-	c := NewCorpus()
 	for i := range steps {
 		st := &steps[i]
 		if st.err != nil {
-			return nil, st.err
+			return st.err
 		}
 		switch {
 		case st.rec == nil:
 			if err := c.Add(st.rel); err != nil {
-				return nil, fmt.Errorf("corpus %q: %w", id, err)
+				return fmt.Errorf("corpus %q: %w", id, err)
 			}
 		case st.rec.Op == store.OpRelationPut:
 			c.Remove(st.rel.Name())
 			if err := c.Add(st.rel); err != nil {
-				return nil, fmt.Errorf("relation %q: %w", st.rec.Relation, err)
+				return fmt.Errorf("relation %q: %w", st.rec.Relation, err)
 			}
 		case st.rec.Op == store.OpRelationDelete:
 			c.Remove(st.rec.Relation)
 		}
 	}
-	return c, nil
+	return nil
 }
 
 // relationStep is one step of a corpus rebuild: a relation of the create
@@ -573,8 +612,8 @@ func (st *relationStep) parse(corpusID string) {
 	if st.rec.Op != store.OpRelationPut {
 		return
 	}
-	var rp store.RelationPayload
-	if err := json.Unmarshal(st.rec.Payload, &rp); err != nil {
+	rp, err := store.DecodeRelationPayload(st.rec.Payload)
+	if err != nil {
 		st.err = fmt.Errorf("relation %q payload: %w", st.rec.Relation, err)
 		return
 	}
@@ -616,12 +655,58 @@ func parseSteps(corpusID string, steps []relationStep) {
 	wg.Wait()
 }
 
-// rebuildVerifier re-materializes one verifier by deterministic retraining
-// from its journaled training document and options, over the recovered
-// corpus and its shared QueryCache — exactly what CreateVerifier built.
-func (s *Service) rebuildVerifier(rv *recVerifier) (*Verifier, error) {
-	entry, ok := s.corpusEntry(rv.corpusID)
-	if !ok {
+// retraining is the verifier half of a recovery, running beside the
+// corpus rebuild.
+type retraining struct {
+	done    chan struct{}
+	aborted atomic.Bool
+	vs      []*Verifier
+	err     error
+}
+
+// retrainVerifiers retrains the verifiers, in journal order, on one
+// goroutine: each deterministically from its journaled training document
+// and options, against its corpus's entry and shared QueryCache — exactly
+// what CreateVerifier built. The corpora may still be filling in; nothing
+// here reads them. It stops at the first failure.
+func retrainVerifiers(rvs []*recVerifier, entries map[string]*serviceCorpus) *retraining {
+	r := &retraining{done: make(chan struct{})}
+	go func() {
+		defer close(r.done)
+		for _, rv := range rvs {
+			if r.aborted.Load() {
+				return
+			}
+			v, err := rebuildVerifier(rv, entries[rv.corpusID])
+			if err != nil {
+				r.err = fmt.Errorf("scrutinizer: rebuilding verifier %q: %w", rv.id, err)
+				return
+			}
+			r.vs = append(r.vs, v)
+		}
+	}()
+	return r
+}
+
+// wait returns the retrained verifiers, in journal order, or the first
+// failure.
+func (r *retraining) wait() ([]*Verifier, error) {
+	<-r.done
+	return r.vs, r.err
+}
+
+// stop abandons the verifiers not yet started and waits for the one in
+// training, if any.
+func (r *retraining) stop() {
+	r.aborted.Store(true)
+	<-r.done
+}
+
+// rebuildVerifier re-materializes one verifier by retraining it over
+// entry's corpus and QueryCache. The verifier is not yet bound to the
+// registry: the caller sets its IDs and service.
+func rebuildVerifier(rv *recVerifier, entry *serviceCorpus) (*Verifier, error) {
+	if entry == nil {
 		return nil, fmt.Errorf("corpus %q is gone", rv.corpusID)
 	}
 	training, err := decodeDocument(rv.payload.Training)
@@ -630,12 +715,7 @@ func (s *Service) rebuildVerifier(rv *recVerifier) (*Verifier, error) {
 	}
 	opts := rv.payload.Options.options()
 	opts.QueryCache = entry.qcache
-	v, err := NewVerifier(entry.corpus, training, opts)
-	if err != nil {
-		return nil, err
-	}
-	v.id, v.corpusID, v.svc = rv.id, rv.corpusID, s
-	return v, nil
+	return NewVerifier(entry.corpus, training, opts)
 }
 
 // corpusEntry resolves a registered corpus entry.

@@ -276,3 +276,65 @@ func TestRecoveryPhaseTimes(t *testing.T) {
 		t.Fatalf("populated store, yet an empty corpus or verifier phase: %+v", stats)
 	}
 }
+
+// TestRecoveryCorpusErrorWithRetraining: verifiers retrain while the
+// corpora rebuild, yet a malformed corpus is what Recover reports, ahead
+// of verifiers that train fine and of one that fails, and no retraining
+// goroutine outlives the call: the verifiers not yet started when the
+// corpus fails are abandoned. A malformed verifier beside sound corpora is
+// reported as before.
+func TestRecoveryCorpusErrorWithRetraining(t *testing.T) {
+	w, err := worldgen.Generate(benchWorldCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := NewMemoryStore()
+	svc := attachedService(t, live, nil)
+	if _, err := svc.AddCorpus("world", w.Corpus); err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		if _, err := svc.CreateVerifier("world", w.Document, Options{Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	badPut := &store.Record{Op: store.OpRelationPut, Corpus: "world", Relation: "bad",
+		Payload: []byte(`{"name":"bad","csv":"Index,a\nx,notanumber\n"}`)}
+	badVerifier := &store.Record{Op: store.OpVerifierCreate, Corpus: "world", Verifier: "v9",
+		Payload: []byte(`{"training":{"title":"t","sections":1,"claims":[{"id":1,"section":5}]}}`)}
+
+	for _, tc := range []struct {
+		name  string
+		extra []*store.Record
+		want  string
+	}{
+		{"corpus", []*store.Record{badPut}, `rebuilding corpus: relation "bad"`},
+		{"both", []*store.Record{badVerifier, badPut}, `rebuilding corpus: relation "bad"`},
+		{"verifier", []*store.Record{badVerifier}, `rebuilding verifier "v9"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := NewMemoryStore()
+			if err := live.Replay(st.Append); err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range tc.extra {
+				if err := st.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := runtime.NumGoroutine()
+			_, err := NewService().Recover(st, nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one containing %s", err, tc.want)
+			}
+			// A goroutine that has signalled its end may take a moment
+			// to exit; one still retraining would take far longer.
+			for deadline := time.Now().Add(50 * time.Millisecond); runtime.NumGoroutine() > before; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Recover, %d before", runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
