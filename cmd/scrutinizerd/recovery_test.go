@@ -433,3 +433,31 @@ func TestRecoveryRefusesCRLFCorpus(t *testing.T) {
 		t.Fatal("refused corpus is registered")
 	}
 }
+
+// TestCorpusCreateJournalDown503: when the journal refuses an append, a
+// corpus create answers 503 like a relation PUT does (the client should
+// retry, its request was fine), registers nothing, and a duplicate id is
+// still a 409 (refused before the journal is asked).
+func TestCorpusCreateJournalDown503(t *testing.T) {
+	w := recoveryTestWorld(t)
+	// The default corpus's create is the one append that succeeds.
+	_, ts := storedServer(t, w, scrutinizer.NewFaultyStore(scrutinizer.NewMemoryStore(), 1, false))
+	name := w.Corpus.Names()[0]
+	csv := relationCSV(t, w.Corpus, name)
+	for _, tc := range []struct {
+		method, path string
+		body         []byte
+		want         int
+	}{
+		{"POST", "/v1/corpora", []byte(`{"id": "x"}`), http.StatusServiceUnavailable},
+		{"GET", "/v1/corpora/x", nil, http.StatusNotFound},
+		{"PUT", "/v1/corpora/default/relations/r", csv, http.StatusServiceUnavailable},
+		{"POST", "/v1/corpora", []byte(`{"id": "default"}`), http.StatusConflict},
+	} {
+		resp := do(t, tc.method, ts.URL+tc.path, tc.body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
+		}
+	}
+}

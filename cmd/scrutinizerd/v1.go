@@ -70,7 +70,11 @@ func (s *server) handleCorpusCreate(w http.ResponseWriter, r *http.Request) {
 	id, err := s.svc.AddCorpus(req.ID, corpus)
 	if err != nil {
 		status := http.StatusBadRequest
-		if _, taken := s.svc.Corpus(req.ID); taken {
+		if errors.Is(err, scrutinizer.ErrJournal) {
+			// The store is down, not the request wrong: retry later, as
+			// for a relation PUT.
+			status = http.StatusServiceUnavailable
+		} else if _, taken := s.svc.Corpus(req.ID); taken {
 			status = http.StatusConflict
 		} else if errors.Is(err, scrutinizer.ErrNotUTF8) || errors.Is(err, scrutinizer.ErrCRLF) {
 			// A relation the journal could not carry, refused like an

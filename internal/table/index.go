@@ -1,32 +1,22 @@
 package table
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "slices"
 
-// This file implements the interned, columnar view of a corpus that the
-// compiled query engine executes against. The string-keyed Relation / Corpus
-// API stays the compatibility façade for loading, mutation and ad-hoc
-// look-ups; the Index is the read path the hot loops use.
+// This file implements the interned view of a corpus that the compiled
+// query engine executes against. Every relation gets a dense ID, and
+// within it every row key and value attribute a dense row or column ID in
+// declaration order, so a resolved look-up (relID, rowID, colID) is two
+// slice indexes plus a presence-bitmask probe, and query generation
+// enumerates candidate assignments as integer tuples with no strings.
 //
-// Interning model:
-//
-//   - every relation gets a dense ID in [0, NumRelations)
-//   - within a relation, every row key gets a dense row ID and every value
-//     attribute a dense column ID (both in declaration order, matching
-//     Relation.Keys / Relation.Attrs)
-//
-// A resolved look-up (relID, rowID, colID) is then two slice indexes — one
-// into the relation table, one into that relation's flat row-major cell
-// array — plus a presence-bitmask probe for NULL tracking. Names are
-// resolved to IDs exactly once, outside the loop that needs them; this is
-// what lets query generation enumerate candidate assignments as integer
-// tuples with no string handling at all.
-//
-// An Index is an immutable snapshot: it is safe for unsynchronised
-// concurrent readers, and it records the corpus generation it was built
-// from so Corpus.Index can rebuild lazily after mutations.
+// The Index is a view, not a copy: it reads each relation's cells, bitmask
+// and key maps in place, so a build costs O(relations). It stays an
+// immutable snapshot through copy-on-write: BuildIndex marks each relation
+// shared, and the first row or cell mutation of a shared relation copies
+// its storage and row map before writing (Relation.own). Its slices are
+// capped at the build's size and RowID refuses IDs past its row count, so
+// nothing a relation gains later shows through. Replacing a relation
+// (Remove + Add, as the service's relation PUT does) copies nothing.
 
 // CellCoord is a fully resolved cell address: interned relation, row and
 // column IDs.
@@ -34,11 +24,11 @@ type CellCoord struct {
 	Rel, Row, Col int32
 }
 
-// indexedRel is one relation's interned snapshot.
+// indexedRel is one relation's snapshot: its storage and row map, cut to
+// the size they had when the Index was built.
 type indexedRel struct {
 	rel   *Relation
 	rowID map[string]int32
-	colID map[string]int32
 	nCols int32
 	nRows int32
 	cells []float64 // row-major: cells[row*nCols+col]
@@ -65,43 +55,26 @@ type IndexStats struct {
 }
 
 // BuildIndex makes an interned snapshot of the corpus at its current
-// generation. Prefer Corpus.Index, which caches the snapshot and rebuilds
-// only after mutations.
+// generation, sharing each relation's storage. Prefer Corpus.Index, which
+// caches the snapshot and rebuilds only after mutations.
 func BuildIndex(c *Corpus) *Index {
 	ix := &Index{
 		gen:   c.Generation(),
 		relID: make(map[string]int32, len(c.names)),
+		rels:  make([]indexedRel, 0, len(c.names)),
 	}
 	for _, name := range c.names {
 		r := c.byName[name]
-		ir := indexedRel{
+		r.shared.Store(true)
+		ix.relID[name] = int32(len(ix.rels))
+		ix.rels = append(ix.rels, indexedRel{
 			rel:   r,
-			rowID: make(map[string]int32, len(r.rowKeys)),
-			colID: make(map[string]int32, len(r.attrs)),
+			rowID: r.rowIdx,
 			nCols: int32(len(r.attrs)),
 			nRows: int32(len(r.rowKeys)),
-		}
-		for i, k := range r.rowKeys {
-			ir.rowID[k] = int32(i)
-		}
-		for i, a := range r.attrs {
-			ir.colID[a] = int32(i)
-		}
-		flat := len(r.rowKeys) * len(r.attrs)
-		ir.cells = make([]float64, flat)
-		ir.mask = make([]uint64, (flat+63)/64)
-		for ri := range r.cells {
-			base := ri * int(ir.nCols)
-			copy(ir.cells[base:base+int(ir.nCols)], r.cells[ri])
-			for ci, ok := range r.present[ri] {
-				if ok {
-					bit := base + ci
-					ir.mask[bit>>6] |= 1 << (uint(bit) & 63)
-				}
-			}
-		}
-		ix.relID[name] = int32(len(ix.rels))
-		ix.rels = append(ix.rels, ir)
+			cells: slices.Clip(r.cells),
+			mask:  slices.Clip(r.mask),
+		})
 	}
 	return ix
 }
@@ -118,16 +91,21 @@ func (ix *Index) RelID(name string) (int32, bool) {
 	return id, ok
 }
 
-// RowID resolves a row key within a relation to its interned row ID.
+// RowID resolves a row key within a relation to its interned row ID. A
+// key added after the snapshot was built is not in it.
 func (ix *Index) RowID(rel int32, key string) (int32, bool) {
-	id, ok := ix.rels[rel].rowID[key]
-	return id, ok
+	ir := &ix.rels[rel]
+	id, ok := ir.rowID[key]
+	if !ok || id >= ir.nRows {
+		return 0, false
+	}
+	return id, true
 }
 
 // ColID resolves a value-attribute label within a relation to its interned
-// column ID.
+// column ID. A relation's attributes never change.
 func (ix *Index) ColID(rel int32, attr string) (int32, bool) {
-	id, ok := ix.rels[rel].colID[attr]
+	id, ok := ix.rels[rel].rel.attrIdx[attr]
 	return id, ok
 }
 
@@ -147,7 +125,7 @@ func (ix *Index) NumCols(rel int32) int { return int(ix.rels[rel].nCols) }
 func (ix *Index) Cell(rel, row, col int32) (float64, bool) {
 	ir := &ix.rels[rel]
 	bit := int(row)*int(ir.nCols) + int(col)
-	if ir.mask[bit>>6]&(1<<(uint(bit)&63)) == 0 {
+	if !hasBit(ir.mask, bit) {
 		return 0, false
 	}
 	return ir.cells[bit], true
@@ -169,15 +147,6 @@ func (ix *Index) Stats() IndexStats {
 	return s
 }
 
-// indexCache is the lazily built Index attached to a Corpus. The current
-// snapshot hangs off an atomic pointer so concurrent readers validate and
-// fetch it without a lock; the mutex serializes rebuilds only (so a
-// generation change triggers one BuildIndex, not a thundering herd).
-type indexCache struct {
-	mu   sync.Mutex
-	snap atomic.Pointer[Index]
-}
-
 // Generation reports the corpus mutation generation: it advances whenever a
 // relation is added or removed or any held relation's rows/cells change,
 // and never goes back. Consumers that cache work derived from corpus
@@ -190,23 +159,15 @@ func (c *Corpus) Generation() uint64 { return c.gen }
 // use and rebuilding after mutations (detected through Generation). The
 // returned Index is immutable and safe for concurrent readers; Index itself
 // must not race with corpus mutation, mirroring the existing contract that
-// relations are loaded before verification starts.
-//
-// The steady-state path — every query-generation call from every
-// concurrent run over the corpus — is a lock-free atomic load plus a
-// generation compare; the rebuild mutex is touched only when the snapshot
-// is missing or stale, so readers never serialize on it.
+// relations are loaded before verification starts. The steady-state path
+// is a lock-free atomic load plus a generation compare. Readers that find
+// the snapshot stale at once each build one; a build copies no cells, and
+// the builds are equal, so the last stored wins.
 func (c *Corpus) Index() *Index {
-	gen := c.Generation()
-	if ix := c.idx.snap.Load(); ix != nil && ix.gen == gen {
-		return ix
-	}
-	c.idx.mu.Lock()
-	defer c.idx.mu.Unlock()
-	if ix := c.idx.snap.Load(); ix != nil && ix.gen == gen {
+	if ix := c.idx.Load(); ix != nil && ix.gen == c.Generation() {
 		return ix
 	}
 	ix := BuildIndex(c)
-	c.idx.snap.Store(ix)
+	c.idx.Store(ix)
 	return ix
 }

@@ -9,14 +9,11 @@
 // optimised for exactly that access path: O(1) row lookup by key and O(1)
 // cell lookup by (key, attribute).
 //
-// Two access layers share the data. The string-keyed Relation/Corpus API is
-// the compatibility façade: loading, mutation, and occasional look-ups go
-// through it. Hot loops (compiled query plans, tentative execution in the
-// query generator) instead resolve names once through the interned Index
-// (see index.go) — relation/key/attribute → dense int IDs — and read cells
-// as two slice indexes plus a presence-bitmask probe. Corpus.Index caches
-// the interned snapshot and rebuilds it when Generation observes a
-// mutation.
+// Each relation stores its cells once, row-major in one flat slice with a
+// presence bitmask for NULLs. Loading, mutation and occasional look-ups go
+// through the string-keyed Relation/Corpus API; hot loops (compiled query
+// plans, tentative execution) read the same cells through the interned
+// Index (index.go), which Corpus.Index rebuilds when Generation moves.
 package table
 
 import (
@@ -24,10 +21,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // ErrNotFound is returned when a relation, row, attribute or cell does not
@@ -36,17 +36,20 @@ import (
 var ErrNotFound = errors.New("table: not found")
 
 // Relation is a single statistical table: a key column plus numeric value
-// columns. Relations are immutable after construction except through AddRow
-// and Set, which keep the internal indexes consistent.
+// columns. Relations are immutable after construction except through
+// AddRow, AddSparseRow and Set, which keep the internal indexes consistent.
 type Relation struct {
-	name     string
-	keyAttr  string
-	attrs    []string
-	attrIdx  map[string]int
-	rowKeys  []string
-	rowIdx   map[string]int
-	cells    [][]float64 // rows × attrs
-	present  [][]bool    // whether a cell holds a value (NULL tracking)
+	name    string
+	keyAttr string
+	attrs   []string
+	attrIdx map[string]int32
+	rowKeys []string
+	rowIdx  map[string]int32
+	cells   []float64 // row-major: cells[row*len(attrs)+col]
+	mask    []uint64  // presence bitmask over cells (NULL tracking)
+	// shared is set while an Index reads cells, mask and rowIdx in place:
+	// the next row or cell mutation copies them first (own).
+	shared   atomic.Bool
 	metadata map[string]string
 	// owners are the corpora holding the relation: a row or cell mutation
 	// advances each one's generation (index invalidation).
@@ -67,8 +70,8 @@ func NewRelation(name, keyAttr string, attrs []string) (*Relation, error) {
 		name:     name,
 		keyAttr:  keyAttr,
 		attrs:    append([]string(nil), attrs...),
-		attrIdx:  make(map[string]int, len(attrs)),
-		rowIdx:   make(map[string]int),
+		attrIdx:  make(map[string]int32, len(attrs)),
+		rowIdx:   make(map[string]int32),
 		metadata: make(map[string]string),
 	}
 	for i, a := range r.attrs {
@@ -78,7 +81,7 @@ func NewRelation(name, keyAttr string, attrs []string) (*Relation, error) {
 		if _, dup := r.attrIdx[a]; dup {
 			return nil, fmt.Errorf("table: duplicate attribute %q in relation %q", a, name)
 		}
-		r.attrIdx[a] = i
+		r.attrIdx[a] = int32(i)
 	}
 	return r, nil
 }
@@ -152,45 +155,81 @@ func (r *Relation) AddRow(key string, values []float64) error {
 		return fmt.Errorf("table: row %q has %d values, relation %q has %d attributes",
 			key, len(values), r.name, len(r.attrs))
 	}
-	pres := make([]bool, len(values))
-	for i := range pres {
-		pres[i] = true
+	r.own()
+	if err := r.addKey(key); err != nil {
+		return err
 	}
-	return r.appendRow(key, append([]float64(nil), values...), pres)
+	base := r.growRow()
+	copy(r.cells[base:], values)
+	for i := range values {
+		setBit(r.mask, base+i)
+	}
+	return nil
 }
 
 // AddSparseRow appends a row where only some attributes have values.
 func (r *Relation) AddSparseRow(key string, values map[string]float64) error {
-	row := make([]float64, len(r.attrs))
-	pres := make([]bool, len(r.attrs))
-	for a, v := range values {
-		i, ok := r.attrIdx[a]
-		if !ok {
+	for a := range values {
+		if _, ok := r.attrIdx[a]; !ok {
 			return fmt.Errorf("table: unknown attribute %q in relation %q", a, r.name)
 		}
-		row[i] = v
-		pres[i] = true
 	}
-	return r.appendRow(key, row, pres)
+	r.own()
+	if err := r.addKey(key); err != nil {
+		return err
+	}
+	base := r.growRow()
+	for a, v := range values {
+		i := base + int(r.attrIdx[a])
+		r.cells[i] = v
+		setBit(r.mask, i)
+	}
+	return nil
 }
 
-// appendRow appends a row already laid out in attribute order, taking
-// ownership of row and pres. It is the one place rows are added, so the
-// empty-key and duplicate-key checks live here.
-func (r *Relation) appendRow(key string, row []float64, pres []bool) error {
+// addKey keys a new last row, whose cells the caller grows (growRow). It
+// is the one place rows are keyed, so the key checks live here.
+func (r *Relation) addKey(key string) error {
 	if key == "" {
 		return fmt.Errorf("table: empty row key in relation %q", r.name)
 	}
 	if _, dup := r.rowIdx[key]; dup {
 		return fmt.Errorf("table: duplicate row key %q in relation %q", key, r.name)
 	}
-	r.rowIdx[key] = len(r.rowKeys)
+	r.rowIdx[key] = int32(len(r.rowKeys))
 	r.rowKeys = append(r.rowKeys, key)
-	r.cells = append(r.cells, row)
-	r.present = append(r.present, pres)
 	r.touch()
 	return nil
 }
+
+// growRow appends one row of NULL cells to the flat storage and returns
+// the index of its first cell.
+func (r *Relation) growRow() int {
+	base := len(r.cells)
+	r.cells = append(r.cells, make([]float64, len(r.attrs))...)
+	for len(r.mask)*64 < len(r.cells) {
+		r.mask = append(r.mask, 0)
+	}
+	return base
+}
+
+// own makes r's storage private before a write: while an Index shares it,
+// the cells, mask and row map are copied first. The attribute map is
+// never written after NewRelation.
+func (r *Relation) own() {
+	if !r.shared.Load() {
+		return
+	}
+	r.cells = slices.Clone(r.cells)
+	r.mask = slices.Clone(r.mask)
+	r.rowIdx = maps.Clone(r.rowIdx)
+	r.shared.Store(false)
+}
+
+// setBit and hasBit address a presence bitmask.
+func setBit(mask []uint64, bit int) { mask[bit>>6] |= 1 << (uint(bit) & 63) }
+
+func hasBit(mask []uint64, bit int) bool { return mask[bit>>6]&(1<<(uint(bit)&63)) != 0 }
 
 // Set overwrites a single cell. The row and attribute must already exist.
 func (r *Relation) Set(key, attr string, v float64) error {
@@ -202,8 +241,10 @@ func (r *Relation) Set(key, attr string, v float64) error {
 	if !ok {
 		return fmt.Errorf("%w: attribute %q in relation %q", ErrNotFound, attr, r.name)
 	}
-	r.cells[ri][ai] = v
-	r.present[ri][ai] = true
+	r.own()
+	i := int(ri)*len(r.attrs) + int(ai)
+	r.cells[i] = v
+	setBit(r.mask, i)
 	r.touch()
 	return nil
 }
@@ -225,10 +266,11 @@ func (r *Relation) Get(key, attr string) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: attribute %q in relation %q", ErrNotFound, attr, r.name)
 	}
-	if !r.present[ri][ai] {
+	i := int(ri)*len(r.attrs) + int(ai)
+	if !hasBit(r.mask, i) {
 		return 0, fmt.Errorf("%w: cell (%q, %q) in relation %q is NULL", ErrNotFound, key, attr, r.name)
 	}
-	return r.cells[ri][ai], nil
+	return r.cells[i], nil
 }
 
 // Row returns a copy of the values of the row with the given key, aligned
@@ -238,7 +280,12 @@ func (r *Relation) Row(key string) ([]float64, []bool, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: row %q in relation %q", ErrNotFound, key, r.name)
 	}
-	return append([]float64(nil), r.cells[ri]...), append([]bool(nil), r.present[ri]...), nil
+	base := int(ri) * len(r.attrs)
+	pres := make([]bool, len(r.attrs))
+	for i := range pres {
+		pres[i] = hasBit(r.mask, base+i)
+	}
+	return slices.Clone(r.cells[base : base+len(r.attrs)]), pres, nil
 }
 
 // Column returns the values of attribute attr for all rows that have it, in
@@ -249,9 +296,9 @@ func (r *Relation) Column(attr string) (keys []string, values []float64, err err
 		return nil, nil, fmt.Errorf("%w: attribute %q in relation %q", ErrNotFound, attr, r.name)
 	}
 	for ri, key := range r.rowKeys {
-		if r.present[ri][ai] {
+		if i := ri*len(r.attrs) + int(ai); hasBit(r.mask, i) {
 			keys = append(keys, key)
-			values = append(values, r.cells[ri][ai])
+			values = append(values, r.cells[i])
 		}
 	}
 	return keys, values, nil
@@ -259,31 +306,17 @@ func (r *Relation) Column(attr string) (keys []string, values []float64, err err
 
 // Clone returns a deep copy of the relation.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{
+	return &Relation{
 		name:     r.name,
 		keyAttr:  r.keyAttr,
-		attrs:    append([]string(nil), r.attrs...),
-		attrIdx:  make(map[string]int, len(r.attrIdx)),
-		rowKeys:  append([]string(nil), r.rowKeys...),
-		rowIdx:   make(map[string]int, len(r.rowIdx)),
-		cells:    make([][]float64, len(r.cells)),
-		present:  make([][]bool, len(r.present)),
-		metadata: make(map[string]string, len(r.metadata)),
+		attrs:    slices.Clone(r.attrs),
+		attrIdx:  maps.Clone(r.attrIdx),
+		rowKeys:  slices.Clone(r.rowKeys),
+		rowIdx:   maps.Clone(r.rowIdx),
+		cells:    slices.Clone(r.cells),
+		mask:     slices.Clone(r.mask),
+		metadata: maps.Clone(r.metadata),
 	}
-	for k, v := range r.attrIdx {
-		c.attrIdx[k] = v
-	}
-	for k, v := range r.rowIdx {
-		c.rowIdx[k] = v
-	}
-	for i := range r.cells {
-		c.cells[i] = append([]float64(nil), r.cells[i]...)
-		c.present[i] = append([]bool(nil), r.present[i]...)
-	}
-	for k, v := range r.metadata {
-		c.metadata[k] = v
-	}
-	return c
 }
 
 // WriteCSV serialises the relation as CSV with the key attribute first.
@@ -297,8 +330,8 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 	for ri, key := range r.rowKeys {
 		rec[0] = key
 		for ai := range r.attrs {
-			if r.present[ri][ai] {
-				rec[ai+1] = strconv.FormatFloat(r.cells[ri][ai], 'g', -1, 64)
+			if i := ri*len(r.attrs) + ai; hasBit(r.mask, i) {
+				rec[ai+1] = strconv.FormatFloat(r.cells[i], 'g', -1, 64)
 			} else {
 				rec[ai+1] = ""
 			}
@@ -312,10 +345,10 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses a relation from CSV. The first column is the key attribute;
-// empty cells become NULLs. Each row is parsed straight into its cells by
-// header position, and its key is copied out of the CSV line: encoding/csv
-// slices every field of a record out of one string, so a key left as read
-// would keep its whole line alive for the relation's lifetime.
+// empty cells become NULLs. Each row is parsed straight into the flat cell
+// storage by header position, and its key is copied out of the CSV line:
+// encoding/csv slices every field of a record out of one string, so a key
+// left as read would keep its whole line alive for the relation's lifetime.
 func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 	cr := csv.NewReader(rd)
 	cr.FieldsPerRecord = -1
@@ -345,25 +378,85 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 		if len(rec) != len(attrs)+1 {
 			return nil, fmt.Errorf("table: %q line %d has %d fields, want %d", name, line, len(rec), len(attrs)+1)
 		}
-		row := make([]float64, len(attrs))
-		pres := make([]bool, len(attrs))
+		// The cells go in before the key is checked: a line with a bad
+		// cell and a bad key reports the cell.
+		base := rel.growRow()
 		for i, cell := range rec[1:] {
-			cell = strings.TrimSpace(cell)
-			if cell == "" {
-				continue
+			v, ok := parseCell(cell)
+			if !ok {
+				if cell = strings.TrimSpace(cell); cell == "" {
+					continue
+				}
+				if v, err = strconv.ParseFloat(cell, 64); err != nil {
+					return nil, fmt.Errorf("table: %q line %d column %q: %w", name, line, attrs[i], err)
+				}
 			}
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				return nil, fmt.Errorf("table: %q line %d column %q: %w", name, line, attrs[i], err)
-			}
-			row[i] = v
-			pres[i] = true
+			rel.cells[base+i] = v
+			setBit(rel.mask, base+i)
 		}
-		if err := rel.appendRow(strings.Clone(rec[0]), row, pres); err != nil {
+		if err := rel.addKey(strings.Clone(rec[0])); err != nil {
 			return nil, err
 		}
 	}
 	return rel, nil
+}
+
+// parseCell is ReadCSV's fast path for the cells WriteCSV writes:
+// [+-]digits[.digits][(e|E)[+-]digits] with at most 19 digits, a mantissa
+// below 2^53 and a decimal exponent within ±22. Both operands of m·10^e
+// are then exact float64s (math.Pow10 is exact up to 10^22), so one IEEE
+// multiply or divide rounds the exact value once, as strconv.ParseFloat
+// does: the bits are the same. It declines (false) everything else —
+// whitespace, longer mantissas, hex, inf, nan and malformed input — for
+// strconv.ParseFloat to parse or refuse.
+func parseCell(s string) (float64, bool) {
+	i, neg := 0, strings.HasPrefix(s, "-")
+	if neg || strings.HasPrefix(s, "+") {
+		i = 1
+	}
+	var mant uint64
+	n, dot := 0, -1 // digits read; digits before the point, if any
+digits:
+	for ; i < len(s); i++ {
+		switch c := s[i]; {
+		case '0' <= c && c <= '9':
+			mant = mant*10 + uint64(c-'0')
+			n++
+		case c == '.' && n > 0 && dot < 0:
+			dot = n
+		default:
+			break digits
+		}
+	}
+	frac := 0
+	if dot >= 0 {
+		frac = n - dot
+	}
+	if n == 0 || n > 19 || mant >= 1<<53 || dot == n {
+		return 0, false
+	}
+	exp := 0
+	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
+		var err error
+		if exp, err = strconv.Atoi(s[i+1:]); err != nil {
+			return 0, false
+		}
+		i = len(s)
+	}
+	e := exp - frac
+	if i != len(s) || e < -22 || e > 22 {
+		return 0, false
+	}
+	v := float64(mant)
+	if e < 0 {
+		v /= math.Pow10(-e)
+	} else {
+		v *= math.Pow10(e)
+	}
+	if neg {
+		v = -v
+	}
+	return v, true
 }
 
 // Corpus is a named collection of relations — the set D of the problem
@@ -371,8 +464,8 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 type Corpus struct {
 	byName map[string]*Relation
 	names  []string
-	gen    uint64     // mutation counter; see Generation
-	idx    indexCache // lazily built interned snapshot (index.go)
+	gen    uint64                // mutation counter; see Generation
+	idx    atomic.Pointer[Index] // lazily built interned snapshot (index.go)
 }
 
 // NewCorpus creates an empty corpus.
