@@ -94,7 +94,9 @@ type trackedBench struct {
 // per cell). BenchmarkReadCSV pins parsing a paper-shape relation
 // straight into its cells, the bulk of recovering a corpus, and
 // BenchmarkRecoveryBoot/File a restart over a file store, the open scan
-// included. BenchmarkDecodeCorpusPayload pins decoding a paper-shape
+// included, and BenchmarkRecoveryBoot/Churned a restart over a journal
+// of deleted tenant lifecycles, of which nothing may be decoded.
+// BenchmarkDecodeCorpusPayload pins decoding a paper-shape
 // corpus dump on the journal's canonical JSON path, not encoding/json.
 var defaultTracked = []trackedBench{
 	{Pkg: "./internal/classifier", Bench: "BenchmarkTrain500x200|BenchmarkWarmRetrain500x200|BenchmarkRetrainLabelGrowth|BenchmarkPredictTopK|BenchmarkEntropy|BenchmarkScorePaperShape|BenchmarkAdagradPaperShape"},

@@ -737,6 +737,34 @@ type answersRequest struct {
 	Answers []scrutinizer.SessionAnswer `json:"answers"`
 }
 
+// parseAnswers reads an answers body in either shape of answersRequest.
+// Its errors are the 400 texts: "malformed JSON: ..." or "no answers in
+// body".
+func parseAnswers(raw []byte) ([]scrutinizer.SessionAnswer, error) {
+	// Field presence, not zero values, decides the body shape: claim ID 0
+	// and an empty value (a skip) are both legitimate answer contents.
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		return nil, fmt.Errorf("malformed JSON: %w", err)
+	}
+	var req answersRequest
+	if _, ok := fields["answers"]; ok {
+		if err := json.Unmarshal(raw, &req); err != nil {
+			return nil, fmt.Errorf("malformed JSON: %w", err)
+		}
+	} else if _, ok := fields["claim_id"]; ok {
+		var single scrutinizer.SessionAnswer
+		if err := json.Unmarshal(raw, &single); err != nil {
+			return nil, fmt.Errorf("malformed JSON: %w", err)
+		}
+		req.Answers = []scrutinizer.SessionAnswer{single}
+	}
+	if len(req.Answers) == 0 {
+		return nil, errors.New("no answers in body")
+	}
+	return req.Answers, nil
+}
+
 // answersResponse reports what was accepted plus the follow-up questions
 // for the answered claims, so a checker can keep going without polling.
 type answersResponse struct {
@@ -776,35 +804,15 @@ func (s *server) handleSessionAnswers(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Field presence, not zero values, decides the body shape: claim ID 0
-	// and an empty value (a skip) are both legitimate answer contents.
-	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &fields); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
-		return
-	}
-	var req answersRequest
-	if _, ok := fields["answers"]; ok {
-		if err := json.Unmarshal(raw, &req); err != nil {
-			httpError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
-			return
-		}
-	} else if _, ok := fields["claim_id"]; ok {
-		var single scrutinizer.SessionAnswer
-		if err := json.Unmarshal(raw, &single); err != nil {
-			httpError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
-			return
-		}
-		req.Answers = []scrutinizer.SessionAnswer{single}
-	}
-	if len(req.Answers) == 0 {
-		httpError(w, http.StatusBadRequest, "no answers in body")
+	answers, err := parseAnswers(raw)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ctx, cancel := s.runCtx(r)
 	defer cancel()
 	resp := answersResponse{}
-	for _, a := range req.Answers {
+	for _, a := range answers {
 		next, err := sess.Answer(ctx, a)
 		if err != nil {
 			// A cancelled or timed-out answer was rolled back before being

@@ -355,6 +355,49 @@ func TestRecoveryVerifierDeletePersisted(t *testing.T) {
 	}
 }
 
+// TestRecoveryDeleteEndsSessionsHTTP: DELETE /v1/verifiers/{id} and DELETE
+// /v1/corpora/{id} end the deleted verifier's session runs, so answering
+// one is a 404 at once, and a restart re-parks nothing and skips nothing.
+func TestRecoveryDeleteEndsSessionsHTTP(t *testing.T) {
+	w := recoveryTestWorld(t)
+	for _, tc := range []struct {
+		name string
+		path func(vid string) string
+	}{
+		{"verifier", func(vid string) string { return "/v1/verifiers/" + vid }},
+		{"corpus", func(string) string { return "/v1/corpora/default" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := scrutinizer.NewMemoryStore()
+			_, ts := storedServer(t, w, mem)
+			vid := createVerifier(t, ts.URL, w)
+			rid := startSessionRun(t, ts.URL, vid, halfDoc(w))
+			answerFirst(t, ts.URL, rid)
+			qs, _ := pendingQuestions(t, ts.URL, rid)
+			if len(qs) == 0 {
+				t.Fatal("no pending questions")
+			}
+
+			if resp := do(t, "DELETE", ts.URL+tc.path(vid), nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("delete: status %d", resp.StatusCode)
+			} else {
+				resp.Body.Close()
+			}
+			body, _ := json.Marshal(map[string]any{"claim_id": qs[0].ClaimID, "value": "suggestion", "seconds": 2})
+			if resp := do(t, "POST", ts.URL+"/v1/runs/"+rid+"/answers", body); resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("answer after delete: status %d, want 404", resp.StatusCode)
+			} else {
+				resp.Body.Close()
+			}
+
+			s2, _ := storedServer(t, w, mem)
+			if s2.recovered.Sessions != 0 || s2.recovered.SessionsSkipped != 0 {
+				t.Fatalf("recovery after delete: %+v", s2.recovered)
+			}
+		})
+	}
+}
+
 // TestRecoveryRefusesNonUTF8Upload: the journal's JSON strings cannot
 // carry invalid UTF-8, so a relation PUT whose body or percent-encoded name
 // holds such bytes is refused with 422 instead of being acknowledged and

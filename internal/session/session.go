@@ -353,6 +353,23 @@ func (m *Manager) Remove(id string) bool {
 	return ok
 }
 
+// RemoveOwner deletes every session tagged with owner, as Remove does one
+// by one.
+func (m *Manager) RemoveOwner(owner string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.sweep(m.now())
+	for id, s := range m.sessions {
+		if s.owner != owner {
+			continue
+		}
+		delete(m.sessions, id)
+		if m.hooks.OnEnd != nil {
+			m.hooks.OnEnd(id, owner, false)
+		}
+	}
+}
+
 // Stats aggregates the live registry. Per-session figures come from each
 // session's atomically maintained stats cache (pending questions, model
 // generation, refreshed on every accepted answer), so a health poll reads

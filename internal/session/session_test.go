@@ -466,6 +466,24 @@ func TestOwnerTagging(t *testing.T) {
 	if st := m.Stats(); st.ByOwner["verifier-1"] != 1 {
 		t.Fatalf("ByOwner after remove = %v", st.ByOwner)
 	}
+
+	// RemoveOwner ends exactly one owner's sessions, each through OnEnd.
+	ended := map[string]int{}
+	m.SetHooks(Hooks{OnEnd: func(id, owner string, evicted bool) {
+		if !evicted {
+			ended[owner]++
+		}
+	}})
+	m.RemoveOwner("verifier-2")
+	if st := m.Stats(); st.Active != 2 || st.ByOwner["verifier-2"] != 0 || st.ByOwner["verifier-1"] != 1 {
+		t.Fatalf("after RemoveOwner: %+v", st)
+	}
+	if len(ended) != 1 || ended["verifier-2"] != 1 {
+		t.Fatalf("OnEnd calls = %v", ended)
+	}
+	if _, ok := m.Get(untagged.ID()); !ok {
+		t.Fatal("RemoveOwner ended an untagged session")
+	}
 }
 
 // TestManagerConcurrentChurn exercises the registry under multi-tenant

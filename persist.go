@@ -275,20 +275,42 @@ type RecoveryStats struct {
 	SessionsS  float64 `json:"sessions_s"`
 }
 
-// recVerifier is one surviving verifier.create during replay.
+// recVerifier is one verifier.create during replay. Its payload stays
+// raw: only a verifier that survives the replay has it decoded.
 type recVerifier struct {
 	id       string
 	corpusID string
-	payload  verifierPayload
+	payload  []byte
 }
 
-// recSession is one surviving session.create during replay, with its
-// accumulated answer log.
+// recSession is one session.create during replay, with its accumulated
+// answer log. The payload and answers stay raw until the session is
+// re-parked.
 type recSession struct {
 	id       string
 	verifier string
-	payload  sessionPayload
-	answers  []session.Answer
+	payload  []byte
+	answers  [][]byte
+}
+
+// replayError wraps a malformed journal record as the replay reports it.
+func replayError(err error) error {
+	return fmt.Errorf("scrutinizer: replaying journal: %w", err)
+}
+
+// decode parses a re-parked session's journaled payload and answer log.
+func (rs *recSession) decode() (sessionPayload, *SessionSnapshot, error) {
+	var p sessionPayload
+	if err := json.Unmarshal(rs.payload, &p); err != nil {
+		return p, nil, replayError(fmt.Errorf("session %q payload: %w", rs.id, err))
+	}
+	snap := &SessionSnapshot{ID: rs.id, Answers: make([]session.Answer, len(rs.answers))}
+	for i, raw := range rs.answers {
+		if err := json.Unmarshal(raw, &snap.Answers[i]); err != nil {
+			return p, nil, replayError(fmt.Errorf("session %q answer: %w", rs.id, err))
+		}
+	}
+	return p, snap, nil
 }
 
 // Recover rebuilds the service from st's journal and attaches st, so
@@ -310,10 +332,11 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 		mark = now
 	}
 
-	// Pass 1: fold the journal into the surviving resource set. Nothing is
-	// materialized yet, so a resource deleted later in the journal is never
-	// built at all. Each surviving corpus keeps its create record and the
-	// relation puts and deletes that followed, in journal order.
+	// Pass 1: fold the journal's record headers into the surviving
+	// resource set. No payload is decoded yet, so nothing of a resource
+	// deleted later in the journal is ever decoded or built. Each surviving
+	// corpus keeps its create record and the relation puts and deletes that
+	// followed, in journal order.
 	corpora := make(map[string][]*store.Record)
 	var corpusOrder []string
 	verifiers := make(map[string]*recVerifier)
@@ -356,14 +379,10 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 			}
 
 		case store.OpVerifierCreate:
-			var p verifierPayload
-			if err := json.Unmarshal(rec.Payload, &p); err != nil {
-				return fmt.Errorf("verifier %q payload: %w", rec.Verifier, err)
-			}
 			if _, ok := corpora[rec.Corpus]; !ok {
 				return fmt.Errorf("verifier %q on unknown corpus %q", rec.Verifier, rec.Corpus)
 			}
-			verifiers[rec.Verifier] = &recVerifier{id: rec.Verifier, corpusID: rec.Corpus, payload: p}
+			verifiers[rec.Verifier] = &recVerifier{id: rec.Verifier, corpusID: rec.Corpus, payload: rec.Payload}
 			verifierOrder = append(verifierOrder, rec.Verifier)
 			bumpSeq(&verifierSeq, rec.Verifier, 'v')
 
@@ -371,11 +390,7 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 			delete(verifiers, rec.Verifier)
 
 		case store.OpSessionCreate:
-			var p sessionPayload
-			if err := json.Unmarshal(rec.Payload, &p); err != nil {
-				return fmt.Errorf("session %q payload: %w", rec.Session, err)
-			}
-			sessions[rec.Session] = &recSession{id: rec.Session, verifier: rec.Verifier, payload: p}
+			sessions[rec.Session] = &recSession{id: rec.Session, verifier: rec.Verifier, payload: rec.Payload}
 			sessionOrder = append(sessionOrder, rec.Session)
 
 		case store.OpSessionAnswer:
@@ -386,11 +401,7 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 				// create never committed; either way nothing to apply.
 				return nil
 			}
-			var a session.Answer
-			if err := json.Unmarshal(rec.Payload, &a); err != nil {
-				return fmt.Errorf("session %q answer: %w", rec.Session, err)
-			}
-			sess.answers = append(sess.answers, a)
+			sess.answers = append(sess.answers, rec.Payload)
 
 		case store.OpSessionDelete:
 			// Explicit delete or TTL eviction: the session must not be
@@ -405,21 +416,22 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 		return nil
 	})
 	if err != nil {
-		return stats, fmt.Errorf("scrutinizer: replaying journal: %w", err)
+		return stats, replayError(err)
 	}
 	phase(&stats.ReplayS)
 
 	// Pass 2: rebuild the surviving corpora while the verifiers retrain.
-	// Retraining reads a verifier's journaled training document and
-	// options, never its corpus (feature.Fit and Engine.Train do not), so
-	// it runs on its own goroutine from here; each corpus is filled in on
-	// this one, into the Corpus its verifiers will be bound to, and a
-	// verifier is bound — given its ID and registered — only once every
-	// corpus is built. State is mutated directly: the store is not
-	// attached yet, so nothing re-journals. Deleting each corpus's records
-	// once taken frees their raw CSV early, and skips the second entry of
-	// an ID deleted and created again (only its last incarnation
-	// survived).
+	// Retraining decodes a verifier's journaled payload and reads its
+	// training document and options, never its corpus (feature.Fit and
+	// Engine.Train do not), so it runs on its own goroutine from here; each
+	// corpus is filled in on this one, into the Corpus its verifiers will
+	// be bound to, and a verifier is bound — given its ID and registered —
+	// only once every corpus is built. So a corpus error is reported ahead
+	// of any verifier's, be it a malformed payload or a failed retrain.
+	// State is mutated directly: the store is not attached yet, so nothing
+	// re-journals. Deleting each corpus's records once taken frees their
+	// raw CSV early, and skips the second entry of an ID deleted and
+	// created again (only its last incarnation survived).
 	entries := make(map[string]*serviceCorpus, len(corpora))
 	for id := range corpora {
 		entries[id] = &serviceCorpus{id: id, corpus: NewCorpus(), qcache: NewQueryCache(), created: time.Now()}
@@ -490,14 +502,17 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 				stats.SessionsSkipped++
 				continue
 			}
-			doc, err := decodeDocument(rs.payload.Doc)
+			p, snap, err := rs.decode()
+			if err != nil {
+				return stats, err
+			}
+			doc, err := decodeDocument(p.Doc)
 			if err != nil {
 				return stats, fmt.Errorf("scrutinizer: session %q document: %w", id, err)
 			}
-			snap := &SessionSnapshot{ID: rs.id, Answers: rs.answers}
 			// Recovery replay runs detached: boot must re-park every
 			// journaled session or count it skipped, never half-replay.
-			if _, err := v.RestoreSession(context.Background(), mgr, doc, rs.payload.sessionOptions(), snap); err != nil {
+			if _, err := v.RestoreSession(context.Background(), mgr, doc, p.sessionOptions(), snap); err != nil {
 				// A full registry or a replay mismatch loses the session
 				// but not the boot; count it and keep going.
 				stats.SessionsSkipped++
@@ -677,7 +692,12 @@ func retrainVerifiers(rvs []*recVerifier, entries map[string]*serviceCorpus) *re
 			if r.aborted.Load() {
 				return
 			}
-			v, err := rebuildVerifier(rv, entries[rv.corpusID])
+			var p verifierPayload
+			if err := json.Unmarshal(rv.payload, &p); err != nil {
+				r.err = replayError(fmt.Errorf("verifier %q payload: %w", rv.id, err))
+				return
+			}
+			v, err := rebuildVerifier(rv.corpusID, p, entries[rv.corpusID])
 			if err != nil {
 				r.err = fmt.Errorf("scrutinizer: rebuilding verifier %q: %w", rv.id, err)
 				return
@@ -702,18 +722,18 @@ func (r *retraining) stop() {
 	<-r.done
 }
 
-// rebuildVerifier re-materializes one verifier by retraining it over
-// entry's corpus and QueryCache. The verifier is not yet bound to the
-// registry: the caller sets its IDs and service.
-func rebuildVerifier(rv *recVerifier, entry *serviceCorpus) (*Verifier, error) {
+// rebuildVerifier re-materializes one verifier from its decoded payload by
+// retraining it over entry's corpus and QueryCache. The verifier is not
+// yet bound to the registry: the caller sets its IDs and service.
+func rebuildVerifier(corpusID string, p verifierPayload, entry *serviceCorpus) (*Verifier, error) {
 	if entry == nil {
-		return nil, fmt.Errorf("corpus %q is gone", rv.corpusID)
+		return nil, fmt.Errorf("corpus %q is gone", corpusID)
 	}
-	training, err := decodeDocument(rv.payload.Training)
+	training, err := decodeDocument(p.Training)
 	if err != nil {
 		return nil, fmt.Errorf("training document: %w", err)
 	}
-	opts := rv.payload.Options.options()
+	opts := p.Options.options()
 	opts.QueryCache = entry.qcache
 	return NewVerifier(entry.corpus, training, opts)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"strconv"
@@ -334,6 +335,120 @@ func TestRecoveryCorpusErrorWithRetraining(t *testing.T) {
 					t.Fatalf("%d goroutines after Recover, %d before", runtime.NumGoroutine(), before)
 				}
 				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestRecoveryDecodesOnlySurvivors: recovery decodes nothing of a verifier,
+// session or answer deleted later in the journal, so payloads that are JSON
+// but not of their type fail no boot when their resource is gone. On
+// survivors the same payloads fail Recover with the texts they always had,
+// and a corpus error still comes first.
+func TestRecoveryDecodesOnlySurvivors(t *testing.T) {
+	w := recoveryWorld(t)
+	docA, _ := splitWorldDoc(w)
+	live := NewMemoryStore()
+	mgr := NewSessionManager(0, 0)
+	svc := attachedService(t, live, mgr)
+	if _, err := svc.AddCorpus("world", w.Corpus); err != nil {
+		t.Fatal(err)
+	}
+	v, err := svc.CreateVerifier("world", w.Document, Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := v.StartSession(context.Background(), mgr, docA, SessionOptions{Verify: VerifyOptions{BatchSize: 5, Seed: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answerNext(t, sess)
+	answerNext(t, sess)
+	want := registrySummary(svc, mgr, []string{sess.ID()})
+
+	const (
+		badVerifier = `{"training":5,"options":[]}`
+		badSession  = `{"doc":5,"verify":[]}`
+		badAnswer   = `{"claim_id":"x"}`
+	)
+	rec := func(op store.Op, corpus, verifier, session, payload string) *store.Record {
+		r := &store.Record{Op: op, Corpus: corpus, Verifier: verifier, Session: session}
+		if payload != "" {
+			r.Payload = []byte(payload)
+		}
+		return r
+	}
+	journal := func(extra ...*store.Record) *store.Memory {
+		st := NewMemoryStore()
+		if err := live.Replay(st.Append); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range extra {
+			if err := st.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
+	}
+
+	// Deleted resources: a verifier and its session deleted one by one, and
+	// a corpus whose delete cascades over a verifier whose session was never
+	// ended, as in journals of builds where sessions outlived their
+	// verifier; that session is skipped, not decoded.
+	st := journal(
+		rec(store.OpVerifierCreate, "world", "v90", "", badVerifier),
+		rec(store.OpSessionCreate, "", "v90", "s90", badSession),
+		rec(store.OpSessionAnswer, "", "v90", "s90", badAnswer),
+		rec(store.OpSessionDelete, "", "v90", "s90", ""),
+		rec(store.OpVerifierDelete, "world", "v90", "", ""),
+		rec(store.OpCorpusCreate, "gone", "", "", ""),
+		rec(store.OpVerifierCreate, "gone", "v91", "", badVerifier),
+		rec(store.OpSessionCreate, "", "v91", "s91", badSession),
+		rec(store.OpSessionAnswer, "", "v91", "s91", badAnswer),
+		rec(store.OpCorpusDelete, "gone", "", "", ""),
+		rec(store.OpSessionAnswer, "", "v90", "s90", badAnswer),
+	)
+	mgr2 := NewSessionManager(0, 0)
+	svc2 := NewService()
+	stats, err := svc2.Recover(st, mgr2)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if stats.Corpora != 1 || stats.Verifiers != 1 || stats.Sessions != 1 || stats.SessionsSkipped != 1 {
+		t.Fatalf("recovery stats: %+v", stats)
+	}
+	if got := registrySummary(svc2, mgr2, []string{sess.ID()}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered state:\n  got  %v\n  want %v", got, want)
+	}
+
+	// Survivors: the same payloads fail the boot with the texts they always
+	// had; the verifier's is a training document that does not decode.
+	badPut := rec(store.OpRelationPut, "world", "", "", `{"name":"bad","csv":"Index,a\nx,notanumber\n"}`)
+	badPut.Relation = "bad"
+	for _, tc := range []struct {
+		name  string
+		extra []*store.Record
+		want  string
+	}{
+		{"verifier", []*store.Record{rec(store.OpVerifierCreate, "world", "v90", "", badVerifier)},
+			`scrutinizer: replaying journal: verifier "v90" payload: json: cannot unmarshal array into Go struct field verifierPayload.options of type scrutinizer.optionsPayload`},
+		{"training", []*store.Record{rec(store.OpVerifierCreate, "world", "v90", "", `{"training":5}`)},
+			`scrutinizer: rebuilding verifier "v90": training document: `},
+		{"session", []*store.Record{rec(store.OpSessionCreate, "", v.ID(), "s90", badSession)},
+			`scrutinizer: replaying journal: session "s90" payload: json: cannot unmarshal array into Go struct field sessionPayload.verify of type scrutinizer.verifyOptionsPayload`},
+		{"document", []*store.Record{rec(store.OpSessionCreate, "", v.ID(), "s90", `{"training":5}`)},
+			`scrutinizer: session "s90" document: `},
+		{"answer", []*store.Record{rec(store.OpSessionAnswer, "", v.ID(), sess.ID(), badAnswer)},
+			fmt.Sprintf(`scrutinizer: replaying journal: session %q answer: json: cannot unmarshal string into Go struct field Answer.claim_id of type int`, sess.ID())},
+		{"corpus first", []*store.Record{rec(store.OpVerifierCreate, "world", "v90", "", `{"training":5}`), badPut},
+			`scrutinizer: rebuilding corpus: relation "bad": `},
+		{"corpus before payload", []*store.Record{rec(store.OpVerifierCreate, "world", "v90", "", badVerifier), badPut},
+			`scrutinizer: rebuilding corpus: relation "bad": `},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := NewService().Recover(journal(tc.extra...), NewSessionManager(0, 0))
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one starting %s", err, tc.want)
 			}
 		})
 	}

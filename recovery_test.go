@@ -616,3 +616,72 @@ func TestRecoveryRequiresEmptyService(t *testing.T) {
 		t.Fatal("Recover accepted a nil store")
 	}
 }
+
+// TestRecoveryDeleteEndsSessions: deleting a verifier, directly or through
+// its corpus, ends its sessions and journals their deletes, so the live
+// registry holds what a restart rebuilds and nothing is skipped at boot. A
+// session started on a verifier already deleted is refused, and a service
+// without a store ends sessions all the same.
+func TestRecoveryDeleteEndsSessions(t *testing.T) {
+	w := recoveryWorld(t)
+	docA, _ := splitWorldDoc(w)
+	for _, tc := range []struct {
+		name   string
+		remove func(svc *Service, v *Verifier) (bool, error)
+	}{
+		{"verifier", func(svc *Service, v *Verifier) (bool, error) { return svc.RemoveVerifier(v.ID()) }},
+		{"corpus", func(svc *Service, v *Verifier) (bool, error) { return svc.RemoveCorpus("world") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, durable := range []bool{true, false} {
+				st := NewMemoryStore()
+				mgr := NewSessionManager(0, 0)
+				svc := NewService()
+				if durable {
+					svc = attachedService(t, st, mgr)
+				}
+				if _, err := svc.AddCorpus("world", w.Corpus); err != nil {
+					t.Fatal(err)
+				}
+				v, err := svc.CreateVerifier("world", w.Document, Options{Seed: 7})
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := SessionOptions{Verify: VerifyOptions{BatchSize: 5, Seed: 2}}
+				var ids []string
+				for i := 0; i < 2; i++ {
+					sess, err := v.StartSession(context.Background(), mgr, docA, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					answerNext(t, sess)
+					ids = append(ids, sess.ID())
+				}
+				if ok, err := tc.remove(svc, v); !ok || err != nil {
+					t.Fatalf("remove: ok=%v err=%v", ok, err)
+				}
+				for _, id := range ids {
+					if _, ok := mgr.Get(id); ok {
+						t.Fatalf("durable=%v: session %s outlived its verifier", durable, id)
+					}
+				}
+				if _, err := v.StartSession(context.Background(), mgr, docA, opts); err == nil {
+					t.Fatalf("durable=%v: a deleted verifier started a session", durable)
+				}
+				if n := mgr.Stats().Active; n != 0 {
+					t.Fatalf("durable=%v: %d sessions left", durable, n)
+				}
+				if !durable {
+					continue
+				}
+				stats, err := NewService().Recover(st, NewSessionManager(0, 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.Verifiers != 0 || stats.Sessions != 0 || stats.SessionsSkipped != 0 {
+					t.Fatalf("recovery stats: %+v", stats)
+				}
+			}
+		})
+	}
+}

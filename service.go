@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -230,7 +231,41 @@ func (v *Verifier) StartSession(ctx context.Context, m *SessionManager, doc *Doc
 			return nil, err
 		}
 	}
+	if err := v.parkedIn(m, sess); err != nil {
+		return nil, err
+	}
 	return sess, nil
+}
+
+// parkedIn records that the registered verifier v has a session in m, so
+// deleting v ends it. A verifier deleted while the session started has
+// already ended its sessions, perhaps before this one joined m, so the
+// session is taken back out. Standalone verifiers have nothing to record.
+func (v *Verifier) parkedIn(m *SessionManager, sess *Session) error {
+	s := v.svc
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	registered := s.verifiers[v.id] == v
+	if registered && !slices.Contains(s.managers, m) {
+		s.managers = append(s.managers, m)
+	}
+	s.mu.Unlock()
+	if !registered {
+		m.Remove(sess.ID())
+		return fmt.Errorf("scrutinizer: verifier %q was removed while the session started", v.id)
+	}
+	return nil
+}
+
+// endSessions ends every session of verifier id in the registries its
+// sessions were parked in; with a store attached each end journals a
+// session.delete through the managers' OnEnd hook. Caller holds s.mu.
+func (s *Service) endSessions(id string) {
+	for _, m := range s.managers {
+		m.RemoveOwner(id)
+	}
 }
 
 // RestoreSession rebuilds a session from a snapshot by replaying its
@@ -249,6 +284,9 @@ func (v *Verifier) RestoreSession(ctx context.Context, m *SessionManager, doc *D
 	sess, err := m.Restore(ctx, r.engine, doc, v.sessionOptions(opts), snap)
 	if err != nil {
 		r.Close()
+		return nil, err
+	}
+	if err := v.parkedIn(m, sess); err != nil {
 		return nil, err
 	}
 	return sess, nil
@@ -399,6 +437,9 @@ type Service struct {
 	verifiers   map[string]*Verifier
 	corpusSeq   uint64
 	verifierSeq uint64
+	// managers are the session registries the verifiers have parked
+	// sessions in: deleting a verifier ends its sessions in each.
+	managers []*SessionManager
 }
 
 // serviceCorpus is one registered corpus plus the caches shared by every
@@ -608,11 +649,11 @@ func (s *Service) CorpusQueryCache(id string) (*QueryCache, bool) {
 }
 
 // RemoveCorpus drops a corpus and every verifier bound to it, reporting
-// whether the corpus was registered. Live runs and sessions keep working
-// on their own engines; they just can no longer be recreated. With a
-// store attached the cascade is journaled before the call returns, so
-// recovery never resurrects any of it; a failed journal append rolls the
-// removal back and surfaces as ErrJournal.
+// whether the corpus was registered, and ends those verifiers' sessions.
+// Live batch runs keep working on their own engines; they just can no
+// longer be recreated. With a store attached the cascade is journaled
+// before the call returns, so recovery never resurrects any of it; a
+// failed journal append rolls the removal back and surfaces as ErrJournal.
 func (s *Service) RemoveCorpus(id string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -635,6 +676,9 @@ func (s *Service) RemoveCorpus(id string) (bool, error) {
 			s.verifiers[v.id] = v
 		}
 		return false, err
+	}
+	for _, v := range dropped {
+		s.endSessions(v.id)
 	}
 	return true, nil
 }
@@ -706,9 +750,10 @@ func (s *Service) Verifier(id string) (*Verifier, bool) {
 	return v, ok
 }
 
-// RemoveVerifier drops a verifier, reporting whether it was registered.
-// With a store attached the delete is journaled (rolled back on append
-// failure, surfaced as ErrJournal), so recovery does not resurrect it.
+// RemoveVerifier drops a verifier, reporting whether it was registered,
+// and ends its sessions. With a store attached the delete is journaled
+// (rolled back on append failure, surfaced as ErrJournal), so recovery
+// does not resurrect it.
 func (s *Service) RemoveVerifier(id string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -721,6 +766,7 @@ func (s *Service) RemoveVerifier(id string) (bool, error) {
 		s.verifiers[id] = v
 		return false, err
 	}
+	s.endSessions(id)
 	return true, nil
 }
 

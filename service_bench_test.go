@@ -9,7 +9,9 @@ package scrutinizer
 // Verify benches measure the full request including the Algorithm 1 loop.
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"testing"
 
 	"github.com/repro/scrutinizer/internal/worldgen"
@@ -110,7 +112,11 @@ func BenchmarkServiceVerifyCold(b *testing.B) {
 // re-fits features and classifiers from the journaled training document —
 // the only boot path — so the sub-benchmark over a memory store is named
 // Retrain. File replays the same journal from a file store and adds
-// OpenFileStore's scan of it: what a daemon restart pays.
+// OpenFileStore's scan of it: what a daemon restart pays. Churned is the
+// serving-path restart: a file-store journal of churnedLifecycles whole
+// tenant lifecycles, all deleted again, and one survivor that keeps an
+// open session, so nearly every record belongs to a resource the boot
+// must not rebuild.
 func BenchmarkRecoveryBoot(b *testing.B) {
 	w := benchServiceWorld(b)
 	st := NewMemoryStore()
@@ -178,6 +184,100 @@ func BenchmarkRecoveryBoot(b *testing.B) {
 			}
 		}
 	})
+	churned := churnedJournal(b, w)
+	b.Run("Churned", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fst, err := OpenFileStore(churned)
+			if err != nil {
+				b.Fatal(err)
+			}
+			stats, err := NewService().Recover(fst, NewSessionManager(0, 0))
+			fst.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if stats.Corpora != 1 || stats.Verifiers != 1 || stats.Sessions != 1 || stats.SessionsSkipped != 0 {
+				b.Fatalf("unexpected recovery: %+v", stats)
+			}
+		}
+	})
+}
+
+// churnedLifecycles is how many deleted tenant lifecycles churnedJournal
+// writes before its survivor.
+const churnedLifecycles = 16
+
+// churnedJournal writes, through a service on a file store, the journal of
+// churnedLifecycles tenant lifecycles over w, each like a tenant-churn
+// client's: create a corpus, PUT every relation as CSV, train a verifier on
+// the first half of the document, answer a session over the second half,
+// end the session and delete the corpus. One more lifecycle stops before
+// its deletes, leaving its session open. It returns the store's directory.
+func churnedJournal(b *testing.B, w *World) string {
+	b.Helper()
+	dir := b.TempDir()
+	fst, err := OpenFileStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fst.Close()
+	mgr := NewSessionManager(0, 0)
+	svc := NewService()
+	if _, err := svc.Recover(fst, mgr); err != nil {
+		b.Fatal(err)
+	}
+	csvs := make(map[string][]byte)
+	for _, name := range w.Corpus.Names() {
+		rel, err := w.Corpus.Relation(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rel.WriteCSV(&buf); err != nil {
+			b.Fatal(err)
+		}
+		csvs[name] = buf.Bytes()
+	}
+	half := len(w.Document.Claims) / 2
+	training := &Document{Title: "training", Sections: w.Document.Sections, Claims: w.Document.Claims[:half]}
+	heldOut := &Document{Title: "held out", Sections: w.Document.Sections, Claims: w.Document.Claims[half:]}
+	for i := 0; i <= churnedLifecycles; i++ {
+		id := fmt.Sprintf("t%d", i)
+		if _, err := svc.AddCorpus(id, NewCorpus()); err != nil {
+			b.Fatal(err)
+		}
+		for _, name := range w.Corpus.Names() {
+			if _, _, err := svc.PutRelation(id, name, csvs[name]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		v, err := svc.CreateVerifier(id, training, Options{Seed: int64(i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sess, err := v.StartSession(context.Background(), mgr, heldOut, SessionOptions{Verify: VerifyOptions{BatchSize: 20}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < 5; j++ {
+			qs := sess.Questions()
+			if len(qs) == 0 {
+				b.Fatal("no pending questions")
+			}
+			if _, err := sess.Answer(context.Background(), SessionAnswer{ClaimID: qs[0].ClaimID, Value: "suggestion", Seconds: 2}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if i == churnedLifecycles {
+			break // the survivor
+		}
+		mgr.Remove(sess.ID())
+		if ok, err := svc.RemoveCorpus(id); !ok || err != nil {
+			b.Fatalf("RemoveCorpus(%s): %v %v", id, ok, err)
+		}
+	}
+	return dir
 }
 
 // BenchmarkServiceVerifyWarm is the full service request: StartRun +
