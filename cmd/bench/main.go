@@ -96,6 +96,7 @@ type trackedBench struct {
 // BenchmarkRecoveryBoot/File a restart over a file store, the open scan
 // included, and BenchmarkRecoveryBoot/Churned a restart over a journal
 // of deleted tenant lifecycles, of which nothing may be decoded.
+// BenchmarkJournalCompact compacts that same journal to its survivor.
 // BenchmarkDecodeCorpusPayload pins decoding a paper-shape
 // corpus dump on the journal's canonical JSON path, not encoding/json.
 var defaultTracked = []trackedBench{
@@ -106,7 +107,7 @@ var defaultTracked = []trackedBench{
 	{Pkg: "./internal/core", Bench: "BenchmarkGenerateQueries$|BenchmarkGenerateQueriesCold|BenchmarkGenerateQueriesInterpreted|BenchmarkVerifyEndToEnd|BenchmarkVerifyWithDeadline|BenchmarkVerifyInstrumented"},
 	{Pkg: "./internal/session", Bench: "BenchmarkSessionCreate|BenchmarkSessionAnswerPump|BenchmarkSessionEvict"},
 	{Pkg: "./internal/store", Bench: "BenchmarkDecodeCorpusPayload"},
-	{Pkg: ".", Bench: "BenchmarkVerifySequential/SmallWorld|BenchmarkVerifyParallel/SmallWorld|BenchmarkServiceVerifyCold|BenchmarkServiceVerifyWarm|BenchmarkServiceSetupCold|BenchmarkServiceSetupWarm|BenchmarkRecoveryBoot|BenchmarkServiceAddCorpus|BenchmarkConcurrentRunsSharedCorpus|BenchmarkServiceManyTenants"},
+	{Pkg: ".", Bench: "BenchmarkVerifySequential/SmallWorld|BenchmarkVerifyParallel/SmallWorld|BenchmarkServiceVerifyCold|BenchmarkServiceVerifyWarm|BenchmarkServiceSetupCold|BenchmarkServiceSetupWarm|BenchmarkRecoveryBoot|BenchmarkJournalCompact|BenchmarkServiceAddCorpus|BenchmarkConcurrentRunsSharedCorpus|BenchmarkServiceManyTenants"},
 }
 
 // ratioGate fails a pass when benchmark Num takes more than Max times the

@@ -62,18 +62,19 @@ func AppendRecord(buf []byte, rec *Record) ([]byte, error) {
 // bytes the record occupied (0 on any error).
 func DecodeRecord(r *bufio.Reader) (*Record, int, error) {
 	var buf []byte
-	return decodeRecord(r, &buf)
+	return decodeRecord(r, &buf, decodeRecordCanon)
 }
 
 // decodeRecord is DecodeRecord reading the payload into *buf, which it
-// grows as needed and the caller may reuse: the record copies what it
-// keeps.
-func decodeRecord(r *bufio.Reader, buf *[]byte) (*Record, int, error) {
+// grows as needed and the caller may reuse, and decoding the record with
+// canon: decodeRecordCanon copies what the record keeps, decodeRecordView
+// leaves its payload in *buf.
+func decodeRecord(r *bufio.Reader, buf *[]byte, canon func(*canonReader, *Record) bool) (*Record, int, error) {
 	payload, err := readFrame(r, buf)
 	if err != nil {
 		return nil, 0, err
 	}
-	rec, err := decodeCanon(payload, decodeRecordCanon)
+	rec, err := decodeCanon(payload, canon)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: payload is not a record: %v", ErrCorrupt, err)
 	}
@@ -154,7 +155,7 @@ func ScanJournal(r io.Reader, fn func(*Record) error) (int64, error) {
 		off int64
 	)
 	for {
-		rec, n, err := decodeRecord(br, &buf)
+		rec, n, err := decodeRecord(br, &buf, decodeRecordCanon)
 		if errors.Is(err, io.EOF) {
 			return off, nil
 		}

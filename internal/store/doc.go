@@ -1,8 +1,9 @@
 // Package store is the pluggable persistence layer behind the durable
 // multi-tenant service: a write-ahead journal of accepted mutations,
-// abstracted as the Store interface so the registry can run against an
-// embedded single-node backend (File), an in-memory backend for tests
-// (Memory), or a fault-injecting wrapper for crash-recovery tests (Faulty).
+// compacted online to its live records, abstracted as the Store interface
+// so the registry can run against an embedded single-node backend (File),
+// an in-memory backend for tests (Memory), or a fault-injecting wrapper
+// for crash-recovery tests (Faulty).
 //
 // # Journal
 //
@@ -38,6 +39,31 @@
 // part of a damaged tail and truncated; a checksum-intact JSON payload
 // that is not a Record, which Append cannot write, is kept, and Replay —
 // the one decoder of records — reports it as ErrCorrupt.
+//
+// # Liveness and compaction
+//
+// Fold is the one statement of which records survive: a corpus's create
+// and relation records until the corpus is deleted, a verifier's create
+// until it or its corpus is deleted, a session's create and answers
+// until the session is deleted. Recovery folds the replayed journal to
+// find what to rebuild; it also yields the highest minted corpus and
+// verifier numbers, deleted ones included, so a restart never mints a
+// deleted ID again.
+//
+// File compacts with the same fold. A durable corpus, verifier or session
+// delete that finds the journal at least doubled, and grown by at least
+// 4 MiB, since open or the last compaction starts one background
+// goroutine. Without the append mutex it folds the journal up to its
+// current end and writes journal.tmp: an OpWatermark record carrying the
+// minted-ID counters, then every surviving frame byte for byte. Holding
+// the mutex it copies the records appended meanwhile, fsyncs, renames
+// journal.tmp over the journal, swaps the append handle and fsyncs the
+// directory. A crash before the rename leaves the old journal, whose
+// stale journal.tmp the next open removes; after it, the new journal,
+// which recovers to the same state. Close waits for a running
+// compaction. Replay numbers records by their place in the file, as
+// copied frames keep the seq they were appended with. A build older than
+// OpWatermark refuses a compacted journal with "unknown journal op".
 //
 // # Decoding JSON
 //

@@ -415,7 +415,14 @@ func decodeCanon[T any](data []byte, canon func(*canonReader, *T) bool) (T, erro
 
 // decodeRecordCanon decodes a record as AppendRecord writes it. Payload is
 // a copy of the raw value, as json.RawMessage holds it.
-func decodeRecordCanon(r *canonReader, rec *Record) bool {
+func decodeRecordCanon(r *canonReader, rec *Record) bool { return decodeRecordInto(r, rec, true) }
+
+// decodeRecordView is decodeRecordCanon with Payload pointing into the
+// input, for a caller that is done with the record before the input
+// changes.
+func decodeRecordView(r *canonReader, rec *Record) bool { return decodeRecordInto(r, rec, false) }
+
+func decodeRecordInto(r *canonReader, rec *Record, copyPayload bool) bool {
 	if !r.next('{') {
 		return false
 	}
@@ -442,7 +449,10 @@ func decodeRecordCanon(r *canonReader, rec *Record) bool {
 		if end < 0 {
 			return false
 		}
-		rec.Payload = append(json.RawMessage(nil), r.data[start:end]...)
+		rec.Payload = r.data[start:end]
+		if copyPayload {
+			rec.Payload = append(json.RawMessage(nil), rec.Payload...)
+		}
 		r.i = end
 	}
 	return r.next('}')

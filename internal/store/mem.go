@@ -62,10 +62,12 @@ func (m *Memory) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return Stats{
-		Backend:      "memory",
-		Records:      uint64(len(m.records)),
-		JournalBytes: m.bytes,
-		LastAppend:   m.last,
+		Backend:       "memory",
+		Records:       uint64(len(m.records)),
+		JournalBytes:  m.bytes,
+		LiveBytes:     m.bytes,
+		AppendedBytes: m.bytes,
+		LastAppend:    m.last,
 	}
 }
 

@@ -7,9 +7,10 @@ import (
 )
 
 // Monitored wraps a Store with metrics: append counts, errors and fsync
-// latency are timed at the call boundary, recovery (Replay) duration is
-// recorded, and the inner store's own Stats() snapshot is mirrored into
-// gauges at scrape time. The wrapper adds one time.Now pair per append —
+// latency are timed at the call boundary, the Replay that opens a
+// recovery is timed, and the inner store's own Stats() snapshot, its
+// compaction figures included, is mirrored into gauges and counters at
+// scrape time. The wrapper adds one time.Now pair per append —
 // noise next to the fsync it measures — and changes no behavior, so the
 // daemon can keep a handle to the inner store for Close.
 type Monitored struct {
@@ -31,15 +32,27 @@ func Monitor(st Store, reg *obs.Registry) *Monitored {
 		appends:   reg.NewCounter("scrutinizer_store_appends_total", "Journal records appended (successfully) since process start."),
 		appendErr: reg.NewCounter("scrutinizer_store_append_errors_total", "Journal appends that returned an error."),
 		appendSec: reg.NewHistogram("scrutinizer_store_append_seconds", "Journal append latency including fsync.", obs.ExpBuckets(0.0001, 4, 10)),
-		recovery:  reg.NewGauge("scrutinizer_store_recovery_seconds", "Wall-clock duration of the last journal replay (crash recovery)."),
+		recovery:  reg.NewGauge("scrutinizer_store_recovery_seconds", "Wall-clock duration of the last journal replay: decoding the records and folding them into the surviving set, not rebuilding corpora or retraining verifiers."),
 	}
 	records := reg.NewGauge("scrutinizer_store_journal_records", "Intact journal records in the store.")
-	journalBytes := reg.NewGauge("scrutinizer_store_journal_bytes", "Journal size in bytes.")
+	journalBytes := reg.NewGauge("scrutinizer_store_journal_bytes", "Journal size in bytes; compaction shrinks it.")
+	liveBytes := reg.NewGauge("scrutinizer_store_journal_live_bytes", "Journal bytes the last compaction kept plus the live part of what was appended since; the journal size before any compaction.")
+	appended := reg.NewCounter("scrutinizer_store_appended_bytes_total", "Journal bytes appended since process start.")
+	compactions := reg.NewCounter("scrutinizer_store_compactions_total", "Compactions that replaced the journal with its live records.")
+	compactErr := reg.NewCounter("scrutinizer_store_compaction_errors_total", "Compactions that failed and left the journal as it was.")
+	compactSec := reg.NewGauge("scrutinizer_store_compaction_seconds", "Wall-clock duration of the last compaction.")
+	stall := reg.NewGauge("scrutinizer_store_compaction_stall_max_seconds", "Longest time a compaction held journal appends back.")
 	tornTail := reg.NewGauge("scrutinizer_store_torn_tail_recovered", "1 when opening the journal truncated a torn tail, else 0.")
 	reg.OnScrape(func() {
 		st := m.inner.Stats()
 		records.Set(float64(st.Records))
 		journalBytes.Set(float64(st.JournalBytes))
+		liveBytes.Set(float64(st.LiveBytes))
+		appended.Set(float64(st.AppendedBytes))
+		compactions.Set(float64(st.Compactions))
+		compactErr.Set(float64(st.CompactionErrors))
+		compactSec.Set(st.CompactionS)
+		stall.Set(st.CompactionStallMaxS)
 		if st.TornTailRecovered {
 			tornTail.Set(1)
 		} else {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -84,5 +85,41 @@ func TestMonitoredPassthrough(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMonitoredCompaction: the compaction figures of a file store's Stats
+// reach /metrics.
+func TestMonitoredCompaction(t *testing.T) {
+	reg := obs.NewRegistry()
+	fs := openFile(t, t.TempDir())
+	defer fs.Close()
+	st := Monitor(fs, reg)
+	churned(t, st, 1<<20)
+	if err := fs.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	stats := fs.Stats()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	g := func(n int64) string { return strconv.FormatFloat(float64(n), 'g', -1, 64) }
+	for _, want := range []string{
+		"scrutinizer_store_compactions_total 1",
+		"scrutinizer_store_compaction_errors_total 0",
+		"scrutinizer_store_journal_bytes " + g(stats.JournalBytes),
+		"scrutinizer_store_journal_live_bytes " + g(stats.LiveBytes),
+		"scrutinizer_store_appended_bytes_total " + g(stats.AppendedBytes),
+		"scrutinizer_store_compaction_seconds ",
+		"scrutinizer_store_compaction_stall_max_seconds ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
+	}
+	if stats.AppendedBytes <= stats.JournalBytes {
+		t.Errorf("appended %d bytes, journal holds %d after compaction", stats.AppendedBytes, stats.JournalBytes)
 	}
 }

@@ -35,6 +35,9 @@ const (
 	// OpSessionDelete removes a session (explicit delete or TTL
 	// eviction), so replay never resurrects it.
 	OpSessionDelete Op = "session.delete"
+	// OpWatermark opens a compacted journal; the payload is a
+	// WatermarkPayload. It is the one op the service never appends.
+	OpWatermark Op = "journal.watermark"
 )
 
 // Record is one journal entry. The resource-ID fields identify what the op
@@ -70,6 +73,14 @@ type RelationPayload struct {
 	Name string            `json:"name"`
 	CSV  string            `json:"csv"`
 	Meta map[string]string `json:"meta,omitempty"`
+}
+
+// WatermarkPayload is the OpWatermark body: the highest corpus and
+// verifier numbers minted before the compaction, whose records it may
+// have dropped.
+type WatermarkPayload struct {
+	Corpus   uint64 `json:"corpus"`
+	Verifier uint64 `json:"verifier"`
 }
 
 // CorpusPayload is the OpCorpusCreate body: the corpus's relations at

@@ -8,8 +8,25 @@ type Stats struct {
 	Backend string `json:"backend"`
 	// Records is the number of intact journal records.
 	Records uint64 `json:"journal_records"`
-	// JournalBytes is the journal size in bytes.
+	// JournalBytes is the journal size in bytes; a compaction shrinks it.
 	JournalBytes int64 `json:"journal_bytes"`
+	// LiveBytes is what the last compaction's fold kept plus the live
+	// part of what was appended since, so JournalBytes − LiveBytes is
+	// what a compaction would drop now. Before a compaction it is the
+	// journal size, since nothing has been folded.
+	LiveBytes int64 `json:"journal_live_bytes"`
+	// AppendedBytes counts the bytes appended since open; unlike
+	// JournalBytes, it never shrinks.
+	AppendedBytes int64 `json:"appended_bytes"`
+	// Compactions and CompactionErrors count the compactions that
+	// replaced the journal and those that failed, leaving it as it was.
+	Compactions      uint64 `json:"compactions"`
+	CompactionErrors uint64 `json:"compaction_errors"`
+	// CompactionS is the wall time of the last compaction, and
+	// CompactionStallMaxS the longest time a compaction held appends
+	// back (its second phase).
+	CompactionS         float64 `json:"compaction_s"`
+	CompactionStallMaxS float64 `json:"compaction_stall_max_s"`
 	// LastAppend is when the journal last grew (zero before any append
 	// this process).
 	LastAppend time.Time `json:"last_append,omitempty"`

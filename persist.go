@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -333,91 +332,43 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 	}
 
 	// Pass 1: fold the journal's record headers into the surviving
-	// resource set. No payload is decoded yet, so nothing of a resource
-	// deleted later in the journal is ever decoded or built. Each surviving
-	// corpus keeps its create record and the relation puts and deletes that
-	// followed, in journal order.
-	corpora := make(map[string][]*store.Record)
-	var corpusOrder []string
-	verifiers := make(map[string]*recVerifier)
-	var verifierOrder []string
-	sessions := make(map[string]*recSession)
-	var sessionOrder []string
-	var corpusSeq, verifierSeq uint64
-
+	// records (store.Fold, the liveness rule compaction shares). No
+	// payload is decoded yet, so nothing of a resource deleted later in
+	// the journal is ever decoded or built. The survivors come back in
+	// journal order: each corpus gets its create record and the relation
+	// puts and deletes that followed, and each session its answers.
+	fold := store.NewFold[*store.Record]()
 	err := st.Replay(func(rec *store.Record) error {
 		stats.Records++
-		switch rec.Op {
-		case store.OpCorpusCreate:
-			if _, dup := corpora[rec.Corpus]; dup {
-				return fmt.Errorf("corpus %q created twice", rec.Corpus)
-			}
-			corpora[rec.Corpus] = []*store.Record{rec}
-			corpusOrder = append(corpusOrder, rec.Corpus)
-			bumpSeq(&corpusSeq, rec.Corpus, 'c')
-
-		case store.OpCorpusDelete:
-			delete(corpora, rec.Corpus)
-			// The live RemoveCorpus cascades over the corpus's verifiers;
-			// replay mirrors it.
-			for id, v := range verifiers {
-				if v.corpusID == rec.Corpus {
-					delete(verifiers, id)
-				}
-			}
-
-		case store.OpRelationPut:
-			recs, ok := corpora[rec.Corpus]
-			if !ok {
-				return fmt.Errorf("relation put on unknown corpus %q", rec.Corpus)
-			}
-			corpora[rec.Corpus] = append(recs, rec)
-
-		case store.OpRelationDelete:
-			if recs, ok := corpora[rec.Corpus]; ok {
-				corpora[rec.Corpus] = append(recs, rec)
-			}
-
-		case store.OpVerifierCreate:
-			if _, ok := corpora[rec.Corpus]; !ok {
-				return fmt.Errorf("verifier %q on unknown corpus %q", rec.Verifier, rec.Corpus)
-			}
-			verifiers[rec.Verifier] = &recVerifier{id: rec.Verifier, corpusID: rec.Corpus, payload: rec.Payload}
-			verifierOrder = append(verifierOrder, rec.Verifier)
-			bumpSeq(&verifierSeq, rec.Verifier, 'v')
-
-		case store.OpVerifierDelete:
-			delete(verifiers, rec.Verifier)
-
-		case store.OpSessionCreate:
-			sessions[rec.Session] = &recSession{id: rec.Session, verifier: rec.Verifier, payload: rec.Payload}
-			sessionOrder = append(sessionOrder, rec.Session)
-
-		case store.OpSessionAnswer:
-			sess, ok := sessions[rec.Session]
-			if !ok {
-				// The session was already deleted (answers race the
-				// delete only across sessions, never within one) or its
-				// create never committed; either way nothing to apply.
-				return nil
-			}
-			sess.answers = append(sess.answers, rec.Payload)
-
-		case store.OpSessionDelete:
-			// Explicit delete or TTL eviction: the session must not be
-			// resurrected. Unknown IDs are tolerated (a create whose
-			// journal append failed after the registry accepted it was
-			// rolled back, but its delete may still have committed).
-			delete(sessions, rec.Session)
-
-		default:
-			return fmt.Errorf("unknown journal op %q", rec.Op)
-		}
-		return nil
+		return fold.Add(rec, 0, rec)
 	})
 	if err != nil {
 		return stats, replayError(err)
 	}
+	corpora := make(map[string][]*store.Record)
+	var corpusOrder []string
+	var live []*recVerifier
+	sessions := make(map[string]*recSession)
+	var sessionOrder []*recSession
+	for _, rec := range fold.Live() {
+		switch rec.Op {
+		case store.OpCorpusCreate:
+			corpusOrder = append(corpusOrder, rec.Corpus)
+			corpora[rec.Corpus] = []*store.Record{rec}
+		case store.OpRelationPut, store.OpRelationDelete:
+			corpora[rec.Corpus] = append(corpora[rec.Corpus], rec)
+		case store.OpVerifierCreate:
+			live = append(live, &recVerifier{id: rec.Verifier, corpusID: rec.Corpus, payload: rec.Payload})
+		case store.OpSessionCreate:
+			rs := &recSession{id: rec.Session, verifier: rec.Verifier, payload: rec.Payload}
+			sessions[rec.Session] = rs
+			sessionOrder = append(sessionOrder, rs)
+		case store.OpSessionAnswer:
+			rs := sessions[rec.Session]
+			rs.answers = append(rs.answers, rec.Payload)
+		}
+	}
+	minted := fold.Watermark()
 	phase(&stats.ReplayS)
 
 	// Pass 2: rebuild the surviving corpora while the verifiers retrain.
@@ -430,28 +381,17 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 	// of any verifier's, be it a malformed payload or a failed retrain.
 	// State is mutated directly: the store is not attached yet, so nothing
 	// re-journals. Deleting each corpus's records once taken frees their
-	// raw CSV early, and skips the second entry of an ID deleted and
-	// created again (only its last incarnation survived).
+	// raw CSV early.
 	entries := make(map[string]*serviceCorpus, len(corpora))
 	for id := range corpora {
 		entries[id] = &serviceCorpus{id: id, corpus: NewCorpus(), qcache: NewQueryCache(), created: time.Now()}
-	}
-	var live []*recVerifier
-	for _, id := range verifierOrder {
-		if rv, ok := verifiers[id]; ok {
-			delete(verifiers, id)
-			live = append(live, rv)
-		}
 	}
 	retrained := retrainVerifiers(live, entries)
 	// On every path out, no retraining outlives Recover.
 	defer retrained.stop()
 
 	for _, id := range corpusOrder {
-		recs, ok := corpora[id]
-		if !ok {
-			continue
-		}
+		recs := corpora[id]
 		delete(corpora, id)
 		if err := buildCorpus(entries[id].corpus, id, recs); err != nil {
 			return stats, fmt.Errorf("scrutinizer: rebuilding corpus: %w", err)
@@ -466,12 +406,8 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 		s.corpora[id] = e
 	}
 	stats.Corpora = len(entries)
-	if corpusSeq > s.corpusSeq {
-		s.corpusSeq = corpusSeq
-	}
-	if verifierSeq > s.verifierSeq {
-		s.verifierSeq = verifierSeq
-	}
+	s.corpusSeq = max(s.corpusSeq, minted.Corpus)
+	s.verifierSeq = max(s.verifierSeq, minted.Verifier)
 	s.mu.Unlock()
 	phase(&stats.CorporaS)
 
@@ -492,11 +428,8 @@ func (s *Service) Recover(st Store, mgr *SessionManager) (RecoveryStats, error) 
 	// so replay does not re-journal (and Session.Answer additionally
 	// suppresses the answer hook during Restore).
 	if mgr != nil {
-		for _, id := range sessionOrder {
-			rs, ok := sessions[id]
-			if !ok {
-				continue
-			}
+		for _, rs := range sessionOrder {
+			id := rs.id
 			v, live := s.Verifier(rs.verifier)
 			if !live {
 				stats.SessionsSkipped++
@@ -744,16 +677,4 @@ func (s *Service) corpusEntry(id string) (*serviceCorpus, bool) {
 	defer s.mu.RUnlock()
 	e, ok := s.corpora[id]
 	return e, ok
-}
-
-// bumpSeq advances a mint counter past a recovered "c7"/"v12"-style ID so
-// post-recovery minting never collides with recovered resources.
-func bumpSeq(seq *uint64, id string, prefix byte) {
-	if len(id) < 2 || id[0] != prefix {
-		return
-	}
-	n, err := strconv.ParseUint(id[1:], 10, 64)
-	if err == nil && n > *seq {
-		*seq = n
-	}
 }

@@ -470,6 +470,77 @@ func TestRecoveryJournalPrefixProperty(t *testing.T) {
 		if !reflect.DeepEqual(got, cp.summary) {
 			t.Fatalf("prefix %d diverged:\n  got  %v\n  want %v", cp.records, got, cp.summary)
 		}
+
+		// Compacted, the prefix recovers the same state.
+		compacted := compactedCopy(t, st.CloneWithPrefix(cp.records))
+		mgr3 := NewSessionManager(0, 0)
+		svc3 := NewService()
+		if _, err := svc3.Recover(compacted, mgr3); err != nil {
+			t.Fatalf("compacted prefix %d: recover: %v", cp.records, err)
+		}
+		if got := registrySummary(svc3, mgr3, cp.ids); !reflect.DeepEqual(got, cp.summary) {
+			t.Fatalf("compacted prefix %d diverged:\n  got  %v\n  want %v", cp.records, got, cp.summary)
+		}
+	}
+}
+
+// compactedCopy copies st's journal into a file store and compacts it.
+// The store is closed when the test ends.
+func compactedCopy(t *testing.T, st Store) *store.File {
+	t.Helper()
+	fst, err := OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fst.Close() })
+	if err := st.Replay(fst.Append); err != nil {
+		t.Fatal(err)
+	}
+	if err := fst.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	return fst
+}
+
+// TestRecoveryCompactionKeepsMintedIDs: a compaction drops a deleted
+// corpus's and verifier's records, yet after it a restart mints the same
+// next IDs as after the uncompacted journal, never a deleted one: the
+// compacted journal's watermark record carries the counters.
+func TestRecoveryCompactionKeepsMintedIDs(t *testing.T) {
+	w := recoveryWorld(t)
+	st := NewMemoryStore()
+	svc := attachedService(t, st, nil)
+	id, err := svc.AddCorpus("", w.Corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.CreateVerifier(id, w.Document, Options{Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := svc.RemoveCorpus(id); !ok || err != nil {
+		t.Fatalf("RemoveCorpus: %v %v", ok, err)
+	}
+	next := func(st Store) (string, string) {
+		t.Helper()
+		svc := attachedService(t, st, nil)
+		id, err := svc.AddCorpus("", w.Corpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := svc.CreateVerifier(id, w.Document, Options{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id, v.ID()
+	}
+	compacted := compactedCopy(t, st)
+	if n := compacted.Stats().Records; n != 1 {
+		t.Fatalf("compacted journal holds %d records, want the watermark alone", n)
+	}
+	wantC, wantV := next(st.CloneWithPrefix(int(st.Stats().Records)))
+	gotC, gotV := next(compacted)
+	if wantC != "c2" || wantV != "v2" || gotC != wantC || gotV != wantV {
+		t.Fatalf("next IDs after compaction %s/%s, uncompacted %s/%s, want c2/v2", gotC, gotV, wantC, wantV)
 	}
 }
 

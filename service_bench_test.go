@@ -12,6 +12,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/repro/scrutinizer/internal/worldgen"
@@ -310,4 +312,40 @@ func BenchmarkServiceVerifyWarm(b *testing.B) {
 		run.Close()
 	}
 	b.ReportMetric(float64(b.N)*float64(len(w.Document.Claims))/b.Elapsed().Seconds(), "claims/s")
+}
+
+// BenchmarkJournalCompact is one compaction of churnedJournal's journal:
+// folding it, writing its survivors and the watermark to journal.tmp,
+// fsyncing and renaming it over the journal. Each iteration compacts a
+// fresh copy; bytes-before and bytes-after are the journal's sizes.
+func BenchmarkJournalCompact(b *testing.B) {
+	w := benchServiceWorld(b)
+	journal, err := os.ReadFile(filepath.Join(churnedJournal(b, w), "journal.wal"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	var after int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := os.WriteFile(filepath.Join(dir, "journal.wal"), journal, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		fst, err := OpenFileStore(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := fst.Compact(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		after = fst.Stats().JournalBytes
+		fst.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(len(journal)), "bytes-before")
+	b.ReportMetric(float64(after), "bytes-after")
 }
