@@ -6,6 +6,7 @@ package main
 // stay green under -race.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -314,10 +315,10 @@ func TestChaosReadyzDuringReplay(t *testing.T) {
 }
 
 // TestChaosHostileTenantFairness: a hostile tenant hammering its verifier
-// collects 429s while a polite tenant's paced runs all succeed. This is
-// the in-process proxy for the loadgen overload gate (which measures the
-// throughput claim end to end): here the invariant is isolation — zero
-// rejections for the tenant inside its budget.
+// collects 429s while a polite tenant's paced runs all succeed. Here the
+// invariant is isolation — zero rejections for the tenant inside its
+// budget; TestChaosOverloadHostileSessions checks that the daemon as a
+// whole survives hostile clients.
 func TestChaosHostileTenantFairness(t *testing.T) {
 	_, w, ts := guardedServer(t, serverConfig{rateLimit: 20, rateBurst: 3}, nil)
 	doc := smallDoc(w, 4)
@@ -382,6 +383,162 @@ func TestChaosHostileTenantFairness(t *testing.T) {
 	}
 	if hostile5xx.Load() != 0 {
 		t.Errorf("hostile load produced %d non-shed 5xx responses", hostile5xx.Load())
+	}
+}
+
+// TestChaosOverloadHostileSessions is the overload gate: hostile clients
+// against a guarded, durable daemon. Eight clients open interactive runs
+// and answer them one question per request, never backing off on a 429 or
+// a 503; every second session is abandoned halfway without a DELETE, so
+// it keeps holding its tenant's run slot. The daemon passes when it shed
+// load (429s or 503s), failed nothing with any other 5xx, and still
+// answers its probes afterwards.
+func TestChaosOverloadHostileSessions(t *testing.T) {
+	st, err := scrutinizer.OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() }) // after the server's own cleanup
+	_, w, ts := guardedServer(t, serverConfig{rateLimit: 50, rateBurst: 25, maxRunsPerTenant: 4,
+		maxInflight: 32, requestTimeout: 30 * time.Second}, st)
+	verifiers := []string{
+		trainV1Verifier(t, ts, "default", w.Document, 11).ID,
+		trainV1Verifier(t, ts, "default", w.Document, 12).ID,
+	}
+	runBody, _ := json.Marshal(map[string]any{
+		"document": json.RawMessage(docJSON(t, w.Document)),
+		"mode":     "session",
+		"batch":    10,
+	})
+
+	const workers = 8
+	// Each client keeps its own crowd: teams carry mutable RNG state.
+	crowds := make([]*sessionCrowd, workers)
+	for i := range crowds {
+		crowds[i] = newSessionCrowd(t, w.Corpus, w.Document, int64(11+i%2), 3)
+	}
+
+	// The clients report through counters; only the test goroutine fails.
+	var shed429, shed503, other5xx, answered, abandoned, errs atomic.Int64
+	var abandons atomic.Int64
+	client := &http.Client{Timeout: time.Minute}
+	// send posts (body non-nil) or gets path, decoding a 2xx reply into
+	// out; it returns the status, 0 when no response came back.
+	send := func(method, path string, body []byte, out any) int {
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			errs.Add(1)
+			return 0
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			errs.Add(1)
+			return 0
+		}
+		defer resp.Body.Close()
+		switch {
+		case resp.StatusCode == http.StatusTooManyRequests:
+			shed429.Add(1)
+		case resp.StatusCode == http.StatusServiceUnavailable:
+			shed503.Add(1)
+		case resp.StatusCode >= 500:
+			other5xx.Add(1)
+		case resp.StatusCode < 300 && out != nil:
+			if json.NewDecoder(resp.Body).Decode(out) != nil {
+				errs.Add(1)
+			}
+		}
+		io.Copy(io.Discard, resp.Body) // lets the connection be reused
+		return resp.StatusCode
+	}
+	// session opens one interactive run and pumps it until it is done,
+	// shed, abandoned or stalled.
+	session := func(sc *sessionCrowd, verifierID string) {
+		var run sessionRunResponse
+		if send(http.MethodPost, "/v1/verifiers/"+verifierID+"/runs", runBody, &run) != http.StatusCreated {
+			return
+		}
+		abandon := abandons.Add(1)%2 == 0
+		abandonAfter := len(run.Questions)/2 + 1
+		if !abandon {
+			defer send(http.MethodDelete, "/v1/runs/"+run.ID, nil, nil)
+		}
+		queue, done := run.Questions, run.Progress.Done
+		for answers, emptyPolls := 0, 0; !done; {
+			if abandon && answers >= abandonAfter {
+				abandoned.Add(1)
+				return
+			}
+			if len(queue) == 0 {
+				var qs struct {
+					Questions []scrutinizer.SessionQuestion `json:"questions"`
+					Done      bool                          `json:"done"`
+				}
+				if send(http.MethodGet, "/v1/runs/"+run.ID+"/questions", nil, &qs) != http.StatusOK {
+					return
+				}
+				queue, done = qs.Questions, qs.Done
+				if len(queue) == 0 && !done {
+					if emptyPolls++; emptyPolls > 3 {
+						errs.Add(1) // not done, nothing to answer
+						return
+					}
+				}
+				continue
+			}
+			a, err := sc.tryAnswer(queue[0])
+			queue = queue[1:]
+			if err != nil {
+				errs.Add(1)
+				return
+			}
+			body, _ := json.Marshal(a)
+			var ar answersResponse
+			switch send(http.MethodPost, "/v1/runs/"+run.ID+"/answers", body, &ar) {
+			case http.StatusOK:
+				answers++
+				answered.Add(int64(ar.Accepted))
+				queue = append(queue, ar.Questions...)
+				done = ar.Progress.Done
+			case http.StatusConflict:
+				// The question went stale; keep pumping.
+			default:
+				// Shed or refused: a hostile client moves straight on.
+				return
+			}
+		}
+	}
+
+	deadline := time.Now().Add(2 * time.Second)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for time.Now().Before(deadline) {
+				session(crowds[i], verifiers[i%len(verifiers)])
+			}
+		}(i)
+	}
+	wg.Wait()
+	t.Logf("overload: %d answers, %d sessions abandoned, shed %d as 429 and %d as 503, %d other 5xx, %d client errors",
+		answered.Load(), abandoned.Load(), shed429.Load(), shed503.Load(), other5xx.Load(), errs.Load())
+
+	if n := other5xx.Load(); n > 0 {
+		t.Errorf("%d non-shed 5xx responses under overload", n)
+	}
+	if shed429.Load()+shed503.Load() == 0 {
+		t.Error("overload shed nothing: the limits never engaged")
+	}
+	if answered.Load() == 0 {
+		t.Error("no answer was accepted: the load never reached a session")
+	}
+	for _, probe := range []string{"/healthz", "/readyz"} {
+		resp := do(t, http.MethodGet, ts.URL+probe, nil)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s after overload: status = %d, want 200", probe, resp.StatusCode)
+		}
 	}
 }
 

@@ -68,11 +68,13 @@
 //	scrutinizerd -pprof localhost:6060 -mutexprofile 5 &
 //	go tool pprof -top http://localhost:6060/debug/pprof/mutex
 //
-// Drive load (cmd/loadgen) while the profile accumulates; healthy output
-// concentrates delay in the runtime, not in scrutinizer's own locks —
-// the shared hot paths (query cache, session registry, corpus index,
-// verifier models) are sharded, lock-free or read-locked precisely so
-// this profile stays boring under multi-tenant load.
+// Drive load while the profile accumulates, e.g. a perfbench tenant-churn
+// run whose -daemon is a wrapper adding these flags (README, "Finding the
+// next bottleneck"); healthy output concentrates delay in the runtime, not
+// in scrutinizer's own locks — the shared hot paths (query cache, session
+// registry, corpus index, verifier models) are sharded, lock-free or
+// read-locked precisely so this profile stays boring under multi-tenant
+// load.
 //
 // Endpoints:
 //

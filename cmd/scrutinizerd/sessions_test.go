@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -69,12 +70,22 @@ func newSessionCrowd(t *testing.T, corpus *scrutinizer.Corpus, doc *scrutinizer.
 
 func (sc *sessionCrowd) answer(q scrutinizer.SessionQuestion) scrutinizer.SessionAnswer {
 	sc.t.Helper()
+	a, err := sc.tryAnswer(q)
+	if err != nil {
+		sc.t.Fatal(err)
+	}
+	return a
+}
+
+// tryAnswer is answer for goroutines other than the test's own, which
+// must not call t.Fatal.
+func (sc *sessionCrowd) tryAnswer(q scrutinizer.SessionQuestion) (scrutinizer.SessionAnswer, error) {
 	oracle := sc.oracles[q.ClaimID]
 	if oracle == nil {
 		var err error
 		oracle, err = sc.engine.NewTeamOracle(sc.team.ForClaim(q.ClaimID))
 		if err != nil {
-			sc.t.Fatal(err)
+			return scrutinizer.SessionAnswer{}, err
 		}
 		sc.oracles[q.ClaimID] = oracle
 	}
@@ -86,7 +97,7 @@ func (sc *sessionCrowd) answer(q scrutinizer.SessionQuestion) scrutinizer.Sessio
 		}
 	}
 	if claim == nil {
-		sc.t.Fatalf("question for unknown claim %d", q.ClaimID)
+		return scrutinizer.SessionAnswer{}, fmt.Errorf("question for unknown claim %d", q.ClaimID)
 	}
 	var value string
 	var secs float64
@@ -104,7 +115,7 @@ func (sc *sessionCrowd) answer(q scrutinizer.SessionQuestion) scrutinizer.Sessio
 		case "formula":
 			kind = core.PropFormula
 		default:
-			sc.t.Fatalf("unknown screen %q", q.Screen)
+			return scrutinizer.SessionAnswer{}, fmt.Errorf("unknown screen %q", q.Screen)
 		}
 		opts := make([]planner.Option, len(q.Options))
 		for i, o := range q.Options {
@@ -112,7 +123,7 @@ func (sc *sessionCrowd) answer(q scrutinizer.SessionQuestion) scrutinizer.Sessio
 		}
 		value, secs = oracle.AnswerProperty(claim, kind, opts)
 	}
-	return scrutinizer.SessionAnswer{QuestionID: q.ID, ClaimID: q.ClaimID, Value: value, Seconds: secs}
+	return scrutinizer.SessionAnswer{QuestionID: q.ID, ClaimID: q.ClaimID, Value: value, Seconds: secs}, nil
 }
 
 // TestSessionLifecycleMatchesVerify is the acceptance pin at the HTTP

@@ -320,8 +320,7 @@ type fcEntry struct {
 	err     error            // the parse error when f is nil
 	canon   string           // f.String(); the source verbatim when unparseable
 	aliases []string         // expr.Aliases(f.Expr); computed lazily
-	prog    *expr.Program    // compiled program; nil marks compiler-rejected
-	progSet bool             // whether prog was resolved yet
+	prog    *expr.Program    // compiled program; nil until first compiled
 }
 
 // formulaCache memoizes formula derivations keyed both by source string
@@ -465,28 +464,25 @@ func (e *Engine) formulaAliases(f *formula.Formula) []string {
 }
 
 // compiledProgram returns the compiled program for a canonical formula
-// string, compiling and caching on first use; nil when uncompilable (a nil
-// value is cached too, so rejected formulas fall back to the interpreter
-// without recompiling per claim).
+// string, compiling and caching on first use; nil when uncompilable.
 func (e *Engine) compiledProgram(fkey string, n expr.Node) *expr.Program {
 	fc := e.fc
 	ent := fc.intern(fkey)
 	fc.mu.RLock()
-	prog, ok := ent.prog, ent.progSet
+	prog := ent.prog
 	fc.mu.RUnlock()
-	if ok {
+	if prog != nil {
 		return prog
 	}
 	prog, err := expr.Compile(n)
 	if err != nil {
-		prog = nil
+		return nil
 	}
 	fc.mu.Lock()
-	if ent.progSet {
-		prog = ent.prog
-	} else {
+	if ent.prog == nil {
 		ent.prog = prog
-		ent.progSet = true
+	} else {
+		prog = ent.prog
 	}
 	fc.mu.Unlock()
 	return prog

@@ -8,6 +8,7 @@ import (
 	"github.com/repro/scrutinizer/internal/claims"
 	"github.com/repro/scrutinizer/internal/crowd"
 	"github.com/repro/scrutinizer/internal/embed"
+	"github.com/repro/scrutinizer/internal/expr"
 	"github.com/repro/scrutinizer/internal/feature"
 	"github.com/repro/scrutinizer/internal/formula"
 	"github.com/repro/scrutinizer/internal/worldgen"
@@ -202,7 +203,7 @@ func TestGenerateQueriesFindsTruth(t *testing.T) {
 }
 
 func TestGenerateQueriesEmptyContext(t *testing.T) {
-	e, _ := buildEngine(t, tinyWorld())
+	e, w := buildEngine(t, tinyWorld())
 	f := formula.MustParseFormula("a.A1")
 	sols, alts, _ := e.GenerateQueries(context.Background(), Context{}, []*formula.Formula{f}, 1, true)
 	if len(sols) != 0 || len(alts) != 0 {
@@ -212,6 +213,15 @@ func TestGenerateQueriesEmptyContext(t *testing.T) {
 	sols, alts, _ = e.GenerateQueries(context.Background(), Context{Relations: []string{"R"}, Keys: []string{"K"}}, nil, 1, true)
 	if len(sols) != 0 || len(alts) != 0 {
 		t.Error("no formulas should generate nothing")
+	}
+	// A hand-built formula the compiler rejects generates nothing.
+	bad := &formula.Formula{NumBindings: 1, AttrVars: []string{"A1"},
+		Expr: expr.BinOp{Op: "%", Left: expr.CellRef{Alias: "a", Attr: "A1"}, Right: expr.Num{Value: 2}}}
+	truth := w.Document.Claims[0].Truth
+	qc := Context{Relations: truth.Relations, Keys: truth.Keys, Attrs: truth.Attrs}
+	sols, alts, _ = e.GenerateQueries(context.Background(), qc, []*formula.Formula{bad}, 1, true)
+	if len(sols) != 0 || len(alts) != 0 {
+		t.Error("an uncompilable formula should generate nothing")
 	}
 }
 
