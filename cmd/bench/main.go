@@ -74,9 +74,9 @@ type trackedBench struct {
 
 // defaultTracked is the curated paper-figure + hot-path set. The classifier
 // three are the acceptance benchmarks of the sparse-engine rewrite; the
-// table/query/core trio are the acceptance benchmarks of the compiled
-// query engine (BenchmarkGenerateQueries vs its Interpreted reference is
-// the ≥5x ratio); the root Verify pair is the serving-throughput headline.
+// table/query/core trio time the compiled query engine: cell lookup,
+// Query.Execute and Plan.ExecCoords, and Algorithm 2's query generation
+// warm and cold; the root Verify pair is the serving-throughput headline.
 // BenchmarkVerifyInstrumented vs BenchmarkVerifyEndToEnd pins the cost of
 // the run-lifecycle metric hooks: <2% ns/op and equal allocs/op.
 // BenchmarkRetrainLabelGrowth/fresh pins warm-start retraining over a
@@ -103,8 +103,8 @@ var defaultTracked = []trackedBench{
 	{Pkg: "./internal/classifier", Bench: "BenchmarkTrain500x200|BenchmarkWarmRetrain500x200|BenchmarkRetrainLabelGrowth|BenchmarkPredictTopK|BenchmarkEntropy|BenchmarkScorePaperShape|BenchmarkAdagradPaperShape"},
 	{Pkg: "./internal/textproc", Bench: "BenchmarkSparseDot|BenchmarkTransform"},
 	{Pkg: "./internal/table", Bench: "BenchmarkCellLookup$|BenchmarkCellLookupString|BenchmarkReadCSV"},
-	{Pkg: "./internal/query", Bench: "BenchmarkPlanExecute|BenchmarkExecuteCompiled|BenchmarkExecuteInterpreted"},
-	{Pkg: "./internal/core", Bench: "BenchmarkGenerateQueries$|BenchmarkGenerateQueriesCold|BenchmarkGenerateQueriesInterpreted|BenchmarkVerifyEndToEnd|BenchmarkVerifyWithDeadline|BenchmarkVerifyInstrumented"},
+	{Pkg: "./internal/query", Bench: "BenchmarkPlanExecute|BenchmarkExecuteCompiled"},
+	{Pkg: "./internal/core", Bench: "BenchmarkGenerateQueries$|BenchmarkGenerateQueriesCold|BenchmarkVerifyEndToEnd$|BenchmarkVerifyWithDeadline|BenchmarkVerifyInstrumented"},
 	{Pkg: "./internal/session", Bench: "BenchmarkSessionCreate|BenchmarkSessionAnswerPump|BenchmarkSessionEvict"},
 	{Pkg: "./internal/store", Bench: "BenchmarkDecodeCorpusPayload"},
 	{Pkg: ".", Bench: "BenchmarkVerifySequential/SmallWorld|BenchmarkVerifyParallel/SmallWorld|BenchmarkServiceVerifyCold|BenchmarkServiceVerifyWarm|BenchmarkServiceSetupCold|BenchmarkServiceSetupWarm|BenchmarkRecoveryBoot|BenchmarkJournalCompact|BenchmarkServiceAddCorpus|BenchmarkConcurrentRunsSharedCorpus|BenchmarkServiceManyTenants"},

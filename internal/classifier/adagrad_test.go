@@ -266,14 +266,14 @@ func paperShapePool(n, nL int, seed int64) []Example {
 	pool := make([]Example, n)
 	for i := range pool {
 		label := rng.Intn(max(1, nL*(i+1)/n))
-		v := textproc.Vector{dense + label: 1}
+		v := map[int]float64{dense + label: 1}
 		for j := 0; j < dense; j++ {
 			v[j] = rng.NormFloat64()
 		}
 		for len(v) < dense+tfidf {
 			v[dense+rng.Intn(dim-dense)] = rng.Float64()
 		}
-		pool[i] = Example{Features: v.Sparse(), Label: fmt.Sprintf("label-%d", label)}
+		pool[i] = Example{Features: vec(v), Label: fmt.Sprintf("label-%d", label)}
 	}
 	return pool
 }
@@ -355,14 +355,14 @@ func TestUpdateBodiesTrainIdentically(t *testing.T) {
 func BenchmarkAdagradPaperShape(b *testing.B) {
 	const dim, dense, tfidf, nL, nActive = 4496, 64, 59, 405, 24
 	rng := rand.New(rand.NewSource(1))
-	v := textproc.Vector{}
+	v := map[int]float64{}
 	for i := 0; i < dense; i++ {
 		v[i] = rng.NormFloat64()
 	}
 	for len(v) < dense+tfidf {
 		v[dense+rng.Intn(dim-dense)] = rng.Float64()
 	}
-	ix, vals := v.Sparse().Raw()
+	ix, vals := vec(v).Raw()
 	active := randomActive(rng, nActive, nL)
 	ga := make([]float64, nActive)
 	for j := range ga {

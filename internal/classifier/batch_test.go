@@ -16,11 +16,11 @@ func randExamples(rng *rand.Rand, n, nLabels, dim int) []Example {
 	out := make([]Example, 0, n)
 	for i := 0; i < n; i++ {
 		class := i % nLabels
-		f := textproc.Vector{class: 1.0}
+		f := map[int]float64{class: 1.0}
 		for j := 0; j < 1+rng.Intn(4); j++ {
 			f[rng.Intn(dim)] = rng.NormFloat64()
 		}
-		out = append(out, Example{Features: f.Sparse(), Label: fmt.Sprintf("label%02d", class)})
+		out = append(out, Example{Features: vec(f), Label: fmt.Sprintf("label%02d", class)})
 	}
 	return out
 }
@@ -30,17 +30,17 @@ func randExamples(rng *rand.Rand, n, nLabels, dim int) []Example {
 func randFeatures(rng *rand.Rand, n, dim int) []textproc.Sparse {
 	out := make([]textproc.Sparse, 0, n)
 	for i := 0; i < n; i++ {
-		f := textproc.Vector{}
+		f := map[int]float64{}
 		for j, nnz := 0, rng.Intn(6); j < nnz; j++ {
 			f[rng.Intn(2*dim)] = rng.NormFloat64() // half out of range
 		}
-		out = append(out, f.Sparse())
+		out = append(out, vec(f))
 	}
 	return out
 }
 
 // TestAnalyzeBatchMatchesSequential is the property test pinning the batch
-// scorer bit-identical to N sequential Analyze calls, across random models,
+// scorer bit-identical to N sequential TopK and Entropy calls, across random models,
 // feature vectors, and top-k values (including k=0, k>numLabels, batches
 // larger than the batchRows block, untrained models, and empty input).
 func TestAnalyzeBatchMatchesSequential(t *testing.T) {
@@ -61,7 +61,7 @@ func TestAnalyzeBatchMatchesSequential(t *testing.T) {
 					t.Fatalf("trial %d n=%d k=%d: batch lengths %d/%d", trial, n, k, len(gotP), len(gotE))
 				}
 				for i, f := range fs {
-					wantP, wantE := c.Analyze(f, k)
+					wantP, wantE := c.TopK(f, k), c.Entropy(f)
 					if gotE[i] != wantE {
 						t.Fatalf("trial %d n=%d k=%d row %d: entropy %v != %v", trial, n, k, i, gotE[i], wantE)
 					}
@@ -116,11 +116,11 @@ func TestScoreIntoMatchesReference(t *testing.T) {
 			if trial%2 == 1 {
 				span = 2 * c.dim // about half the indexes out of range
 			}
-			f := textproc.Vector{}
+			f := map[int]float64{}
 			for nnz := trial / 2 % 10; len(f) < nnz; {
 				f[rng.Intn(span)] = rng.NormFloat64()
 			}
-			sf := f.Sparse()
+			sf := vec(f)
 			c.scoreInto(sf, got)
 			want := refScores(c, sf)
 			for j := range want {
@@ -159,7 +159,7 @@ func TestAnalyzeBatchRowsIndependent(t *testing.T) {
 	preds, _ := c.AnalyzeBatch(fs, 2)
 	want := make([][]Prediction, len(fs))
 	for i, f := range fs {
-		want[i], _ = c.Analyze(f, 2)
+		want[i] = c.TopK(f, 2)
 	}
 	for i := range preds {
 		preds[i] = append(preds[i], Prediction{Label: "poison", Prob: -1})

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"github.com/repro/scrutinizer/internal/textproc"
 )
 
 // benchSet builds a training set with the label/feature shape of the
@@ -15,11 +13,11 @@ func benchSet(nExamples, nLabels, nnz int, seed int64) []Example {
 	out := make([]Example, nExamples)
 	for i := range out {
 		label := rng.Intn(nLabels)
-		f := textproc.Vector{label: 1} // separable core signal
+		f := map[int]float64{label: 1} // separable core signal
 		for j := 0; j < nnz; j++ {
 			f[nLabels+rng.Intn(2000)] = rng.Float64()
 		}
-		out[i] = Example{Features: f.Sparse(), Label: fmt.Sprintf("label-%d", label)}
+		out[i] = Example{Features: vec(f), Label: fmt.Sprintf("label-%d", label)}
 	}
 	return out
 }

@@ -99,8 +99,9 @@
 // vectors against the weight matrix in dense row-major blocks — one pooled
 // scores matrix per block, softmax+entropy fused into the normalisation
 // pass per row, and all top-k prediction lists carved from a single arena
-// allocation — producing results bit-identical to N sequential Analyze
-// calls (pinned by a property test) at a fraction of the allocations.
+// allocation — producing results bit-identical to N sequential TopK and
+// Entropy calls (pinned by a property test) at a fraction of the
+// allocations.
 //
 // This substitutes the scikit-learn models of the authors' Python
 // implementation; see DESIGN.md.
@@ -610,20 +611,6 @@ func (c *Classifier) Probs(f textproc.Sparse) []float64 {
 	return probs
 }
 
-// Analyze returns the top-k predictions and the predictive entropy from a
-// single scoring pass — the engine needs both per claim per batch, and the
-// scoring pass dominates. Untrained models return (nil, 1).
-func (c *Classifier) Analyze(f textproc.Sparse, k int) ([]Prediction, float64) {
-	if len(c.labels) == 0 {
-		return nil, 1
-	}
-	probs := c.getScratch()
-	h := c.probsInto(f, probs)
-	preds := c.rankTopK(probs, k)
-	c.putScratch(probs)
-	return preds, h
-}
-
 // batchRows bounds the row count of AnalyzeBatch's scores block so the
 // working set stays cache-resident regardless of how many claims a
 // scheduler round scores at once.
@@ -657,8 +644,8 @@ func putBatchScratch(bs *batchScratch) { batchPool.Put(bs) }
 // row-major matrix (batchRows × numLabels), softmax and entropy are fused
 // into the normalisation sweep per row, and every row's top-k predictions
 // are appended into one shared arena so N claims cost one predictions
-// allocation instead of N. Results are bit-identical to calling Analyze
-// per element (pinned by TestAnalyzeBatchMatchesSequential): untrained
+// allocation instead of N. Results are bit-identical to calling TopK and
+// Entropy per element (pinned by TestAnalyzeBatchMatchesSequential): untrained
 // models yield nil predictions and entropy 1 for every row, k <= 0 yields
 // nil predictions, and the per-row selection/tie-break order is exactly
 // rankTopK's.

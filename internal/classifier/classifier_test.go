@@ -16,7 +16,14 @@ import (
 )
 
 // vec builds a slice-backed feature vector from map-literal syntax.
-func vec(m textproc.Vector) textproc.Sparse { return m.Sparse() }
+// vec builds a sparse feature vector from index -> weight pairs.
+func vec(m map[int]float64) textproc.Sparse {
+	var b textproc.SparseBuilder
+	for i, x := range m {
+		b.Add(i, x)
+	}
+	return b.Build()
+}
 
 // separableSet builds a linearly separable 3-class problem on sparse
 // features: class i fires feature i strongly plus noise features.
@@ -26,10 +33,10 @@ func separableSet(n int, seed int64) []Example {
 	out := make([]Example, 0, n)
 	for i := 0; i < n; i++ {
 		class := i % 3
-		f := textproc.Vector{class: 1.0}
+		f := map[int]float64{class: 1.0}
 		// noise
 		f[3+rng.Intn(5)] = rng.Float64() * 0.3
-		out = append(out, Example{Features: f.Sparse(), Label: labels[class]})
+		out = append(out, Example{Features: vec(f), Label: labels[class]})
 	}
 	return out
 }
@@ -54,14 +61,14 @@ func TestTrainErrors(t *testing.T) {
 	if err := c.Train(nil); err == nil {
 		t.Error("empty training set accepted")
 	}
-	if err := c.Train([]Example{{Features: vec(textproc.Vector{0: 1})}}); err == nil {
+	if err := c.Train([]Example{{Features: vec(map[int]float64{0: 1})}}); err == nil {
 		t.Error("empty label accepted")
 	}
 }
 
 func TestUntrainedBehaviour(t *testing.T) {
 	c := New(Config{})
-	f := vec(textproc.Vector{0: 1})
+	f := vec(map[int]float64{0: 1})
 	if c.Probs(f) != nil {
 		t.Error("untrained Probs should be nil")
 	}
@@ -77,9 +84,6 @@ func TestUntrainedBehaviour(t *testing.T) {
 	if c.TopK(f, 3) != nil {
 		t.Error("untrained TopK should be nil")
 	}
-	if preds, h := c.Analyze(f, 3); preds != nil || h != 1 {
-		t.Error("untrained Analyze should be (nil, 1)")
-	}
 	if got := c.Accuracy(nil); got != 0 {
 		t.Errorf("empty accuracy = %g", got)
 	}
@@ -91,7 +95,7 @@ func TestProbsSumToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 20; trial++ {
-		f := vec(textproc.Vector{trial % 8: 1})
+		f := vec(map[int]float64{trial % 8: 1})
 		probs := c.Probs(f)
 		var s float64
 		for _, p := range probs {
@@ -111,7 +115,7 @@ func TestTopKOrderingAndBounds(t *testing.T) {
 	if err := c.Train(separableSet(60, 5)); err != nil {
 		t.Fatal(err)
 	}
-	f := vec(textproc.Vector{0: 1})
+	f := vec(map[int]float64{0: 1})
 	top := c.TopK(f, 2)
 	if len(top) != 2 {
 		t.Fatalf("TopK(2) = %v", top)
@@ -143,7 +147,7 @@ func TestTopKMatchesFullSort(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		class := i % len(labels)
 		set = append(set, Example{
-			Features: vec(textproc.Vector{class: 1, 20 + rng.Intn(9): 0.4}),
+			Features: vec(map[int]float64{class: 1, 20 + rng.Intn(9): 0.4}),
 			Label:    labels[class],
 		})
 	}
@@ -151,7 +155,7 @@ func TestTopKMatchesFullSort(t *testing.T) {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 10; trial++ {
-		f := vec(textproc.Vector{trial: 1, 21: 0.2})
+		f := vec(map[int]float64{trial: 1, 21: 0.2})
 		probs := c.Probs(f)
 		for _, k := range []int{1, 3, 5, len(labels), len(labels) + 5} {
 			top := c.TopK(f, k)
@@ -191,13 +195,13 @@ func TestTopKDeterministicTieBreak(t *testing.T) {
 	// lexicographically.
 	c := New(Config{Seed: 6, Epochs: 1})
 	examples := []Example{
-		{Features: vec(textproc.Vector{0: 1}), Label: "zeta"},
-		{Features: vec(textproc.Vector{0: 1}), Label: "alpha"},
+		{Features: vec(map[int]float64{0: 1}), Label: "zeta"},
+		{Features: vec(map[int]float64{0: 1}), Label: "alpha"},
 	}
 	if err := c.Train(examples); err != nil {
 		t.Fatal(err)
 	}
-	top := c.TopK(vec(textproc.Vector{1: 1}), 2) // feature unseen -> near-uniform
+	top := c.TopK(vec(map[int]float64{1: 1}), 2) // feature unseen -> near-uniform
 	if math.Abs(top[0].Prob-top[1].Prob) < 1e-6 && top[0].Label != "alpha" {
 		t.Errorf("tie should break to alpha, got %v", top)
 	}
@@ -212,7 +216,7 @@ func TestEntropyDropsWithTraining(t *testing.T) {
 	if err := big.Train(separableSet(300, 1)); err != nil {
 		t.Fatal(err)
 	}
-	f := vec(textproc.Vector{0: 1})
+	f := vec(map[int]float64{0: 1})
 	if big.Entropy(f) >= small.Entropy(f) {
 		t.Errorf("entropy should drop with more training: small=%g big=%g",
 			small.Entropy(f), big.Entropy(f))
@@ -224,7 +228,7 @@ func TestProbOf(t *testing.T) {
 	if err := c.Train(separableSet(60, 2)); err != nil {
 		t.Fatal(err)
 	}
-	f := vec(textproc.Vector{0: 1})
+	f := vec(map[int]float64{0: 1})
 	if p := c.ProbOf(f, "relA"); p < 0.5 {
 		t.Errorf("ProbOf(relA) = %g, want > 0.5", p)
 	}
@@ -255,14 +259,14 @@ func TestTopKAccuracy(t *testing.T) {
 func TestRetrainRebuildsVocabulary(t *testing.T) {
 	c := New(Config{Seed: 1, Epochs: 3})
 	if err := c.Train([]Example{
-		{Features: vec(textproc.Vector{0: 1}), Label: "old1"},
-		{Features: vec(textproc.Vector{1: 1}), Label: "old2"},
+		{Features: vec(map[int]float64{0: 1}), Label: "old1"},
+		{Features: vec(map[int]float64{1: 1}), Label: "old2"},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Train([]Example{
-		{Features: vec(textproc.Vector{0: 1}), Label: "new1"},
-		{Features: vec(textproc.Vector{1: 1}), Label: "new2"},
+		{Features: vec(map[int]float64{0: 1}), Label: "new1"},
+		{Features: vec(map[int]float64{1: 1}), Label: "new2"},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +285,7 @@ func TestRetrainRebuildsVocabulary(t *testing.T) {
 
 func TestTrainingDeterministic(t *testing.T) {
 	train := separableSet(60, 1)
-	f := vec(textproc.Vector{0: 1, 4: 0.2})
+	f := vec(map[int]float64{0: 1, 4: 0.2})
 	c1 := New(Config{Seed: 9})
 	c2 := New(Config{Seed: 9})
 	if err := c1.Train(train); err != nil {
@@ -390,26 +394,26 @@ func TestWarmStartMatchesScratch(t *testing.T) {
 func TestWarmStartGrowsFeatureSpace(t *testing.T) {
 	c := New(Config{Seed: 2, Epochs: 4})
 	if err := c.Train([]Example{
-		{Features: vec(textproc.Vector{0: 1}), Label: "a"},
-		{Features: vec(textproc.Vector{1: 1}), Label: "b"},
+		{Features: vec(map[int]float64{0: 1}), Label: "a"},
+		{Features: vec(map[int]float64{1: 1}), Label: "b"},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Train([]Example{
-		{Features: vec(textproc.Vector{0: 1, 50: 0.5}), Label: "a"},
-		{Features: vec(textproc.Vector{1: 1, 51: 0.5}), Label: "b"},
+		{Features: vec(map[int]float64{0: 1, 50: 0.5}), Label: "a"},
+		{Features: vec(map[int]float64{1: 1, 51: 0.5}), Label: "b"},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if !c.WarmStarted() {
 		t.Error("same vocabulary with new features should still warm start")
 	}
-	if got, _, ok := c.Predict(vec(textproc.Vector{0: 1, 50: 0.5})); !ok || got != "a" {
+	if got, _, ok := c.Predict(vec(map[int]float64{0: 1, 50: 0.5})); !ok || got != "a" {
 		t.Errorf("Predict after feature growth = %q, %v", got, ok)
 	}
 	// Scoring a vector with indexes beyond the trained width must not
 	// panic and must ignore the unknown features.
-	if got, _, ok := c.Predict(vec(textproc.Vector{0: 1, 9999: 3})); !ok || got != "a" {
+	if got, _, ok := c.Predict(vec(map[int]float64{0: 1, 9999: 3})); !ok || got != "a" {
 		t.Errorf("Predict with out-of-range feature = %q, %v", got, ok)
 	}
 }
@@ -419,27 +423,9 @@ func TestAccuracyCountsUnknownLabelsAsMisses(t *testing.T) {
 	if err := c.Train(separableSet(30, 1)); err != nil {
 		t.Fatal(err)
 	}
-	test := []Example{{Features: vec(textproc.Vector{0: 1}), Label: "never-seen-label"}}
+	test := []Example{{Features: vec(map[int]float64{0: 1}), Label: "never-seen-label"}}
 	if got := c.Accuracy(test); got != 0 {
 		t.Errorf("unknown label accuracy = %g, want 0", got)
-	}
-}
-
-func TestAnalyzeMatchesTopKAndEntropy(t *testing.T) {
-	c := New(Config{Seed: 8})
-	if err := c.Train(separableSet(90, 21)); err != nil {
-		t.Fatal(err)
-	}
-	f := vec(textproc.Vector{0: 1, 5: 0.3, 7: 0.1})
-	preds, h := c.Analyze(f, 3)
-	top := c.TopK(f, 3)
-	for i := range top {
-		if top[i] != preds[i] {
-			t.Fatalf("Analyze top-k differs at %d: %+v vs %+v", i, preds[i], top[i])
-		}
-	}
-	if h != c.Entropy(f) {
-		t.Error("Analyze entropy differs from Entropy")
 	}
 }
 
@@ -451,7 +437,7 @@ func TestEntropyMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 10; trial++ {
-		f := vec(textproc.Vector{trial % 8: 1, 3 + trial%5: 0.4})
+		f := vec(map[int]float64{trial % 8: 1, 3 + trial%5: 0.4})
 		got := c.Entropy(f)
 		want := stats.Entropy(c.Probs(f))
 		if math.Abs(got-want) > 1e-9 {
@@ -671,7 +657,8 @@ func TestCloneConcurrentTraining(t *testing.T) {
 	}
 	// A fourth clone keeps scoring from the shared buffers meanwhile.
 	for _, f := range probe {
-		reader.Analyze(f, 3)
+		reader.TopK(f, 3)
+		reader.Entropy(f)
 	}
 	wg.Wait()
 	for i, m := range models {
@@ -725,17 +712,17 @@ func growthPool(seed int64, chunk int, labelsAt []int) ([]Example, []int) {
 // would give it, and it is learnt from zero weights in the warm passes.
 func TestWarmStartLabelGrowth(t *testing.T) {
 	ab := []Example{
-		{Features: vec(textproc.Vector{0: 1}), Label: "a"},
-		{Features: vec(textproc.Vector{1: 1}), Label: "b"},
-		{Features: vec(textproc.Vector{0: 1, 3: 0.2}), Label: "a"},
-		{Features: vec(textproc.Vector{1: 1, 3: 0.2}), Label: "b"},
+		{Features: vec(map[int]float64{0: 1}), Label: "a"},
+		{Features: vec(map[int]float64{1: 1}), Label: "b"},
+		{Features: vec(map[int]float64{0: 1, 3: 0.2}), Label: "a"},
+		{Features: vec(map[int]float64{1: 1, 3: 0.2}), Label: "b"},
 	}
 	abc := append(append([]Example(nil), ab...),
-		Example{Features: vec(textproc.Vector{2: 1}), Label: "c"},
-		Example{Features: vec(textproc.Vector{0: 1}), Label: "a"},
-		Example{Features: vec(textproc.Vector{2: 1, 7: 0.3}), Label: "c"},
-		Example{Features: vec(textproc.Vector{1: 1}), Label: "b"},
-		Example{Features: vec(textproc.Vector{2: 1, 3: 0.2}), Label: "c"},
+		Example{Features: vec(map[int]float64{2: 1}), Label: "c"},
+		Example{Features: vec(map[int]float64{0: 1}), Label: "a"},
+		Example{Features: vec(map[int]float64{2: 1, 7: 0.3}), Label: "c"},
+		Example{Features: vec(map[int]float64{1: 1}), Label: "b"},
+		Example{Features: vec(map[int]float64{2: 1, 3: 0.2}), Label: "c"},
 	)
 
 	c := New(Config{Seed: 4, Epochs: 6})
@@ -834,7 +821,7 @@ func TestWarmGrowthInSpareColumnsAllocatesNoMatrix(t *testing.T) {
 		}
 	}
 	// The widest feature is in every first fit, so later fits add no rows.
-	widest := Example{Features: vec(textproc.Vector{0: 1, dim - 1: 1}), Label: "label00"}
+	widest := Example{Features: vec(map[int]float64{0: 1, dim - 1: 1}), Label: "label00"}
 
 	t.Run("after warm growth", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
@@ -937,14 +924,14 @@ func TestColdRefitKeepsStride(t *testing.T) {
 func TestWarmStartLabelSwapRefitsCold(t *testing.T) {
 	c := New(Config{Seed: 1, Epochs: 3})
 	if err := c.Train([]Example{
-		{Features: vec(textproc.Vector{0: 1}), Label: "a"},
-		{Features: vec(textproc.Vector{1: 1}), Label: "b"},
+		{Features: vec(map[int]float64{0: 1}), Label: "a"},
+		{Features: vec(map[int]float64{1: 1}), Label: "b"},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Train([]Example{
-		{Features: vec(textproc.Vector{0: 1}), Label: "a"},
-		{Features: vec(textproc.Vector{2: 1}), Label: "c"},
+		{Features: vec(map[int]float64{0: 1}), Label: "a"},
+		{Features: vec(map[int]float64{2: 1}), Label: "c"},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -954,7 +941,7 @@ func TestWarmStartLabelSwapRefitsCold(t *testing.T) {
 	if want := []string{"a", "c"}; !reflect.DeepEqual(c.Labels(), want) {
 		t.Errorf("Labels() = %v, want %v", c.Labels(), want)
 	}
-	if c.ProbOf(vec(textproc.Vector{1: 1}), "b") != 0 {
+	if c.ProbOf(vec(map[int]float64{1: 1}), "b") != 0 {
 		t.Error("stale label b still scored")
 	}
 	if len(c.bias) != 2 || len(c.w) != c.dim*2 {

@@ -225,14 +225,14 @@ func TestSweepBodiesTrainIdentically(t *testing.T) {
 func BenchmarkScorePaperShape(b *testing.B) {
 	const dim, dense, tfidf = 4496, 64, 59
 	rng := rand.New(rand.NewSource(1))
-	v := textproc.Vector{}
+	v := map[int]float64{}
 	for i := 0; i < dense; i++ {
 		v[i] = rng.NormFloat64()
 	}
 	for len(v) < dense+tfidf {
 		v[dense+rng.Intn(dim-dense)] = rng.Float64()
 	}
-	f := v.Sparse()
+	f := vec(v)
 	for _, nL := range []int{100, 405} {
 		c := New(Config{})
 		c.labels = make([]string, nL)

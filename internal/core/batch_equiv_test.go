@@ -12,11 +12,12 @@ import (
 	"github.com/repro/scrutinizer/internal/crowd"
 	"github.com/repro/scrutinizer/internal/embed"
 	"github.com/repro/scrutinizer/internal/feature"
+	"github.com/repro/scrutinizer/internal/planner"
 	"github.com/repro/scrutinizer/internal/worldgen"
 )
 
 // batchFixture builds one world and feature pipeline that several engines
-// (batch-scored, sequential-scored, different formula fan-outs) share, so
+// (probed and unprobed runs, different formula fan-outs) share, so
 // every equivalence test below compares engines over identical inputs.
 func batchFixture(t testing.TB) (*worldgen.World, *feature.Pipeline) {
 	t.Helper()
@@ -83,16 +84,52 @@ func mustEqualRuns(t *testing.T, label string, a, b *Result) {
 	}
 }
 
+// oracleAssess is the per-claim scorer the batch path is pinned against.
+// It scores one claim with each model's TopK and Entropy, in PropertyKinds
+// order, and builds the §5.1 plan from those options. It reads the
+// engine's models but not its assessment cache.
+func oracleAssess(e *Engine, c *claims.Claim) (cost, utility float64) {
+	e.ensureFitted()
+	f := e.Featurize(c)
+	var props []planner.Property
+	for _, k := range PropertyKinds() {
+		m := e.models[k]
+		utility += m.Entropy(f)
+		var opts []planner.Option
+		for _, p := range m.TopK(f, e.cfg.TopK) {
+			opts = append(opts, planner.Option{Value: p.Label, Prob: p.Prob})
+		}
+		props = append(props, planner.Property{Name: k.String(), Options: opts, Required: k != PropFormula})
+	}
+	plan, err := planner.BuildPlan(planner.NewCandidateSpace(props), e.cfg.Cost)
+	if err != nil {
+		return e.cfg.Cost.ManualCost(), utility
+	}
+	return plan.ExpectedCost, utility
+}
+
+// mustMatchOracle scores ids through the scheduler's batch path and
+// requires every (cost, utility) to be bit-identical to oracleAssess.
+func mustMatchOracle(t *testing.T, stage string, e *Engine, ids []int, pool map[int]*claims.Claim) {
+	t.Helper()
+	costs, utils := e.assessAll(context.Background(), ids, pool, 4)
+	for i, id := range ids {
+		wc, wu := oracleAssess(e, pool[id])
+		if costs[i] != wc || utils[i] != wu {
+			t.Fatalf("%s: claim %d batch (%v, %v) != oracle (%v, %v)", stage, id, costs[i], utils[i], wc, wu)
+		}
+	}
+}
+
 // TestAssessBatchMatchesSequential: the batch assessment fill (assessMany,
 // one dense scoring pass per property kind) must produce scheduler inputs
-// bit-identical to the legacy per-claim path, untrained, trained, after a
+// bit-identical to the per-claim oracle, untrained, trained, after a
 // partial warm-up (only never-seen claims get batch-scored), and across a
-// retrain that bumps the model generation.
+// retrain that bumps the model generation. A claim scored alone on a cache
+// miss (assess) must match it too.
 func TestAssessBatchMatchesSequential(t *testing.T) {
 	w, pipe := batchFixture(t)
-	batch := engineOver(t, w, pipe, nil)
-	seq := engineOver(t, w, pipe, nil)
-	seq.seqAssess = true
+	e := engineOver(t, w, pipe, nil)
 
 	ids := make([]int, 0, len(w.Document.Claims))
 	pool := make(map[int]*claims.Claim, len(w.Document.Claims))
@@ -101,67 +138,91 @@ func TestAssessBatchMatchesSequential(t *testing.T) {
 		pool[c.ID] = c
 	}
 
-	check := func(stage string, sub []int) {
-		t.Helper()
-		cb, ub := batch.assessAll(context.Background(), sub, pool, 4)
-		cs, us := seq.assessAll(context.Background(), sub, pool, 1)
-		for i := range sub {
-			if cb[i] != cs[i] || ub[i] != us[i] {
-				t.Fatalf("%s: claim %d batch (%v, %v) != sequential (%v, %v)",
-					stage, sub[i], cb[i], ub[i], cs[i], us[i])
-			}
-		}
+	mustMatchOracle(t, "untrained", e, ids, pool)
+	if err := e.Train(w.Document.Claims); err != nil {
+		t.Fatal(err)
 	}
-
-	check("untrained", ids)
-	train := func(cs []*claims.Claim) {
-		t.Helper()
-		if err := batch.Train(cs); err != nil {
-			t.Fatal(err)
-		}
-		if err := seq.Train(cs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	train(w.Document.Claims)
 	// Warm a prefix first: the following full pass must batch-score only
 	// the claims the cache has never seen at this generation.
-	check("trained prefix", ids[:len(ids)/3])
-	check("trained full", ids)
-	// Same generation again: pure cache reads on both paths.
-	check("trained cached", ids)
+	mustMatchOracle(t, "trained prefix", e, ids[:len(ids)/3], pool)
+	mustMatchOracle(t, "trained full", e, ids, pool)
+	// Same generation again: pure cache reads.
+	mustMatchOracle(t, "trained cached", e, ids, pool)
 	// Retrain bumps the generation; every claim is stale again.
-	train(w.Document.Claims[:len(w.Document.Claims)/2])
-	check("retrained", ids)
+	if err := e.Train(w.Document.Claims[:len(w.Document.Claims)/2]); err != nil {
+		t.Fatal(err)
+	}
+	mustMatchOracle(t, "retrained", e, ids, pool)
+
+	// One claim at a time, each a cache miss on a clone with an empty
+	// cache.
+	single := e.Clone()
+	for _, c := range w.Document.Claims {
+		gc, gu := single.Assess(c)
+		if wc, wu := oracleAssess(single, c); gc != wc || gu != wu {
+			t.Fatalf("claim %d scored alone (%v, %v) != oracle (%v, %v)", c.ID, gc, gu, wc, wu)
+		}
+	}
 }
 
-// TestVerifyBatchScoredMatchesSequential is the DocumentRun acceptance
-// criterion: a full Algorithm 1 run on the batch-scored scheduler produces
-// verdicts, crowd seconds, screens and queries bit-identical to the legacy
-// per-claim scoring path. Run under -race this also exercises the batch
-// fill's concurrency.
+// TestVerifyBatchScoredMatchesSequential pins the batch scorer over a full
+// Algorithm 1 run, through the models each retrain barrier actually fits
+// (warm starts and appended fits included): before the run and after
+// every barrier, the scheduler's scores of every remaining claim are
+// bit-identical to the per-claim oracle. The probe fills the assessment
+// cache with the values the next round computes anyway, so the run's
+// result must equal an unprobed run's. Run under -race this also
+// exercises the batch fill's concurrency.
 func TestVerifyBatchScoredMatchesSequential(t *testing.T) {
 	w, pipe := batchFixture(t)
-	vc := VerifyConfig{BatchSize: 15, SectionReadCost: 30, Parallelism: 4}
+	pool := make(map[int]*claims.Claim, len(w.Document.Claims))
+	for _, c := range w.Document.Claims {
+		pool[c.ID] = c
+	}
 
-	run := func(e *Engine) *Result {
+	run := func(e *Engine, probe bool) *Result {
 		t.Helper()
 		team, err := crowd.NewTeam("W", 3, 0.97, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
+		verified := map[int]bool{}
+		remaining := func() []int {
+			var ids []int
+			for _, c := range w.Document.Claims {
+				if !verified[c.ID] {
+					ids = append(ids, c.ID)
+				}
+			}
+			return ids
+		}
+		barriers := 0
+		vc := VerifyConfig{BatchSize: 15, SectionReadCost: 30, Parallelism: 4}
+		if probe {
+			mustMatchOracle(t, "before the run", e, remaining(), pool)
+			vc.AfterBatch = func(batch, _ int, outcomes []*Outcome) {
+				for _, o := range outcomes {
+					verified[o.ClaimID] = true
+				}
+				if ids := remaining(); len(ids) > 0 {
+					barriers++
+					mustMatchOracle(t, "after barrier "+strconv.Itoa(batch), e, ids, pool)
+				}
+			}
+		}
 		res, err := e.Verify(context.Background(), w.Document, team, vc)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if probe && barriers < 2 {
+			t.Fatalf("probed %d barriers with claims remaining, want at least 2", barriers)
+		}
 		return res
 	}
 
-	seq := engineOver(t, w, pipe, nil)
-	seq.seqAssess = true
-	want := run(seq)
-	got := run(engineOver(t, w, pipe, nil))
-	mustEqualRuns(t, "batch-scored vs per-claim", want, got)
+	want := run(engineOver(t, w, pipe, nil), false)
+	got := run(engineOver(t, w, pipe, nil), true)
+	mustEqualRuns(t, "probed vs unprobed run", want, got)
 }
 
 // TestVerifyFormulaParallelismEquivalence: parallel Algorithm 2 enumeration

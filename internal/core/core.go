@@ -187,11 +187,6 @@ type Engine struct {
 	qcache *QueryCache
 	fc     *formulaCache
 
-	// genOverride, when set, replaces GenerateQueries' compiled engine —
-	// the benchmark/equivalence hook that lets the reference interpreter
-	// drive the full Algorithm 1 loop for end-to-end comparisons.
-	genOverride func(Context, []*formula.Formula, float64, bool) ([]GeneratedQuery, []GeneratedQuery)
-
 	// featMu guards the feature cache: claim verification fans out across
 	// goroutines (Verify with Parallelism > 1) and Featurize is on that
 	// shared path. Everything else the workers touch — classifier scoring,
@@ -216,11 +211,6 @@ type Engine struct {
 	// serialises the readers that race to run it.
 	pending atomic.Pointer[fitPlan]
 	fitMu   sync.Mutex
-
-	// seqAssess forces assessAll onto the legacy per-claim scoring path —
-	// the reference implementation the batch path is pinned against in
-	// the equivalence tests. Never set outside tests.
-	seqAssess bool
 }
 
 // assessment is everything one scoring pass over the four models yields for
@@ -281,17 +271,16 @@ func NewEngine(corpus *table.Corpus, pipe *feature.Pipeline, cfg Config) (*Engin
 func (e *Engine) Clone() *Engine {
 	e.ensureFitted()
 	cp := &Engine{
-		corpus:      e.corpus,
-		pipe:        e.pipe,
-		cfg:         e.cfg,
-		models:      make(map[PropertyKind]*classifier.Classifier, len(e.models)),
-		lib:         e.lib,
-		qcache:      e.qcache,
-		fc:          e.fc,
-		genOverride: e.genOverride,
-		featCache:   make(map[int]textproc.Sparse),
-		assessed:    make(map[int]*assessment),
-		gen:         e.Generation(),
+		corpus:    e.corpus,
+		pipe:      e.pipe,
+		cfg:       e.cfg,
+		models:    make(map[PropertyKind]*classifier.Classifier, len(e.models)),
+		lib:       e.lib,
+		qcache:    e.qcache,
+		fc:        e.fc,
+		featCache: make(map[int]textproc.Sparse),
+		assessed:  make(map[int]*assessment),
+		gen:       e.Generation(),
 	}
 	for k, m := range e.models {
 		cp.models[k] = m.Clone()
@@ -698,11 +687,12 @@ func (e *Engine) ensureFitted() {
 	obsModelFits(fits)
 }
 
-// assess returns the claim's cached assessment, computing it when the
-// cache misses or the model generation moved on. Classifier scoring is
-// pure between Train calls, so concurrent duplicate computation (two
-// workers racing the same cold claim) is deterministic and harmless — the
-// last writer wins with an identical value.
+// assess returns the claim's cached assessment. When the cache misses or
+// the model generation moved on, it scores the claim alone through
+// assessMany, the one scorer. Classifier scoring is pure between Train
+// calls, so concurrent duplicate computation (two workers racing the same
+// cold claim) is deterministic and harmless — the last writer wins with
+// an identical value.
 func (e *Engine) assess(c *claims.Claim) *assessment {
 	e.ensureFitted()
 	e.assessMu.RLock()
@@ -712,54 +702,25 @@ func (e *Engine) assess(c *claims.Claim) *assessment {
 	if ok && a.gen == gen {
 		return a
 	}
-
-	f := e.Featurize(c)
-	a = &assessment{gen: gen, props: make([]planner.Property, 0, 4)}
-	for _, k := range PropertyKinds() {
-		top, entropy := e.models[k].Analyze(f, e.cfg.TopK)
-		a.utility += entropy
-		var opts []planner.Option
-		for _, p := range top {
-			opts = append(opts, planner.Option{Value: p.Label, Prob: p.Prob})
-		}
-		a.props = append(a.props, planner.Property{
-			Name:    k.String(),
-			Options: opts,
-			// The query context (relations, keys, attributes) must be
-			// validated by the crowd regardless of pruning power;
-			// formulas are filtered by tentative execution instead
-			// (§4.3) unless the greedy selection decides a formula
-			// screen is worth its cost.
-			Required: k != PropFormula,
-		})
-	}
-	a.plan, a.planErr = planner.BuildPlan(planner.NewCandidateSpace(a.props), e.cfg.Cost)
-	if a.planErr != nil {
-		a.plan = nil
-		a.cost = e.cfg.Cost.ManualCost()
-	} else {
-		a.cost = a.plan.ExpectedCost
-	}
-
-	e.assessMu.Lock()
-	e.assessed[c.ID] = a
-	e.assessMu.Unlock()
+	e.assessMany([]*claims.Claim{c}, 1)
+	e.assessMu.RLock()
+	a = e.assessed[c.ID]
+	e.assessMu.RUnlock()
 	return a
 }
 
 // assessMany fills the assessment cache for every listed claim that lacks
-// a current-generation entry — the batch-scored scheduler round. Instead
-// of assess's per-claim, per-kind scoring calls, all stale claims are
-// featurized once, each property kind scores the whole set in one
-// AnalyzeBatch pass over a dense feature matrix, and the per-claim
-// options/properties are assembled into shared arenas (one allocation per
-// round instead of per claim). Re-scoring is incremental across rounds: a
-// retrain bumps the generation and every claim goes stale; rounds without
-// a retrain reuse every cached assessment and score only never-seen
-// claims. The assembled assessments are bit-identical to assess's (same
-// accumulation order for the utility sum, same option values, same
-// BuildPlan inputs), pinned by the batch-vs-sequential equivalence tests.
-func (e *Engine) assessMany(cs []*claims.Claim, parallelism int) {
+// a current-generation entry and returns how many it scored. It is the
+// engine's only scorer: a scheduler round passes every remaining claim,
+// assess a single one. All stale claims are featurized once, each property
+// kind scores the whole set in one AnalyzeBatch pass over a dense feature
+// matrix, and the per-claim options/properties are assembled into shared
+// arenas (one allocation per call instead of per claim). Re-scoring is
+// incremental across rounds: a retrain bumps the generation and every
+// claim goes stale; rounds without a retrain reuse every cached assessment
+// and score only never-seen claims. The tests pin the assessments against
+// a per-claim oracle built from Classifier.TopK and Classifier.Entropy.
+func (e *Engine) assessMany(cs []*claims.Claim, parallelism int) int {
 	e.ensureFitted()
 	e.assessMu.RLock()
 	gen := e.gen
@@ -770,11 +731,10 @@ func (e *Engine) assessMany(cs []*claims.Claim, parallelism int) {
 		}
 	}
 	e.assessMu.RUnlock()
-	if len(stale) == 0 {
-		return
-	}
-	obsBatchScored(len(stale))
 	n := len(stale)
+	if n == 0 {
+		return 0
+	}
 	feats := make([]textproc.Sparse, n)
 	runPool(n, parallelism, func(i int) { feats[i] = e.Featurize(stale[i]) })
 
@@ -810,9 +770,15 @@ func (e *Engine) assessMany(cs []*claims.Claim, parallelism int) {
 				opts = optArena[optStart:len(optArena):len(optArena)]
 			}
 			propArena = append(propArena, planner.Property{
-				Name:     k.String(),
-				Options:  opts,
-				Required: k != PropFormula, // see assess
+				Name:    k.String(),
+				Options: opts,
+				// The query context (relations, keys, attributes)
+				// must be validated by the crowd regardless of
+				// pruning power; formulas are filtered by tentative
+				// execution instead (§4.3) unless the greedy
+				// selection decides a formula screen is worth its
+				// cost.
+				Required: k != PropFormula,
 			})
 		}
 		a.props = propArena[propStart:len(propArena):len(propArena)]
@@ -833,6 +799,7 @@ func (e *Engine) assessMany(cs []*claims.Claim, parallelism int) {
 		e.assessed[c.ID] = as[i]
 	}
 	e.assessMu.Unlock()
+	return n
 }
 
 // Candidates returns, for each property, the classifier's top-k options with

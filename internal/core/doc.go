@@ -20,10 +20,11 @@
 // classifier.AnalyzeBatch call — one dense matrix pass per kind per round
 // instead of four scoring passes per claim. Candidate options and property
 // lists for the whole round are carved from shared arenas, and question
-// plans are built across the same pool. The filled cache entries are
-// indistinguishable from the legacy per-claim path (pinned by equivalence
-// tests; the seqAssess hook preserves that path as the reference
-// implementation).
+// plans are built across the same pool. assessMany is the only scorer: a
+// claim read outside a scheduler round on a cache miss (a session's first
+// look at a claim, say) is scored through it as a batch of one. The
+// package's tests pin the filled cache entries against a per-claim oracle
+// built from classifier.TopK and classifier.Entropy.
 //
 // # Retraining at batch barriers
 //

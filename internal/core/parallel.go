@@ -64,23 +64,22 @@ func runPool(n, parallelism int, fn func(i int)) {
 }
 
 // assessAll scores cost and utility for every claim (the scheduler inputs).
-// The batch path (assessMany) fills the assessment cache for the whole
-// round first — one dense scoring pass per property kind over every stale
-// claim — so the per-claim reads below are cache hits; the seqAssess test
-// hook skips the batch fill, leaving the legacy per-claim scoring as the
-// reference implementation. Results come back indexed like ids.
+// assessMany fills the assessment cache for the whole round first — one
+// dense scoring pass per property kind over every stale claim — so the
+// per-claim reads below are cache hits. This is the only place
+// Observer.BatchScored fires. Results come back indexed like ids.
 //
 // Once ctx is cancelled the per-claim pass skips the remaining claims
 // (their scores are left zero); the caller (selectBatch) re-checks the
 // context right after and discards the partial scan, so a dead request
 // never pays for a full document scoring sweep.
 func (e *Engine) assessAll(ctx context.Context, ids []int, pool map[int]*claims.Claim, parallelism int) ([]float64, []float64) {
-	if !e.seqAssess {
-		cs := make([]*claims.Claim, len(ids))
-		for i, id := range ids {
-			cs[i] = pool[id]
-		}
-		e.assessMany(cs, parallelism)
+	cs := make([]*claims.Claim, len(ids))
+	for i, id := range ids {
+		cs[i] = pool[id]
+	}
+	if n := e.assessMany(cs, parallelism); n > 0 {
+		obsBatchScored(n)
 	}
 	costs := make([]float64, len(ids))
 	utilities := make([]float64, len(ids))

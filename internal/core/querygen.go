@@ -67,10 +67,6 @@ func (e *Engine) GenerateQueries(ctx context.Context, qc Context, formulas []*fo
 	if err := checkCancel(ctx); err != nil {
 		return nil, nil, err
 	}
-	if e.genOverride != nil {
-		solutions, alternates = e.genOverride(qc, formulas, p, hasParam)
-		return solutions, alternates, nil
-	}
 	gs := getGenScratch()
 	defer putGenScratch(gs)
 
@@ -384,8 +380,8 @@ func (e *Engine) compiledExecutor(env *genEnv, f *formula.Formula, fkey string, 
 		}
 	}
 	// Numeric attribute-variable slots; a variable outside the formula's
-	// assignment (malformed input) can never evaluate, as under the
-	// interpreter's unbound-variable error.
+	// assignment (malformed input) can never evaluate, as Query.Execute
+	// fails on an unbound variable.
 	numPos := make([]int32, len(prog.NumVars()))
 	alwaysFail := false
 	for i, name := range prog.NumVars() {

@@ -13,24 +13,25 @@ import (
 	"github.com/repro/scrutinizer/internal/query"
 )
 
-// This file pins the compiled query generator against the pre-compilation
-// reference implementation: the exact enumeration loop the engine shipped
-// before slot-tuple execution, building a *query.Query per candidate,
-// running the tree interpreter, and deduplicating by rendered SQL. The
-// property test drives both over randomized contexts and formula lists and
-// requires bit-identical outputs (same queries, same SQL, same values, same
-// order, same budget consumption). The reference also powers
-// BenchmarkGenerateQueriesInterpreted, the before side of the ≥5x
-// acceptance ratio.
+// This file pins the compiled query generator against a reference
+// implementation: the enumeration loop the engine shipped before
+// slot-tuple execution, building a *query.Query per candidate, running
+// Query.Execute on it, and deduplicating by rendered SQL. The property test
+// drives both over randomized contexts and formula lists and requires
+// bit-identical outputs (same queries, same SQL, same values, same order,
+// same budget consumption). Query.Execute is itself pinned by package
+// query's tests against a reference that resolves cells through the
+// string-keyed Corpus.Get, whose arithmetic package expr's tests pin
+// against a tree-walking interpreter.
 
-// generateQueriesInterpreted is the reference Algorithm 2 implementation.
-func (e *Engine) generateQueriesInterpreted(ctx Context, formulas []*formula.Formula, p float64, hasParam bool) (solutions, alternates []GeneratedQuery) {
+// generateQueriesReference is the reference Algorithm 2 implementation.
+func (e *Engine) generateQueriesReference(ctx Context, formulas []*formula.Formula, p float64, hasParam bool) (solutions, alternates []GeneratedQuery) {
 	budget := e.cfg.MaxAssignments
 	for _, f := range formulas {
 		if f == nil || f.Expr == nil {
 			continue
 		}
-		sols, alts, used := e.generateForFormulaInterpreted(ctx, f, p, hasParam, budget)
+		sols, alts, used := e.generateForFormulaReference(ctx, f, p, hasParam, budget)
 		budget -= used
 		solutions = append(solutions, sols...)
 		alternates = append(alternates, alts...)
@@ -54,7 +55,7 @@ func (e *Engine) generateQueriesInterpreted(ctx Context, formulas []*formula.For
 	return solutions, alternates
 }
 
-func (e *Engine) generateForFormulaInterpreted(ctx Context, f *formula.Formula, p float64, hasParam bool, budget int) (sols, alts []GeneratedQuery, used int) {
+func (e *Engine) generateForFormulaReference(ctx Context, f *formula.Formula, p float64, hasParam bool, budget int) (sols, alts []GeneratedQuery, used int) {
 	aliases := expr.Aliases(f.Expr)
 	attrVars := f.AttrVars
 
@@ -104,7 +105,7 @@ func (e *Engine) generateForFormulaInterpreted(ctx Context, f *formula.Formula, 
 				pr := pairs[idx[ai]]
 				q.Bindings = append(q.Bindings, query.Binding{Alias: alias, Relation: pr.rel, Key: pr.key})
 			}
-			val, err := q.ExecuteInterpreted(e.corpus)
+			val, err := q.Execute(e.corpus)
 			if err != nil {
 				continue
 			}
@@ -229,7 +230,7 @@ func TestGenerateQueriesMatchesInterpretedReference(t *testing.T) {
 		e.cfg.MaxAssignments = []int{1, 3, 17, 20000}[rng.Intn(4)]
 
 		gotS, gotA, _ := e.GenerateQueries(context.Background(), ctx, fs, p, hasParam)
-		wantS, wantA := e.generateQueriesInterpreted(ctx, fs, p, hasParam)
+		wantS, wantA := e.generateQueriesReference(ctx, fs, p, hasParam)
 		equalGenerated(t, "solutions", gotS, wantS)
 		equalGenerated(t, "alternates", gotA, wantA)
 
@@ -257,7 +258,7 @@ func TestGenerateQueriesDuplicateContextEntries(t *testing.T) {
 		Attrs:     append(append([]string{}, base.Attrs...), base.Attrs...),
 	}
 	gotS, gotA, _ := e.GenerateQueries(context.Background(), dup, []*formula.Formula{f}, c.Param, c.HasParam)
-	wantS, wantA := e.generateQueriesInterpreted(dup, []*formula.Formula{f}, c.Param, c.HasParam)
+	wantS, wantA := e.generateQueriesReference(dup, []*formula.Formula{f}, c.Param, c.HasParam)
 	equalGenerated(t, "solutions", gotS, wantS)
 	equalGenerated(t, "alternates", gotA, wantA)
 }
@@ -386,7 +387,7 @@ func TestGenerateQueriesCrossFormulaSQLCollision(t *testing.T) {
 	}
 	for _, hasParam := range []bool{true, false} {
 		gotS, gotA, _ := e.GenerateQueries(context.Background(), ctx, fs, c.Param, hasParam)
-		wantS, wantA := e.generateQueriesInterpreted(ctx, fs, c.Param, hasParam)
+		wantS, wantA := e.generateQueriesReference(ctx, fs, c.Param, hasParam)
 		equalGenerated(t, "solutions", gotS, wantS)
 		equalGenerated(t, "alternates", gotA, wantA)
 		if len(wantA)+len(wantS) == 0 {

@@ -190,7 +190,10 @@ func TestTrainKeepsModelOfUnlabelledKind(t *testing.T) {
 	formulaModel := e.models[PropFormula]
 	labels := append([]string(nil), formulaModel.Labels()...)
 	trainedOn := formulaModel.TrainedOn()
-	probe := textproc.Vector{0: 1, 3: 0.5}.Sparse()
+	var pb textproc.SparseBuilder
+	pb.Add(0, 1)
+	pb.Add(3, 0.5)
+	probe := pb.Build()
 	probs := formulaModel.Probs(probe)
 
 	// The same claims without formula annotations: the formula kind has

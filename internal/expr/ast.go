@@ -16,8 +16,8 @@
 //   - function calls over a library F: POWER, ABS, SQRT, LOG, LN, EXP,
 //     MIN, MAX, SUM, AVG, ROUND, SIGN, CAGR
 //
-// Expressions evaluate against an Env that resolves cell references and
-// attribute variables.
+// Expressions are evaluated by compiling them (Compile) into flat programs
+// that run over bound cell values; see compile.go.
 package expr
 
 import (
@@ -28,24 +28,20 @@ import (
 	"strings"
 )
 
-// Node is an expression tree node. Implementations are immutable.
+// Node is an expression tree node. Implementations are immutable. The
+// interface is closed: only this package's node types implement it.
 type Node interface {
 	// String renders the node in the surface syntax accepted by Parse.
 	String() string
-	// eval computes the node's value under env.
-	eval(env Env) (float64, error)
+	node()
 }
 
-// Env resolves the free names of an expression during evaluation.
-type Env interface {
-	// Cell resolves a reference alias.attr, where attr is either an
-	// attribute variable (A1, A2, ...) resolved through Attr, or a
-	// concrete attribute label.
-	Cell(alias, attr string) (float64, error)
-	// Attr resolves an attribute variable to its concrete label
-	// (e.g. A1 -> "2017"). Returns "" and false if unbound.
-	Attr(v string) (string, bool)
-}
+func (Num) node()     {}
+func (CellRef) node() {}
+func (AttrVar) node() {}
+func (BinOp) node()   {}
+func (Neg) node()     {}
+func (Call) node()    {}
 
 // Num is a numeric literal.
 type Num struct{ Value float64 }
@@ -53,8 +49,6 @@ type Num struct{ Value float64 }
 func (n Num) String() string {
 	return strconv.FormatFloat(n.Value, 'g', -1, 64)
 }
-
-func (n Num) eval(Env) (float64, error) { return n.Value, nil }
 
 // CellRef references a cell through a binding alias and an attribute, e.g.
 // a.A1 (attribute variable) or a.2017 (concrete attribute).
@@ -99,36 +93,12 @@ func plainAttr(s string) bool {
 	return true
 }
 
-func (c CellRef) eval(env Env) (float64, error) {
-	attr := c.Attr
-	if resolved, ok := env.Attr(c.Attr); ok {
-		attr = resolved
-	}
-	v, err := env.Cell(c.Alias, attr)
-	if err != nil {
-		return 0, fmt.Errorf("expr: resolving %s.%s: %w", c.Alias, attr, err)
-	}
-	return v, nil
-}
-
 // AttrVar is an attribute variable used as a number, e.g. the A1-A2 term in
-// the CAGR exponent. During evaluation the variable resolves to its concrete
+// the CAGR exponent. At evaluation the variable resolves to its concrete
 // attribute label, which must parse as a number (years do).
 type AttrVar struct{ Name string }
 
 func (a AttrVar) String() string { return a.Name }
-
-func (a AttrVar) eval(env Env) (float64, error) {
-	label, ok := env.Attr(a.Name)
-	if !ok {
-		return 0, fmt.Errorf("expr: unbound attribute variable %s", a.Name)
-	}
-	v, err := strconv.ParseFloat(label, 64)
-	if err != nil {
-		return 0, fmt.Errorf("expr: attribute %q of variable %s is not numeric", label, a.Name)
-	}
-	return v, nil
-}
 
 // BinOp applies a binary operator.
 type BinOp struct {
@@ -138,45 +108,6 @@ type BinOp struct {
 
 func (b BinOp) String() string {
 	return "(" + b.Left.String() + " " + b.Op + " " + b.Right.String() + ")"
-}
-
-func (b BinOp) eval(env Env) (float64, error) {
-	l, err := b.Left.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	r, err := b.Right.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	switch b.Op {
-	case "+":
-		return l + r, nil
-	case "-":
-		return l - r, nil
-	case "*":
-		return l * r, nil
-	case "/":
-		if r == 0 {
-			return 0, fmt.Errorf("expr: division by zero in %s", b)
-		}
-		return l / r, nil
-	case "^":
-		return math.Pow(l, r), nil
-	case ">":
-		return boolVal(l > r), nil
-	case "<":
-		return boolVal(l < r), nil
-	case ">=":
-		return boolVal(l >= r), nil
-	case "<=":
-		return boolVal(l <= r), nil
-	case "=":
-		return boolVal(l == r), nil
-	case "!=":
-		return boolVal(l != r), nil
-	}
-	return 0, fmt.Errorf("expr: unknown operator %q", b.Op)
 }
 
 func boolVal(b bool) float64 {
@@ -191,14 +122,6 @@ type Neg struct{ Operand Node }
 
 func (n Neg) String() string { return "-" + n.Operand.String() }
 
-func (n Neg) eval(env Env) (float64, error) {
-	v, err := n.Operand.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	return -v, nil
-}
-
 // Call invokes a function from the library F.
 type Call struct {
 	Fn   string
@@ -211,28 +134,6 @@ func (c Call) String() string {
 		parts[i] = a.String()
 	}
 	return c.Fn + "(" + strings.Join(parts, ", ") + ")"
-}
-
-func (c Call) eval(env Env) (float64, error) {
-	fn, ok := functions[c.Fn]
-	if !ok {
-		return 0, fmt.Errorf("expr: unknown function %q", c.Fn)
-	}
-	if fn.arity >= 0 && len(c.Args) != fn.arity {
-		return 0, fmt.Errorf("expr: %s expects %d arguments, got %d", c.Fn, fn.arity, len(c.Args))
-	}
-	if fn.arity < 0 && len(c.Args) < 1 {
-		return 0, fmt.Errorf("expr: %s expects at least one argument", c.Fn)
-	}
-	args := make([]float64, len(c.Args))
-	for i, a := range c.Args {
-		v, err := a.eval(env)
-		if err != nil {
-			return 0, err
-		}
-		args[i] = v
-	}
-	return fn.impl(args)
 }
 
 type function struct {
@@ -357,37 +258,6 @@ func Functions() []string {
 func IsFunction(name string) bool {
 	_, ok := functions[strings.ToUpper(name)]
 	return ok
-}
-
-// Eval evaluates the expression under env. Errors carry enough context to be
-// surfaced to fact checkers in the verification report.
-func Eval(n Node, env Env) (float64, error) {
-	if n == nil {
-		return 0, fmt.Errorf("expr: nil expression")
-	}
-	return n.eval(env)
-}
-
-// MapEnv is a simple Env backed by maps; used by tests and by formula
-// instantiation when cell values have already been collected.
-type MapEnv struct {
-	Cells map[string]float64 // key "alias.attr"
-	Attrs map[string]string  // attribute variable -> concrete label
-}
-
-// Cell implements Env.
-func (m MapEnv) Cell(alias, attr string) (float64, error) {
-	v, ok := m.Cells[alias+"."+attr]
-	if !ok {
-		return 0, fmt.Errorf("no cell %s.%s", alias, attr)
-	}
-	return v, nil
-}
-
-// Attr implements Env.
-func (m MapEnv) Attr(v string) (string, bool) {
-	s, ok := m.Attrs[v]
-	return s, ok
 }
 
 // Walk visits every node of the tree in depth-first order, calling fn for

@@ -1,14 +1,13 @@
 // Compilation of expression trees into flat postfix programs.
 //
-// The tree interpreter (Eval) resolves every cell reference through an Env
-// interface and every function through a map, and allocates an argument
-// slice per Call — fine for one-off evaluation, far too slow for tentative
-// execution, which evaluates the same formula for thousands of candidate
-// variable assignments. Compile lowers a tree once into a Program: opcode +
-// operand slices with constants, cell slots, numeric attribute-variable
-// slots and function pointers all resolved at compile time. Evaluation is
-// then a single pass over the opcode slice on a caller-owned stack — no
-// interface dispatch, no map look-ups, no allocations.
+// Compile lowers a tree once into a Program: opcode + operand slices with
+// constants, cell slots, numeric attribute-variable slots and function
+// pointers all resolved at compile time. Evaluation is then a single pass
+// over the opcode slice on a caller-owned stack — no interface dispatch, no
+// map look-ups, no allocations — which is what tentative execution needs:
+// it evaluates the same formula for thousands of candidate variable
+// assignments. The package's tests keep a tree-walking interpreter as the
+// reference the compiled programs are pinned against.
 //
 // A Program stays symbolic about *what* its inputs are: cell slots carry
 // (alias slot, attribute label) and numeric slots carry attribute-variable
@@ -76,13 +75,13 @@ type Program struct {
 	maxStack int
 }
 
-// ErrDivisionByZero is the compiled counterpart of the interpreter's
-// division-by-zero error; a sentinel so the hot path never formats.
+// ErrDivisionByZero is returned by Eval when a divisor is zero; a sentinel
+// so the hot path never formats.
 var ErrDivisionByZero = errors.New("expr: division by zero")
 
-// Compile lowers an expression tree into a Program. It fails on the inputs
-// the interpreter would always reject at evaluation time: unknown
-// operators, unknown functions and arity mismatches.
+// Compile lowers an expression tree into a Program. It fails on unknown
+// operators, unknown functions and arity mismatches, which no evaluation
+// could get past.
 func Compile(n Node) (*Program, error) {
 	if n == nil {
 		return nil, fmt.Errorf("expr: compiling nil expression")
@@ -229,8 +228,8 @@ func (p *Program) MaxStack() int { return p.maxStack }
 // (aligned with Cells), attrNums the numeric value of every attribute
 // variable used as a number (aligned with NumVars), and stack is the
 // caller-owned evaluation stack of at least MaxStack length. Eval performs
-// no allocations on the success path; error paths mirror the tree
-// interpreter's failure cases (division by zero, function domain errors).
+// no allocations on the success path; it fails on division by zero
+// (ErrDivisionByZero) and on function domain errors.
 func (p *Program) Eval(cellVals, attrNums, stack []float64) (float64, error) {
 	sp := 0
 	for _, in := range p.code {

@@ -150,8 +150,14 @@ func TestReconstructChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := expr.MapEnv{Cells: map[string]float64{"a.2017": 22, "b.2016": 20}}
-	v, err := expr.Eval(resolved, env)
+	prog, err := expr.Compile(resolved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := prog.Cells(); len(cs) != 2 || cs[0].Attr != "2017" || cs[1].Attr != "2016" {
+		t.Fatalf("cell slots %+v, want a.2017 then b.2016", cs)
+	}
+	v, err := prog.Eval([]float64{22, 20}, nil, make([]float64, prog.MaxStack()))
 	if err != nil {
 		t.Fatal(err)
 	}

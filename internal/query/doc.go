@@ -16,30 +16,34 @@
 // the final screen are parsed back into executable form, and generated
 // queries are rendered for display.
 //
-// # Execution: Execute vs Plan
+// # Execution
 //
-// Two execution layers share one compiled core:
+// There is one executor, the compiled one, reached two ways:
 //
-//   - Query.Execute is the convenience path for a single fixed query. It
-//     lowers the SELECT expression to a flat expr.Program once (cached on
-//     the Query), resolves names through the corpus's interned
-//     table.Index, and evaluates on pooled scratch — allocation-free in
-//     steady state. Any failure re-runs the tree interpreter
-//     (ExecuteInterpreted), which owns the canonical validation and
-//     execution error messages; the two paths are pinned value- and
-//     error-equivalent by property-based tests.
+//   - Query.Execute runs a single query. It validates the query, lowers
+//     the SELECT expression to a flat expr.Program on its first call
+//     (cached on the Query), resolves names through the corpus's interned
+//     table.Index, and evaluates on pooled scratch: allocation-free once
+//     the program is cached. Errors are built on the failure path only:
+//     lookup faults wrap table.ErrNotFound, division by zero wraps
+//     expr.ErrDivisionByZero, and every execution error starts with
+//     "query: executing <SQL>: ".
 //
 //   - Plan is the bulk path for one expression executed under many
 //     variable assignments — tentative execution in the query generator.
-//     NewPlan compiles once against an Index; Bind resolves a concrete
-//     assignment to integer cell coordinates for repeated Run calls, and
-//     ExecCoords evaluates pre-resolved coordinate slices directly, which
-//     is what lets Algorithm 2 enumerate candidate assignments as integer
-//     slot tuples with zero string handling per candidate.
+//     The caller compiles once and resolves each assignment to integer
+//     cell coordinates; ExecCoords evaluates them directly, which is what
+//     lets Algorithm 2 enumerate candidate assignments as integer slot
+//     tuples with zero string handling per candidate.
+//
+// The package's tests pin Execute against a reference that resolves every
+// cell through the string-keyed Corpus.Get and evaluates the resulting
+// constant expression; package expr's tests pin the compiled arithmetic
+// against a tree-walking interpreter.
 //
 // Execute is read-only over the corpus, so one corpus serves any number of
-// concurrent verification workers; a compiled Query and a BoundQuery are
-// likewise safe for concurrent execution with distinct scratches.
+// concurrent verification workers; a Query and a Plan are likewise safe
+// for concurrent execution with distinct scratches.
 //
 // Disjunctive WHERE clauses (the "v2 OR v3" form produced when a claim
 // aggregates several key values) are handled by disjunction.go, which

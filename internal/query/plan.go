@@ -2,7 +2,6 @@ package query
 
 import (
 	"errors"
-	"fmt"
 	"strconv"
 	"sync"
 
@@ -13,15 +12,13 @@ import (
 // A Plan is the compiled execution form of a SELECT expression against one
 // interned corpus snapshot: the expression is lowered once to a flat
 // expr.Program, and all name resolution (aliases → relations, attribute
-// labels → columns) happens at bind time, outside the evaluation loop.
+// labels → columns) happens outside the evaluation loop.
 //
-// Plan vs Execute: Query.Execute is the convenience path — it validates,
-// compiles and binds internally (caching both on the Query), and is the
-// right call for one-off or repeated execution of a single fixed query.
-// Build a Plan directly when one expression is executed under many
-// different variable assignments — tentative execution in the query
-// generator — so compilation happens once and each candidate assignment
-// costs only integer cell resolution plus a stack evaluation.
+// Query.Execute builds one per call for a single fixed query. The query
+// generator builds one per formula and executes it under many variable
+// assignments — tentative execution — so compilation happens once and each
+// candidate assignment costs only integer cell resolution plus a stack
+// evaluation (ExecCoords).
 type Plan struct {
 	// Prog is the compiled SELECT program.
 	Prog *expr.Program
@@ -29,36 +26,16 @@ type Plan struct {
 	Idx *table.Index
 }
 
-// NewPlan compiles sel against the interned corpus snapshot.
-func NewPlan(sel expr.Node, idx *table.Index) (*Plan, error) {
-	if idx == nil {
-		return nil, fmt.Errorf("query: nil index")
-	}
-	prog, err := expr.Compile(sel)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Prog: prog, Idx: idx}, nil
-}
-
 // Scratch is the caller-owned evaluation scratch of a plan: one per
-// goroutine, reused across executions. Get one from NewScratch (or the
-// package pool via GetScratch/PutScratch) — all three slices must be at
-// least as long as the plan's program needs.
+// goroutine, reused across executions. Get one from the package pool via
+// GetScratch/PutScratch, which size it for the plan's program.
 type Scratch struct {
 	CellVals []float64
 	AttrNums []float64
 	Stack    []float64
 	// Coords is spare per-candidate coordinate space for enumeration
-	// loops; Bind/ExecCoords do not touch it.
+	// loops; ExecCoords does not touch it.
 	Coords []table.CellCoord
-}
-
-// NewScratch sizes a scratch for the plan's program.
-func (p *Plan) NewScratch() *Scratch {
-	s := &Scratch{}
-	s.grow(p.Prog)
-	return s
 }
 
 func (s *Scratch) grow(prog *expr.Program) {
@@ -88,65 +65,29 @@ func (s *Scratch) grow(prog *expr.Program) {
 // steady state allocates nothing.
 var scratchPool = sync.Pool{New: func() any { return &Scratch{} }}
 
-// getScratch borrows a pooled scratch sized for a program — the single
-// pool adapter behind Plan.GetScratch and Query.Execute's fast path.
-func getScratch(prog *expr.Program) *Scratch {
+// GetScratch borrows a pooled scratch sized for the plan.
+func (p *Plan) GetScratch() *Scratch {
 	s := scratchPool.Get().(*Scratch)
-	s.grow(prog)
+	s.grow(p.Prog)
 	return s
 }
-
-// GetScratch borrows a pooled scratch sized for the plan.
-func (p *Plan) GetScratch() *Scratch { return getScratch(p.Prog) }
 
 // PutScratch returns a scratch to the pool.
 func PutScratch(s *Scratch) { scratchPool.Put(s) }
 
-// Sentinel bind/execution errors. The compiled path never formats on
-// failure; callers that need rich errors (Query.Execute) re-run the
-// interpreter to reproduce them.
-var (
-	// ErrCellNotFound: a bound coordinate addresses a missing or NULL cell.
-	ErrCellNotFound = errors.New("query: cell not found")
-	errUnresolved   = errors.New("query: unresolvable binding")
-)
+// ErrCellNotFound is ExecCoords' error for a coordinate that addresses a
+// NULL cell. The hot path never formats; Query.Execute explains the fault
+// on its failure path.
+var ErrCellNotFound = errors.New("query: cell not found")
 
-// BoundQuery is a plan bound to one concrete variable assignment: every
-// cell slot resolved to interned coordinates and every numeric attribute
-// variable parsed. Binding is immutable; Run may be called concurrently
-// with distinct scratches.
-type BoundQuery struct {
-	plan     *Plan
-	coords   []table.CellCoord
-	attrNums []float64
-}
-
-// Bind resolves the plan's slots against concrete bindings: each program
-// alias must appear in bindings, and attribute variables resolve through
-// attrs (cell attributes fall back to their literal label, mirroring the
-// interpreter's Env.Attr rule). Missing relations, rows, columns or
-// non-numeric attribute labels fail with errUnresolved-class errors.
-func (p *Plan) Bind(bindings []Binding, attrs map[string]string) (*BoundQuery, error) {
-	b := &BoundQuery{
-		plan:     p,
-		coords:   make([]table.CellCoord, len(p.Prog.Cells())),
-		attrNums: make([]float64, len(p.Prog.NumVars())),
-	}
-	if !resolveSlots(p.Prog, p.Idx, bindings, attrs, b.coords, b.attrNums) {
-		return nil, errUnresolved
-	}
-	return b, nil
-}
-
-// resolveSlots is the one name-resolution rule of the compiled engine,
-// shared by Plan.Bind and Query.Execute's fast path: alias slots bind to
-// interned (relation, row) pairs, cell attributes resolve through attrs
-// with the literal label as fallback (the interpreter's Env.Attr rule) to
-// interned columns, and numeric attribute variables parse their bound
-// label. Results land in the caller-owned coords/attrNums (sized per the
-// program); the return value is false when anything is unresolvable. It
-// does not allocate for queries of up to 8 aliases.
-func resolveSlots(prog *expr.Program, idx *table.Index, bindings []Binding, attrs map[string]string, coords []table.CellCoord, attrNums []float64) bool {
+// resolveSlots is Query.Execute's name-resolution rule: alias slots bind
+// to interned (relation, row) pairs, cell attributes resolve through
+// AttrBindings with the literal label as fallback to interned columns, and
+// numeric attribute variables parse their bound label. Results land in the
+// caller-owned coords/attrNums (sized per the program); the return value
+// is false when anything is unresolvable. The query must have passed
+// Validate. It does not allocate for queries of up to 8 aliases.
+func (q *Query) resolveSlots(prog *expr.Program, idx *table.Index, coords []table.CellCoord, attrNums []float64) bool {
 	aliases := prog.Aliases()
 	type relRow struct{ rel, row int32 }
 	var boundArr [8]relRow
@@ -157,30 +98,20 @@ func resolveSlots(prog *expr.Program, idx *table.Index, bindings []Binding, attr
 		bound = make([]relRow, len(aliases))
 	}
 	for i, alias := range aliases {
-		found := false
-		for _, bd := range bindings {
-			if bd.Alias != alias {
-				continue
-			}
-			rel, ok := idx.RelID(bd.Relation)
-			if !ok {
-				return false
-			}
-			row, ok := idx.RowID(rel, bd.Key)
-			if !ok {
-				return false
-			}
-			bound[i] = relRow{rel, row}
-			found = true
-			break
-		}
-		if !found {
+		bd := q.binding(alias)
+		rel, ok := idx.RelID(bd.Relation)
+		if !ok {
 			return false
 		}
+		row, ok := idx.RowID(rel, bd.Key)
+		if !ok {
+			return false
+		}
+		bound[i] = relRow{rel, row}
 	}
 	for i, cs := range prog.Cells() {
 		label := cs.Attr
-		if resolved, ok := attrs[label]; ok {
+		if resolved, ok := q.AttrBindings[label]; ok {
 			label = resolved
 		}
 		rr := bound[cs.Alias]
@@ -191,31 +122,13 @@ func resolveSlots(prog *expr.Program, idx *table.Index, bindings []Binding, attr
 		coords[i] = table.CellCoord{Rel: rr.rel, Row: rr.row, Col: col}
 	}
 	for i, name := range prog.NumVars() {
-		label, ok := attrs[name]
-		if !ok {
-			return false
-		}
-		v, err := strconv.ParseFloat(label, 64)
+		v, err := strconv.ParseFloat(q.AttrBindings[name], 64)
 		if err != nil {
 			return false
 		}
 		attrNums[i] = v
 	}
 	return true
-}
-
-// Run evaluates the bound query with the given scratch. It allocates
-// nothing on the success path.
-func (b *BoundQuery) Run(sc *Scratch) (float64, error) {
-	idx := b.plan.Idx
-	for i, cc := range b.coords {
-		v, ok := idx.Cell(cc.Rel, cc.Row, cc.Col)
-		if !ok {
-			return 0, ErrCellNotFound
-		}
-		sc.CellVals[i] = v
-	}
-	return b.plan.Prog.Eval(sc.CellVals, b.attrNums, sc.Stack)
 }
 
 // ExecCoords evaluates the plan for one fully resolved candidate

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -10,76 +12,176 @@ import (
 	"github.com/repro/scrutinizer/internal/table"
 )
 
-func TestPlanBindRunMatchesInterpreter(t *testing.T) {
+// planFor compiles q's SELECT into a Plan over c and resolves q's slots
+// to coordinates once, as the query generator does per candidate.
+func planFor(tb testing.TB, c *table.Corpus, q *Query) (*Plan, []table.CellCoord, []float64) {
+	tb.Helper()
+	prog, err := expr.Compile(q.Select)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan := &Plan{Prog: prog, Idx: c.Index()}
+	coords := make([]table.CellCoord, len(prog.Cells()))
+	attrNums := make([]float64, len(prog.NumVars()))
+	if !q.resolveSlots(prog, plan.Idx, coords, attrNums) {
+		tb.Fatalf("cannot resolve %s", q.SQL())
+	}
+	return plan, coords, attrNums
+}
+
+func TestPlanExecCoordsMatchesExecute(t *testing.T) {
 	c := corpusWithGED(t)
 	q := benchQuery()
-	want, err := q.ExecuteInterpreted(c)
+	want, err := q.Execute(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := NewPlan(q.Select, c.Index())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bq, err := plan.Bind(q.Bindings, q.AttrBindings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := plan.NewScratch()
+	plan, coords, attrNums := planFor(t, c, q)
+	sc := plan.GetScratch()
+	defer PutScratch(sc)
 	for i := 0; i < 3; i++ {
-		got, err := bq.Run(sc)
+		got, err := plan.ExecCoords(coords, attrNums, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("Run = %v, interpreter = %v", got, want)
+			t.Fatalf("ExecCoords = %v, Execute = %v", got, want)
 		}
+	}
+
+	// A coordinate that addresses a NULL cell fails with the sentinel.
+	sparse := table.MustNewRelation("Sparse", "Index", []string{"2016", "2017"})
+	if err := sparse.AddSparseRow("k", map[string]float64{"2016": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Add(sparse); err != nil {
+		t.Fatal(err)
+	}
+	nullQ := &Query{Select: expr.MustParse("a.2017"), Bindings: []Binding{{Alias: "a", Relation: "Sparse", Key: "k"}}}
+	plan, coords, attrNums = planFor(t, c, nullQ)
+	sc2 := plan.GetScratch()
+	defer PutScratch(sc2)
+	if _, err := plan.ExecCoords(coords, attrNums, sc2); err != ErrCellNotFound {
+		t.Fatalf("ExecCoords over a NULL cell: err = %v, want ErrCellNotFound", err)
 	}
 }
 
+// TestPlanBindErrors pins the plan's binding rule: an alias without a
+// binding fails validation, and resolveSlots refuses a missing relation, a
+// missing key, an unbound attribute variable and a non-numeric one, while
+// accepting a fully resolvable binding.
 func TestPlanBindErrors(t *testing.T) {
 	c := corpusWithGED(t)
 	idx := c.Index()
-	sel := expr.MustParse("a.2017")
-	plan, err := NewPlan(sel, idx)
-	if err != nil {
-		t.Fatal(err)
+	resolves := func(q *Query) bool {
+		t.Helper()
+		if err := q.Validate(); err != nil {
+			return false
+		}
+		prog, err := expr.Compile(q.Select)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coords := make([]table.CellCoord, len(prog.Cells()))
+		attrNums := make([]float64, len(prog.NumVars()))
+		return q.resolveSlots(prog, idx, coords, attrNums)
 	}
+	sel := expr.MustParse("a.2017")
 	cases := []struct {
 		name     string
 		bindings []Binding
-		attrs    map[string]string
 	}{
-		{"missing alias", nil, nil},
-		{"missing relation", []Binding{{Alias: "a", Relation: "Nope", Key: "k"}}, nil},
-		{"missing key", []Binding{{Alias: "a", Relation: "GED", Key: "Nope"}}, nil},
+		{"missing alias", nil},
+		{"missing relation", []Binding{{Alias: "a", Relation: "Nope", Key: "k"}}},
+		{"missing key", []Binding{{Alias: "a", Relation: "GED", Key: "Nope"}}},
 	}
 	for _, tc := range cases {
-		if _, err := plan.Bind(tc.bindings, tc.attrs); err == nil {
-			t.Errorf("%s: Bind succeeded", tc.name)
+		if resolves(&Query{Select: sel, Bindings: tc.bindings}) {
+			t.Errorf("%s: binding resolved", tc.name)
 		}
 	}
 	// Unresolvable attribute variable (numeric) and non-numeric label.
-	plan2, err := NewPlan(expr.MustParse("a.A1 + (A1 - A2)"), idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel2 := expr.MustParse("a.A1 + (A1 - A2)")
 	good := []Binding{{Alias: "a", Relation: "GED", Key: "PGElecDemand"}}
-	if _, err := plan2.Bind(good, map[string]string{"A1": "2017"}); err == nil {
+	if resolves(&Query{Select: sel2, Bindings: good, AttrBindings: map[string]string{"A1": "2017"}}) {
 		t.Error("unbound A2 accepted")
 	}
-	if _, err := plan2.Bind(good, map[string]string{"A1": "2017", "A2": "Total"}); err == nil {
+	if resolves(&Query{Select: sel2, Bindings: good, AttrBindings: map[string]string{"A1": "2017", "A2": "Total"}}) {
 		t.Error("non-numeric A2 accepted")
 	}
-	if _, err := plan2.Bind(good, map[string]string{"A1": "2017", "A2": "2016"}); err != nil {
-		t.Errorf("valid binding rejected: %v", err)
+	if !resolves(&Query{Select: sel2, Bindings: good, AttrBindings: map[string]string{"A1": "2017", "A2": "2016"}}) {
+		t.Error("valid binding rejected")
 	}
 }
 
-// TestExecuteCompiledMatchesInterpreterRandom property-tests the compiled
-// Execute fast path against the interpreter over randomized queries on a
-// randomized corpus: same values bit-for-bit, same error-ness, including
-// NULL cells, missing rows and attribute-variable resolution.
+// referenceExecute is the oracle Execute is pinned against. It resolves
+// every cell through the string-keyed Corpus.Get, which does not use the
+// interned Index, and every numeric attribute variable through
+// AttrBindings, substitutes the values into the expression as expr.Num
+// constants, and evaluates the closed expression. Lookup faults come
+// before attribute-variable faults, and both before arithmetic. The
+// arithmetic is pinned by package expr's tests, against its tree-walking
+// interpreter. validation reports an error of Validate, which Execute
+// returns as is; Execute wraps every other error.
+func referenceExecute(q *Query, c *table.Corpus) (v float64, validation bool, err error) {
+	if err := q.Validate(); err != nil {
+		return 0, true, err
+	}
+	var lookupErr, attrErr error
+	var closeOver func(expr.Node) expr.Node
+	closeOver = func(n expr.Node) expr.Node {
+		switch t := n.(type) {
+		case expr.CellRef:
+			attr := t.Attr
+			if label, ok := q.AttrBindings[attr]; ok {
+				attr = label
+			}
+			b := q.binding(t.Alias)
+			v, err := c.Get(b.Relation, b.Key, attr)
+			if err != nil && lookupErr == nil {
+				lookupErr = fmt.Errorf("expr: resolving %s.%s: %w", t.Alias, attr, err)
+			}
+			return expr.Num{Value: v}
+		case expr.AttrVar:
+			label := q.AttrBindings[t.Name]
+			v, err := strconv.ParseFloat(label, 64)
+			if err != nil && attrErr == nil {
+				attrErr = fmt.Errorf("expr: attribute %q of variable %s is not numeric", label, t.Name)
+			}
+			return expr.Num{Value: v}
+		case expr.BinOp:
+			return expr.BinOp{Op: t.Op, Left: closeOver(t.Left), Right: closeOver(t.Right)}
+		case expr.Neg:
+			return expr.Neg{Operand: closeOver(t.Operand)}
+		case expr.Call:
+			args := make([]expr.Node, len(t.Args))
+			for i, a := range t.Args {
+				args[i] = closeOver(a)
+			}
+			return expr.Call{Fn: t.Fn, Args: args}
+		}
+		return n
+	}
+	closed := closeOver(q.Select)
+	if lookupErr != nil {
+		return 0, false, lookupErr
+	}
+	if attrErr != nil {
+		return 0, false, attrErr
+	}
+	prog, err := expr.Compile(closed)
+	if err != nil {
+		return 0, false, err
+	}
+	v, err = prog.Eval(nil, nil, make([]float64, prog.MaxStack()))
+	return v, false, err
+}
+
+// TestExecuteCompiledMatchesInterpreterRandom property-tests Execute
+// against referenceExecute over randomized queries on a randomized corpus:
+// same values bit-for-bit and the same error text, including NULL cells,
+// missing relations and rows, attribute-variable resolution, division by
+// zero and function domain errors.
 func TestExecuteCompiledMatchesInterpreterRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	c := table.NewCorpus()
@@ -113,6 +215,7 @@ func TestExecuteCompiledMatchesInterpreterRandom(t *testing.T) {
 	}
 	keys := []string{"K0", "K1", "K2", "K3", "KMissing"}
 	rels := []string{"R0", "R1", "R2", "RMissing"}
+	var okCount, lookupFaults, arithFaults int
 	for trial := 0; trial < 4000; trial++ {
 		q := &Query{
 			Select: expr.MustParse(exprs[rng.Intn(len(exprs))]),
@@ -129,64 +232,69 @@ func TestExecuteCompiledMatchesInterpreterRandom(t *testing.T) {
 			delete(q.AttrBindings, "A2") // unbound attribute variable path
 		}
 		gv, gerr := q.Execute(c)
-		// A fresh identical query for the interpreter so no state is shared.
-		q2 := &Query{Select: q.Select, Bindings: q.Bindings, AttrBindings: q.AttrBindings}
-		wv, werr := q2.ExecuteInterpreted(c)
-		if (gerr != nil) != (werr != nil) {
-			t.Fatalf("%s: Execute err=%v, interpreter err=%v", q.SQL(), gerr, werr)
+		wv, validation, werr := referenceExecute(q, c)
+		switch {
+		case werr == nil && gerr == nil:
+			okCount++
+			if math.Float64bits(gv) != math.Float64bits(wv) {
+				t.Fatalf("%s: Execute=%v reference=%v", q.SQL(), gv, wv)
+			}
+		case werr == nil || gerr == nil:
+			t.Fatalf("%s: Execute err=%v, reference err=%v", q.SQL(), gerr, werr)
+		default:
+			want := werr.Error()
+			if !validation {
+				want = "query: executing " + q.SQL() + ": " + want
+			}
+			if gerr.Error() != want {
+				t.Fatalf("Execute error %q, reference %q", gerr, want)
+			}
+			if errors.Is(gerr, table.ErrNotFound) != errors.Is(werr, table.ErrNotFound) {
+				t.Fatalf("%s: Execute err %v and reference err %v disagree on table.ErrNotFound", q.SQL(), gerr, werr)
+			}
+			if errors.Is(werr, table.ErrNotFound) {
+				lookupFaults++
+			} else if !validation {
+				arithFaults++
+			}
 		}
-		if gerr == nil && math.Float64bits(gv) != math.Float64bits(wv) {
-			t.Fatalf("%s: Execute=%v interpreter=%v", q.SQL(), gv, wv)
-		}
+	}
+	// The randomized inputs must reach every branch, or the comparison
+	// proves little.
+	if okCount == 0 || lookupFaults == 0 || arithFaults == 0 {
+		t.Fatalf("coverage: %d successes, %d lookup faults, %d other execution faults", okCount, lookupFaults, arithFaults)
 	}
 }
 
+// BenchmarkPlanExecute measures the query generator's per-candidate path:
+// one compiled plan, pre-resolved coordinates, pooled scratch.
 func BenchmarkPlanExecute(b *testing.B) {
 	c := benchCorpus(b)
-	q := benchQuery()
-	plan, err := NewPlan(q.Select, c.Index())
-	if err != nil {
-		b.Fatal(err)
-	}
-	bq, err := plan.Bind(q.Bindings, q.AttrBindings)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc := plan.NewScratch()
+	plan, coords, attrNums := planFor(b, c, benchQuery())
+	sc := plan.GetScratch()
+	defer PutScratch(sc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bq.Run(sc); err != nil {
+		if _, err := plan.ExecCoords(coords, attrNums, sc); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkExecuteCompiled measures the steady-state Query.Execute fast
-// path (compiled, pooled scratch); compare with BenchmarkExecuteInterpreted
-// for the tree-walking cost and allocation delta.
+// BenchmarkExecuteCompiled measures the steady-state Query.Execute path:
+// validation, slot resolution through the Index and evaluation of the
+// cached program on pooled scratch.
 func BenchmarkExecuteCompiled(b *testing.B) {
 	c := benchCorpus(b)
 	q := benchQuery()
-	if _, err := q.Execute(c); err != nil { // warm the compilation cache
+	if _, err := q.Execute(c); err != nil { // compile and cache the program
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := q.Execute(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExecuteInterpreted(b *testing.B) {
-	c := benchCorpus(b)
-	q := benchQuery()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := q.ExecuteInterpreted(c); err != nil {
 			b.Fatal(err)
 		}
 	}

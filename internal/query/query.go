@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -31,170 +32,138 @@ type Query struct {
 	// fully concrete queries.
 	AttrBindings map[string]string
 
-	// prog caches the compiled form of Select. The first Execute
-	// interprets (one-shot queries — generator internals, hand-written
-	// final-screen SQL — never pay compilation); the second compiles and
-	// every later call evaluates the flat program. Select is treated as
-	// immutable once the query executes.
-	prog atomic.Pointer[progState]
-}
-
-// progState tracks the per-query compilation ladder: a zero value marks
-// "executed once, interpret stage"; prog is the compiled program; bad
-// marks expressions the compiler rejects so Execute falls back to the
-// interpreter without recompiling per call.
-type progState struct {
-	prog *expr.Program
-	bad  bool
+	// prog caches the compiled form of Select, built by the first
+	// Execute. Select is treated as immutable once the query executes.
+	prog atomic.Pointer[expr.Program]
 }
 
 // Validate checks internal consistency: every alias referenced by the SELECT
 // expression must be bound exactly once, and every attribute variable must be
-// resolvable.
+// resolvable. It allocates only to report a fault.
 func (q *Query) Validate() error {
 	if q.Select == nil {
 		return fmt.Errorf("query: nil SELECT expression")
 	}
-	bound := make(map[string]bool, len(q.Bindings))
-	for _, b := range q.Bindings {
+	for i, b := range q.Bindings {
 		if b.Alias == "" || b.Relation == "" || b.Key == "" {
 			return fmt.Errorf("query: incomplete binding %+v", b)
 		}
-		if bound[b.Alias] {
-			return fmt.Errorf("query: alias %q bound twice", b.Alias)
-		}
-		bound[b.Alias] = true
-	}
-	for _, a := range expr.Aliases(q.Select) {
-		if !bound[a] {
-			return fmt.Errorf("query: alias %q used in SELECT but not bound", a)
+		for _, prev := range q.Bindings[:i] {
+			if prev.Alias == b.Alias {
+				return fmt.Errorf("query: alias %q bound twice", b.Alias)
+			}
 		}
 	}
-	for _, v := range expr.AttrVars(q.Select) {
-		if _, ok := q.AttrBindings[v]; !ok {
-			return fmt.Errorf("query: attribute variable %q unbound", v)
+	// The first unbound alias and the first unbound attribute variable,
+	// in first-appearance order; an unbound alias is reported first.
+	var alias, attrVar string
+	var aliasBad, attrVarBad bool
+	unboundVar := func(name string) bool {
+		if !expr.IsAttrVarName(name) {
+			return false
+		}
+		_, ok := q.AttrBindings[name]
+		return !ok
+	}
+	expr.Walk(q.Select, func(n expr.Node) {
+		switch t := n.(type) {
+		case expr.CellRef:
+			if !aliasBad && q.binding(t.Alias) == nil {
+				alias, aliasBad = t.Alias, true
+			}
+			if !attrVarBad && unboundVar(t.Attr) {
+				attrVar, attrVarBad = t.Attr, true
+			}
+		case expr.AttrVar:
+			if !attrVarBad && unboundVar(t.Name) {
+				attrVar, attrVarBad = t.Name, true
+			}
+		}
+	})
+	if aliasBad {
+		return fmt.Errorf("query: alias %q used in SELECT but not bound", alias)
+	}
+	if attrVarBad {
+		return fmt.Errorf("query: attribute variable %q unbound", attrVar)
+	}
+	return nil
+}
+
+// binding returns the binding of alias, or nil.
+func (q *Query) binding(alias string) *Binding {
+	for i := range q.Bindings {
+		if q.Bindings[i].Alias == alias {
+			return &q.Bindings[i]
 		}
 	}
 	return nil
 }
 
-// corpusEnv adapts a corpus plus bindings to expr.Env.
-type corpusEnv struct {
-	corpus   *table.Corpus
-	bindings map[string]Binding
-	attrs    map[string]string
-}
-
-func (e corpusEnv) Cell(alias, attr string) (float64, error) {
-	b, ok := e.bindings[alias]
-	if !ok {
-		return 0, fmt.Errorf("unbound alias %q", alias)
-	}
-	return e.corpus.Get(b.Relation, b.Key, attr)
-}
-
-func (e corpusEnv) Attr(v string) (string, bool) {
-	s, ok := e.attrs[v]
-	return s, ok
-}
-
 // Execute runs the query against the corpus and returns the value of the
-// SELECT expression.
-//
-// The repeated-execution happy path is compiled: from the second call on,
-// Select runs as a flat program (cached on the query) with names resolved
-// through the corpus's interned Index and evaluation on pooled scratch —
-// allocation-free in steady state. The very first call interprets, so
-// one-shot queries never pay compilation. Any fast-path failure (invalid
-// query, missing cell, arithmetic error) re-runs the tree interpreter,
-// which reproduces the exact validation and execution errors of
-// ExecuteInterpreted.
+// SELECT expression. It validates the query, compiles Select on the first
+// call (the program is cached on the query), resolves the program's slots
+// through the corpus's interned Index and evaluates on pooled scratch. It
+// allocates nothing once the program is cached, unless it fails.
 func (q *Query) Execute(c *table.Corpus) (float64, error) {
-	if prog := q.compiled(); prog != nil {
-		if v, ok := q.fastExecute(c, prog); ok {
-			return v, nil
-		}
-	}
-	return q.ExecuteInterpreted(c)
-}
-
-// compiled climbs the per-query ladder: first call marks the query seen
-// (interpret), second call compiles, later calls return the cached
-// program — nil whenever this call should interpret.
-func (q *Query) compiled() *expr.Program {
-	st := q.prog.Load()
-	switch {
-	case st == nil:
-		q.prog.Store(&progState{})
-		return nil
-	case st.prog == nil && !st.bad:
-		prog, err := expr.Compile(q.Select)
-		q.prog.Store(&progState{prog: prog, bad: err != nil})
-		return prog
-	default:
-		return st.prog
-	}
-}
-
-// fastExecute is the compiled path. It enforces the same well-formedness
-// conditions as Validate (reporting ok=false instead of an error, so the
-// interpreter path can produce the canonical message) and evaluates with
-// zero allocations.
-func (q *Query) fastExecute(c *table.Corpus, prog *expr.Program) (float64, bool) {
-	// Validate-equivalent structural checks, allocation-free: bindings
-	// complete and alias-unique; every cell attribute variable resolvable.
-	for i, b := range q.Bindings {
-		if b.Alias == "" || b.Relation == "" || b.Key == "" {
-			return 0, false
-		}
-		for _, prev := range q.Bindings[:i] {
-			if prev.Alias == b.Alias {
-				return 0, false
-			}
-		}
-	}
-	for _, cs := range prog.Cells() {
-		if expr.IsAttrVarName(cs.Attr) {
-			if _, ok := q.AttrBindings[cs.Attr]; !ok {
-				return 0, false
-			}
-		}
-	}
-	idx := c.Index()
-	sc := getScratch(prog)
-	defer PutScratch(sc)
-	if !resolveSlots(prog, idx, q.Bindings, q.AttrBindings, sc.Coords, sc.AttrNums) {
-		return 0, false
-	}
-	plan := Plan{Prog: prog, Idx: idx}
-	v, err := plan.ExecCoords(sc.Coords, sc.AttrNums, sc)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-// ExecuteInterpreted runs the query through the tree-walking interpreter —
-// the reference implementation Execute's compiled path is pinned against
-// by the property-based equivalence tests, and the producer of the
-// canonical error messages for every failure mode.
-func (q *Query) ExecuteInterpreted(c *table.Corpus) (float64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
-	env := corpusEnv{
-		corpus:   c,
-		bindings: make(map[string]Binding, len(q.Bindings)),
-		attrs:    q.AttrBindings,
+	prog := q.prog.Load()
+	if prog == nil {
+		var err error
+		if prog, err = expr.Compile(q.Select); err != nil {
+			return 0, q.execErr(err)
+		}
+		q.prog.Store(prog)
 	}
-	for _, b := range q.Bindings {
-		env.bindings[b.Alias] = b
+	plan := Plan{Prog: prog, Idx: c.Index()}
+	sc := plan.GetScratch()
+	defer PutScratch(sc)
+	if !q.resolveSlots(prog, plan.Idx, sc.Coords, sc.AttrNums) {
+		return 0, q.execErr(q.resolveErr(c, prog))
 	}
-	v, err := expr.Eval(q.Select, env)
+	v, err := plan.ExecCoords(sc.Coords, sc.AttrNums, sc)
+	if errors.Is(err, ErrCellNotFound) {
+		err = q.resolveErr(c, prog)
+	}
 	if err != nil {
-		return 0, fmt.Errorf("query: executing %s: %w", q.SQL(), err)
+		return 0, q.execErr(err)
 	}
 	return v, nil
+}
+
+// execErr wraps an execution fault with the query's rendered SQL.
+func (q *Query) execErr(err error) error {
+	return fmt.Errorf("query: executing %s: %w", q.SQL(), err)
+}
+
+// resolveErr explains a failed resolution. It runs on the failure path
+// only: it looks every cell up again through the corpus's string-keyed
+// Get, in the program's slot order, then parses every numeric attribute
+// variable, and returns the first fault. Lookup faults wrap
+// table.ErrNotFound.
+func (q *Query) resolveErr(c *table.Corpus, prog *expr.Program) error {
+	for _, cs := range prog.Cells() {
+		alias := prog.Aliases()[cs.Alias]
+		attr := cs.Attr
+		if label, ok := q.AttrBindings[attr]; ok {
+			attr = label
+		}
+		b := q.binding(alias)
+		if _, err := c.Get(b.Relation, b.Key, attr); err != nil {
+			return fmt.Errorf("expr: resolving %s.%s: %w", alias, attr, err)
+		}
+	}
+	for _, name := range prog.NumVars() {
+		label, ok := q.AttrBindings[name]
+		if !ok {
+			return fmt.Errorf("expr: unbound attribute variable %s", name)
+		}
+		if _, err := strconv.ParseFloat(label, 64); err != nil {
+			return fmt.Errorf("expr: attribute %q of variable %s is not numeric", label, name)
+		}
+	}
+	return fmt.Errorf("%w: the corpus index and the corpus disagree", ErrCellNotFound)
 }
 
 // concreteSelect returns the SELECT expression with attribute variables

@@ -1,8 +1,10 @@
 package query
 
 import (
+	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/repro/scrutinizer/internal/expr"
@@ -73,47 +75,160 @@ func TestValidate(t *testing.T) {
 	cases := []struct {
 		name string
 		q    *Query
+		want string
 	}{
-		{"nil select", &Query{}},
-		{"unbound alias", &Query{Select: expr.MustParse("a.2017")}},
+		{"nil select", &Query{}, "query: nil SELECT expression"},
+		{"unbound alias", &Query{Select: expr.MustParse("a.2017")}, `query: alias "a" used in SELECT but not bound`},
 		{"incomplete binding", &Query{
 			Select:   expr.MustParse("a.2017"),
 			Bindings: []Binding{{Alias: "a"}},
-		}},
+		}, "query: incomplete binding"},
 		{"duplicate alias", &Query{
 			Select: expr.MustParse("a.2017"),
 			Bindings: []Binding{
 				{Alias: "a", Relation: "R", Key: "k"},
 				{Alias: "a", Relation: "S", Key: "k"},
 			},
-		}},
+		}, `query: alias "a" bound twice`},
 		{"unbound attr var", &Query{
 			Select:   expr.MustParse("a.A1"),
 			Bindings: []Binding{{Alias: "a", Relation: "R", Key: "k"}},
-		}},
+		}, `query: attribute variable "A1" unbound`},
+		{"unbound numeric attr var", &Query{
+			Select:       expr.MustParse("a.A1 * (A1 - A2)"),
+			Bindings:     []Binding{{Alias: "a", Relation: "R", Key: "k"}},
+			AttrBindings: map[string]string{"A1": "2017"},
+		}, `query: attribute variable "A2" unbound`},
+		{"unbound alias before attr var", &Query{
+			Select:   expr.MustParse("a.A1 + b.2017"),
+			Bindings: []Binding{{Alias: "a", Relation: "R", Key: "k"}},
+		}, `query: alias "b" used in SELECT but not bound`},
 	}
 	for _, c := range cases {
-		if err := c.q.Validate(); err == nil {
+		err := c.q.Validate()
+		if err == nil {
 			t.Errorf("%s: Validate succeeded, want error", c.name)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %q, want prefix %q", c.name, err, c.want)
 		}
 	}
 }
 
+// TestExecuteErrors runs one query per execution fault, each with that
+// fault alone, and pins what a caller can rely on: the "query: executing "
+// prefix with the rendered SQL, table.ErrNotFound for the lookup faults,
+// expr.ErrDivisionByZero for division by zero, and the text of the
+// function-domain and attribute-variable errors.
 func TestExecuteErrors(t *testing.T) {
 	c := corpusWithGED(t)
+	sparse := table.MustNewRelation("Sparse", "Index", []string{"2016", "2017"})
+	if err := sparse.AddSparseRow("k", map[string]float64{"2016": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Add(sparse); err != nil {
+		t.Fatal(err)
+	}
+	ged := func(key string) []Binding { return []Binding{{Alias: "a", Relation: "GED", Key: key}} }
+	cases := []struct {
+		name     string
+		sel      string
+		bindings []Binding
+		attrs    map[string]string
+		is       error  // errors.Is target, or nil
+		want     string // substring of the error text
+	}{
+		{"missing relation", "a.2017", []Binding{{Alias: "a", Relation: "NoSuchRel", Key: "k"}}, nil,
+			table.ErrNotFound, `expr: resolving a.2017: table: not found: relation "NoSuchRel"`},
+		{"missing row", "a.2017", ged("NoSuchKey"), nil,
+			table.ErrNotFound, `expr: resolving a.2017: table: not found: row "NoSuchKey" in relation "GED"`},
+		{"missing attribute", "a.A1", ged("PGElecDemand"), map[string]string{"A1": "1999"},
+			table.ErrNotFound, `expr: resolving a.1999: table: not found: attribute "1999" in relation "GED"`},
+		{"NULL cell", "a.2017", []Binding{{Alias: "a", Relation: "Sparse", Key: "k"}}, nil,
+			table.ErrNotFound, `expr: resolving a.2017: table: not found: cell ("k", "2017") in relation "Sparse" is NULL`},
+		{"non-numeric attribute variable", "a.2017 * (A1 - 2016)", ged("PGElecDemand"), map[string]string{"A1": "Total"},
+			nil, `expr: attribute "Total" of variable A1 is not numeric`},
+		{"division by zero", "a.2017 / (a.2016 - a.2016)", ged("PGElecDemand"), nil,
+			expr.ErrDivisionByZero, "expr: division by zero"},
+		{"SQRT domain", "SQRT(a.2016 - a.2017)", ged("PGElecDemand"), nil,
+			nil, "expr: SQRT of negative value -663"},
+		{"LOG domain", "LOG(a.2016 - a.2016)", ged("PGElecDemand"), nil,
+			nil, "expr: LOG of non-positive value 0"},
+	}
+	for _, tc := range cases {
+		q := &Query{Select: expr.MustParse(tc.sel), Bindings: tc.bindings, AttrBindings: tc.attrs}
+		for call := 0; call < 2; call++ { // the compiling call and a cached one
+			_, err := q.Execute(c)
+			if err == nil {
+				t.Fatalf("%s: Execute succeeded", tc.name)
+			}
+			msg := err.Error()
+			if prefix := "query: executing " + q.SQL() + ": "; !strings.HasPrefix(msg, prefix) {
+				t.Errorf("%s: %q lacks prefix %q", tc.name, msg, prefix)
+			}
+			if tc.is != nil && !errors.Is(err, tc.is) {
+				t.Errorf("%s: %v is not %v", tc.name, err, tc.is)
+			}
+			if !strings.Contains(msg, tc.want) {
+				t.Errorf("%s: %q does not contain %q", tc.name, msg, tc.want)
+			}
+		}
+	}
+}
+
+// TestExecuteConcurrentFirstCall: goroutines racing one fresh query's
+// first calls may each compile; all must get the same value.
+func TestExecuteConcurrentFirstCall(t *testing.T) {
+	c := corpusWithGED(t)
+	want, err := benchQuery().Execute(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := benchQuery()
+	var wg sync.WaitGroup
+	got := make([]float64, 8)
+	errs := make([]error, len(got))
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = q.Execute(c)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil || math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("goroutine %d: Execute = %v, %v; want %v", i, got[i], errs[i], want)
+		}
+	}
+}
+
+// TestExecuteAllocatesNothingWarm pins the steady state: once the first
+// call has compiled and cached the program, Execute allocates nothing.
+func TestExecuteAllocatesNothingWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	c := corpusWithGED(t)
 	q := &Query{
-		Select:   expr.MustParse("a.2017"),
-		Bindings: []Binding{{Alias: "a", Relation: "NoSuchRel", Key: "k"}},
+		Select: expr.MustParse("POWER(a.A1/b.A2, 1/(A1-A2)) - 1"),
+		Bindings: []Binding{
+			{Alias: "a", Relation: "GED", Key: "PGElecDemand"},
+			{Alias: "b", Relation: "GED", Key: "CapAddTotal_Wind"},
+		},
+		AttrBindings: map[string]string{"A1": "2017", "A2": "2016"},
 	}
-	if _, err := q.Execute(c); err == nil {
-		t.Error("missing relation should fail")
+	if _, err := q.Execute(c); err != nil {
+		t.Fatal(err)
 	}
-	q = &Query{
-		Select:   expr.MustParse("a.2017"),
-		Bindings: []Binding{{Alias: "a", Relation: "GED", Key: "NoSuchKey"}},
-	}
-	if _, err := q.Execute(c); err == nil {
-		t.Error("missing key should fail")
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := q.Execute(c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Execute allocates %v times per call, want 0", allocs)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // Sparse is the slice-backed sparse feature vector of the numeric hot path:
 // a strictly increasing index slice paired with the nonzero values at those
-// indexes. Compared with the map-backed Vector it replaces, every operation
+// indexes. Compared with a map-backed vector, every operation
 // is a linear scan (or two-pointer merge) over contiguous memory — no
 // hashing, no per-entry allocation, deterministic iteration order for free.
 //
@@ -141,16 +141,6 @@ func (s Sparse) AddInto(o Sparse, offset int) Sparse {
 	return Sparse{ix: ix, val: val}
 }
 
-// Map converts to the map-backed reference representation (tests,
-// diagnostics).
-func (s Sparse) Map() Vector {
-	m := make(Vector, len(s.ix))
-	for k, i := range s.ix {
-		m[int(i)] = s.val[k]
-	}
-	return m
-}
-
 // Cosine returns the cosine similarity of two sparse vectors, or 0 when
 // either is zero.
 func Cosine(a, b Sparse) float64 {
@@ -179,16 +169,6 @@ func SparseFromDense(dense []float64) Sparse {
 		}
 	}
 	return Sparse{ix: ix, val: val}
-}
-
-// Sparse converts the map-backed reference Vector into its slice-backed
-// equivalent (sorted, zeros dropped).
-func (v Vector) Sparse() Sparse {
-	var b SparseBuilder
-	for i, x := range v {
-		b.Add(i, x)
-	}
-	return b.Build()
 }
 
 // SparseBuilder accumulates (index, value) pairs in any order, with
