@@ -3,17 +3,19 @@ package classifier
 import "math"
 
 // updateFunc is a body of sgdStep's AdaGrad update over the active set.
-// For every nonzero k of the example, in order, and every active class
-// cls = active[j], it updates the cell i = ix[k]*stride + cls as
+// rows[k] is the row of the example's nonzero k: its weights w =
+// rows[k][:stride] and its accumulators g = acc(rows[k], stride). For
+// every nonzero k, in order, and every active class cls = active[j], it
+// updates the row's cells cls as
 //
-//	grad   = (ga[j]*vals[k]) + (l2*w[i])
-//	gsq[i] = gsq[i] + grad*grad
-//	w[i]   = w[i] - (lr*grad) / (sqrt(gsq[i]) + 1e-8)
+//	grad   = (ga[j]*vals[k]) + (l2*w[cls])
+//	g[cls] = g[cls] + grad*grad
+//	w[cls] = w[cls] - (lr*grad) / (sqrt(g[cls]) + 1e-8)
 //
 // with every product, sum, square root and quotient rounded to float64
 // on its own, in exactly that order. ga holds the active classes'
 // gradients packed, ga[j] for active[j]; the active classes are distinct.
-type updateFunc func(w, gsq []float64, stride int, ix []int32, vals []float64, active []int32, ga []float64, l2, lr float64)
+type updateFunc func(rows [][]float64, stride int, vals []float64, active []int32, ga []float64, l2, lr float64)
 
 // adagradUpdate is the body sgdStep uses, picked once at init with the
 // score sweep's body: the AVX2 kernel when this build has it and the CPU
@@ -34,13 +36,11 @@ func pickUpdate() updateFunc {
 // multiply and an add into one FMA (CI greps the arm64 assembly), so the
 // loop computes the same updates on every architecture, and the same
 // updates as the assembly kernel.
-func adagradGo(w, gsq []float64, stride int, ix []int32, vals []float64, active []int32, ga []float64, l2, lr float64) {
+func adagradGo(rows [][]float64, stride int, vals []float64, active []int32, ga []float64, l2, lr float64) {
 	ga = ga[:len(active)]
-	for k, fi := range ix {
+	for k, row := range rows {
 		x := vals[k]
-		base := int(fi) * stride
-		wrow := w[base : base+stride]
-		grow := gsq[base : base+stride]
+		wrow, grow := row[:stride], acc(row, stride)
 		for j, cls := range active {
 			grad := float64(ga[j]*x) + float64(l2*wrow[cls])
 			grow[cls] += float64(grad * grad)

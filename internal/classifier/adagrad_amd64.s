@@ -2,33 +2,35 @@
 
 #include "textflag.h"
 
-// func adagradAVX2(w, gsq []float64, stride int, ix []int32, vals []float64, active []int32, ga []float64, l2, lr float64)
+// func adagradAVX2(rows [][]float64, stride int, vals []float64, active []int32, ga []float64, l2, lr float64)
 //
-// For every nonzero k, in order, and every active class c = active[j],
-// on the cell i = ix[k]*stride + c, in this order and with no FMA:
-//	grad   = (ga[j]*vals[k]) + (l2*w[i])
-//	gsq[i] = gsq[i] + grad*grad
-//	w[i]   = w[i] - (lr*grad) / (sqrt(gsq[i]) + 1e-8)
+// For every row k, in order, with weights w at its start and accumulators
+// g at its last stride values of capacity (acc), and every active class
+// c = active[j], in this order and with no FMA:
+//	grad = (ga[j]*vals[k]) + (l2*w[c])
+//	g[c] = g[c] + grad*grad
+//	w[c] = w[c] - (lr*grad) / (sqrt(g[c]) + 1e-8)
 // Every instruction is VEX-encoded: one legacy-SSE instruction costs an
 // SSE/AVX transition on every call. The bit-identity argument is in
 // adagradAVX2's Go declaration.
 //
-// Registers: R8 the stride in bytes, R9/R10 walk ix/vals up to R15, R11
-// active, R12 len(active), R13 ga; per row BX/AX point at the row of w and
-// of gsq, CX is j, and DX, DI, SI, R14 hold four classes. Y12 holds the
-// nonzero's value, Y13 l2, Y14 lr and Y15 1e-8, in every lane.
-TEXT ·adagradAVX2(SB), NOSPLIT, $0-168
-	MOVQ stride+48(FP), R8
-	SHLQ $3, R8
-	MOVQ ix_base+56(FP), R9
-	MOVQ ix_len+64(FP), R15
-	LEAQ (R9)(R15*4), R15
-	MOVQ vals_base+80(FP), R10
-	MOVQ active_base+104(FP), R11
-	MOVQ active_len+112(FP), R12
-	MOVQ ga_base+128(FP), R13
-	VBROADCASTSD l2+152(FP), Y13
-	VBROADCASTSD lr+160(FP), Y14
+// Registers: R8 the stride, R9 walks the row headers (24 bytes each) up
+// to R15 and R10 the values, R11 active, R12 len(active), R13 ga; per row
+// BX/AX point at its weights and its accumulators, CX is j, and DX, DI,
+// SI, R14 hold four classes. Y12 holds the row's value, Y13 l2, Y14 lr
+// and Y15 1e-8, in every lane.
+TEXT ·adagradAVX2(SB), NOSPLIT, $0-120
+	MOVQ rows_base+0(FP), R9
+	MOVQ rows_len+8(FP), R15
+	LEAQ (R15)(R15*2), R15
+	LEAQ (R9)(R15*8), R15
+	MOVQ stride+24(FP), R8
+	MOVQ vals_base+32(FP), R10
+	MOVQ active_base+56(FP), R11
+	MOVQ active_len+64(FP), R12
+	MOVQ ga_base+80(FP), R13
+	VBROADCASTSD l2+104(FP), Y13
+	VBROADCASTSD lr+112(FP), Y14
 	MOVQ $0x3e45798ee2308c3a, AX // 1e-8
 	VMOVQ AX, X15
 	VBROADCASTSD X15, Y15
@@ -36,13 +38,12 @@ TEXT ·adagradAVX2(SB), NOSPLIT, $0-168
 row:
 	CMPQ R9, R15
 	JGE  done
-	MOVLQSX (R9), AX
-	IMULQ   R8, AX
-	MOVQ    w_base+0(FP), BX
-	ADDQ    AX, BX
-	ADDQ    gsq_base+24(FP), AX
+	MOVQ (R9), BX
+	MOVQ 16(R9), AX
+	SUBQ R8, AX
+	LEAQ (BX)(AX*8), AX
 	VBROADCASTSD (R10), Y12
-	XORQ    CX, CX
+	XORQ CX, CX
 
 quad:
 	// Four classes per iteration, while at least four are left.
@@ -114,7 +115,7 @@ tail:
 	JMP     tail
 
 next:
-	ADDQ $4, R9
+	ADDQ $24, R9
 	ADDQ $8, R10
 	JMP  row
 

@@ -50,49 +50,53 @@ func underEachKernel(t *testing.T, f func(t *testing.T)) {
 // before the active gradients were packed, indexing a full per-class
 // gradient vector. Each product is explicitly converted to float64, so no
 // compiler may fuse it into an FMA.
-func refUpdate(w, gsq []float64, stride int, ix []int32, vals []float64, active []int32, ga []float64, l2, lr float64) {
+func refUpdate(rows [][]float64, stride int, vals []float64, active []int32, ga []float64, l2, lr float64) {
 	grads := make([]float64, stride)
 	for j, cls := range active {
 		grads[cls] = ga[j]
 	}
-	for k, fi := range ix {
+	for k, row := range rows {
 		x := vals[k]
-		base := int(fi) * stride
+		g := acc(row, stride)
 		for _, cls := range active {
-			i := base + int(cls)
-			grad := float64(grads[cls]*x) + float64(l2*w[i])
-			gsq[i] += float64(grad * grad)
-			w[i] -= lr * grad / (math.Sqrt(gsq[i]) + 1e-8)
+			grad := float64(grads[cls]*x) + float64(l2*row[cls])
+			g[cls] += float64(grad * grad)
+			row[cls] -= lr * grad / (math.Sqrt(g[cls]) + 1e-8)
 		}
 	}
 }
 
-// updateCase is one input of an update body.
+// updateCase is one input of an update body: buf holds slots of stride
+// values, and the update's row k has its weights in slot wSlots[k] and
+// its accumulators in the later slot gSlots[k], where its capacity ends,
+// so the slots no row names must come out untouched.
 type updateCase struct {
-	w, gsq, vals, ga []float64
-	stride           int
-	ix, active       []int32
-	l2, lr           float64
+	buf, vals, ga  []float64
+	stride         int
+	wSlots, gSlots []int
+	active         []int32
+	l2, lr         float64
 }
 
-// run applies body to copies of the matrices, at the given offset, and
-// returns them.
-func (uc updateCase) run(body updateFunc, off int) (w, gsq []float64) {
-	w, gsq = unaligned(len(uc.w), off), unaligned(len(uc.gsq), off+1)
-	copy(w, uc.w)
-	copy(gsq, uc.gsq)
-	body(w, gsq, uc.stride, uc.ix, uc.vals, uc.active, uc.ga, uc.l2, uc.lr)
-	return w, gsq
+// run applies body to a copy of buf, at the given offset, and returns it.
+func (uc updateCase) run(body updateFunc, off int) []float64 {
+	buf := unaligned(len(uc.buf), off)
+	copy(buf, uc.buf)
+	s := uc.stride
+	rows := make([][]float64, len(uc.wSlots))
+	for k := range rows {
+		rows[k] = buf[uc.wSlots[k]*s : (uc.wSlots[k]+1)*s : (uc.gSlots[k]+1)*s]
+	}
+	body(rows, s, uc.vals, uc.active, uc.ga, uc.l2, uc.lr)
+	return buf
 }
 
 // check fails unless every body updates uc bit-identically to refUpdate.
 func (uc updateCase) check(t *testing.T, what string, off int) {
 	t.Helper()
-	wantW, wantG := uc.run(refUpdate, off)
+	want := uc.run(refUpdate, off)
 	for _, body := range updateBodies() {
-		w, gsq := uc.run(body.fn, off)
-		sameScores(t, fmt.Sprintf("%s: %s weights", body.name, what), w, wantW)
-		sameScores(t, fmt.Sprintf("%s: %s accumulators", body.name, what), gsq, wantG)
+		sameScores(t, fmt.Sprintf("%s: %s rows", body.name, what), uc.run(body.fn, off), want)
 	}
 }
 
@@ -111,8 +115,9 @@ func randomActive(rng *rand.Rand, n, nL int) []int32 {
 // reference loop: active sets of 0-5 classes (every tail length, with and
 // without a vector block), 24 (about 6% of a paper-scale model) and all
 // classes; 1, 7 and 405 labels at strides equal to and larger than the
-// label count; one-nonzero and many-nonzero vectors; matrices at odd
-// offsets; values including signed zeros, subnormals, infinities,
+// label count; one-nonzero and many-nonzero vectors, whose weight and
+// accumulator rows lie in any order in memory, as rows carved in
+// first-write order do; rows at odd offsets; values including signed zeros, subnormals, infinities,
 // overflowing products and NaN.
 func TestUpdateMatchesGeneric(t *testing.T) {
 	t.Logf("kernel in use: %s", Kernel())
@@ -131,21 +136,28 @@ func TestUpdateMatchesGeneric(t *testing.T) {
 			for _, nActive := range sizes {
 				for _, nnz := range []int{1, 9} {
 					for trial := 0; trial < 6; trial++ {
-						const dim = 12
+						const slots = 24
+						perm := rng.Perm(slots)
 						uc := updateCase{
-							w:      make([]float64, dim*stride),
-							gsq:    make([]float64, dim*stride),
+							buf:    make([]float64, slots*stride),
 							stride: stride,
-							ix:     randomActive(rng, nnz, dim),
 							active: randomActive(rng, nActive, nL),
 							l2:     1e-4,
 							lr:     0.5,
 						}
-						for i := range uc.w {
-							uc.w[i] = sweepValue(rng)
-							uc.gsq[i] = math.Abs(sweepValue(rng))
+						for k := 0; k < nnz; k++ {
+							a, b := perm[2*k], perm[2*k+1]
+							uc.wSlots, uc.gSlots = append(uc.wSlots, min(a, b)), append(uc.gSlots, max(a, b))
 						}
-						for range uc.ix {
+						for i := range uc.buf {
+							uc.buf[i] = sweepValue(rng)
+						}
+						for _, s := range uc.gSlots {
+							for j := s * stride; j < (s+1)*stride; j++ {
+								uc.buf[j] = math.Abs(uc.buf[j])
+							}
+						}
+						for range uc.wSlots {
 							uc.vals = append(uc.vals, sweepValue(rng))
 						}
 						for range uc.active {
@@ -166,31 +178,44 @@ func TestUpdateMatchesGeneric(t *testing.T) {
 
 // TestUpdateRejectsUntrustedShapes pins the checks the AVX2 wrapper makes
 // before it lets the assembly touch memory: each malformed call panics
-// instead of writing past the matrices.
+// instead of writing past a row.
 func TestUpdateRejectsUntrustedShapes(t *testing.T) {
 	if avx2Update == nil {
 		t.Skipf("only the %s body runs on this build and CPU", Kernel())
 	}
-	const stride, dim = 8, 4
-	w, gsq := make([]float64, dim*stride), make([]float64, dim*stride)
+	const stride = 8
+	rows := func(n int) [][]float64 {
+		out := make([][]float64, n)
+		for k := range out {
+			out[k] = make([]float64, stride, 2*stride)
+		}
+		return out
+	}
 	cases := map[string]func(){
-		"row past the matrix": func() {
-			avx2Update(w, gsq, stride, []int32{1, dim}, []float64{1, 1}, []int32{0}, []float64{1}, 0, 1)
-		},
-		"negative row": func() {
-			avx2Update(w, gsq, stride, []int32{-1}, []float64{1}, []int32{0}, []float64{1}, 0, 1)
+		"short row": func() {
+			r := rows(2)
+			r[1] = r[1][:stride-1]
+			avx2Update(r, stride, []float64{1, 1}, []int32{0}, []float64{1}, 0, 1)
 		},
 		"short accumulators": func() {
-			avx2Update(w, gsq[:len(gsq)-1], stride, []int32{dim - 1}, []float64{1}, []int32{0}, []float64{1}, 0, 1)
+			r := rows(2)
+			r[0] = r[0][: stride : 2*stride-1]
+			avx2Update(r, stride, []float64{1, 1}, []int32{0}, []float64{1}, 0, 1)
+		},
+		"missing row": func() {
+			avx2Update([][]float64{nil}, stride, []float64{1}, []int32{0}, []float64{1}, 0, 1)
 		},
 		"class past the stride": func() {
-			avx2Update(w, gsq, stride, []int32{0}, []float64{1}, []int32{stride}, []float64{1}, 0, 1)
+			avx2Update(rows(1), stride, []float64{1}, []int32{stride}, []float64{1}, 0, 1)
+		},
+		"negative class": func() {
+			avx2Update(rows(1), stride, []float64{1}, []int32{-1}, []float64{1}, 0, 1)
 		},
 		"unpacked gradients": func() {
-			avx2Update(w, gsq, stride, []int32{0}, []float64{1}, []int32{0, 1}, []float64{1}, 0, 1)
+			avx2Update(rows(1), stride, []float64{1}, []int32{0, 1}, []float64{1}, 0, 1)
 		},
 		"short values": func() {
-			avx2Update(w, gsq, stride, []int32{0, 1}, []float64{1}, []int32{0}, []float64{1}, 0, 1)
+			avx2Update(rows(2), stride, []float64{1}, []int32{0}, []float64{1}, 0, 1)
 		},
 	}
 	for name, call := range cases {
@@ -209,8 +234,9 @@ func TestUpdateRejectsUntrustedShapes(t *testing.T) {
 // arbitrary bit patterns. shape picks the label count (1-40), whether the
 // stride has spare columns, and the active classes (mask bit c%64 for
 // class c); data holds the active gradients, then per nonzero its value
-// and its weight and accumulator rows. Nonzero k sits in matrix row 2k+1,
-// so the rows between must come out untouched. The seed corpus is in
+// and its weight and accumulator columns, pairwise. Nonzero k's weights
+// sit in slot 4k+1 and its accumulators in slot 4k+3, so the slots
+// between must come out untouched. The seed corpus is in
 // testdata/fuzz/FuzzAdagradUpdate.
 func FuzzAdagradUpdate(f *testing.F) {
 	f.Add(make([]byte, 8*64), uint8(9), uint64(0b1011_0111), 1e-4, 0.5)
@@ -232,8 +258,7 @@ func FuzzAdagradUpdate(f *testing.F) {
 		}
 		rows := min((words-len(active))/(1+2*stride), 16)
 		uc := updateCase{
-			w:      make([]float64, (2*rows+1)*stride),
-			gsq:    make([]float64, (2*rows+1)*stride),
+			buf:    make([]float64, (4*rows+1)*stride),
 			stride: stride,
 			active: active,
 			l2:     l2,
@@ -245,11 +270,11 @@ func FuzzAdagradUpdate(f *testing.F) {
 			uc.ga = append(uc.ga, take())
 		}
 		for k := 0; k < rows; k++ {
-			uc.ix = append(uc.ix, int32(2*k+1))
+			uc.wSlots = append(uc.wSlots, 4*k+1)
+			uc.gSlots = append(uc.gSlots, 4*k+3)
 			uc.vals = append(uc.vals, take())
-			base := (2*k + 1) * stride
 			for j := 0; j < stride; j++ {
-				uc.w[base+j], uc.gsq[base+j] = take(), take()
+				uc.buf[(4*k+1)*stride+j], uc.buf[(4*k+3)*stride+j] = take(), take()
 			}
 		}
 		uc.check(t, fmt.Sprintf("%d labels, stride %d, %d active, %d rows", nL, stride, len(active), rows), int(shape%4))
@@ -279,7 +304,7 @@ func paperShapePool(n, nL int, seed int64) []Example {
 }
 
 // TestUpdateBodiesTrainIdentically fits a paper-shape model cold, then
-// warm over a pool that brings new labels (re-laying the matrices out),
+// warm over a pool that brings new labels (re-laying the rows out),
 // then replay-sampled, once per kernel choice, and requires bit-identical
 // weights, accumulators, biases and probabilities after every fit.
 // Training runs thousands of updates through the active set of every
@@ -295,8 +320,8 @@ func TestUpdateBodiesTrainIdentically(t *testing.T) {
 	}
 	type fitState struct {
 		warm                bool
-		w, gsq, bias, gsqB  []float64
-		probs               [][]float64
+		w, gsq, probs       [][]float64
+		bias, gsqB          []float64
 		labels, stride, dim int
 	}
 	fits := map[string][]fitState{}
@@ -314,9 +339,9 @@ func TestUpdateBodiesTrainIdentically(t *testing.T) {
 				}
 				st := fitState{
 					warm: c.WarmStarted(),
-					w:    slices.Clone(c.w), gsq: slices.Clone(c.gsq),
+					w:    rowsOf(c.rows), gsq: accsOf(c),
 					bias: slices.Clone(c.bias), gsqB: slices.Clone(c.gsqB),
-					labels: len(c.labels), stride: c.stride, dim: c.dim,
+					labels: len(c.labels), stride: c.stride, dim: len(c.rows),
 				}
 				for _, f := range probe {
 					st.probs = append(st.probs, c.Probs(f))
@@ -336,8 +361,8 @@ func TestUpdateBodiesTrainIdentically(t *testing.T) {
 				t.Fatalf("%s: shape %d labels, stride %d, dim %d, warm %v; want %d, %d, %d, %v",
 					what, got.labels, got.stride, got.dim, got.warm, want[i].labels, want[i].stride, want[i].dim, want[i].warm)
 			}
-			sameScores(t, what+" weights", got.w, want[i].w)
-			sameScores(t, what+" accumulators", got.gsq, want[i].gsq)
+			sameRows(t, what+" weights", got.w, want[i].w)
+			sameRows(t, what+" accumulators", got.gsq, want[i].gsq)
 			sameScores(t, what+" biases", got.bias, want[i].bias)
 			sameScores(t, what+" bias accumulators", got.gsqB, want[i].gsqB)
 			for p := range probe {
@@ -349,8 +374,8 @@ func TestUpdateBodiesTrainIdentically(t *testing.T) {
 
 // BenchmarkAdagradPaperShape times one AdaGrad update at the shape of a
 // paper-scale training step: a vector of 123 nonzeros (64 dense features
-// plus 59 TF-IDF terms) over 4,496 features, and 24 active classes of 405
-// (about 6%, the active set gradCutoff leaves). There is one
+// plus 59 TF-IDF terms) over 4,496 features, whose rows are carved from
+// slabs as a model's are, and 24 active classes of 405 (about 6%, the active set gradCutoff leaves). There is one
 // sub-benchmark per update body this build and CPU can run.
 func BenchmarkAdagradPaperShape(b *testing.B) {
 	const dim, dense, tfidf, nL, nActive = 4496, 64, 59, 405, 24
@@ -370,14 +395,18 @@ func BenchmarkAdagradPaperShape(b *testing.B) {
 	}
 	ga[0] = -0.9 // the target class
 	for _, body := range updateBodies() {
-		w, gsq := make([]float64, dim*nL), make([]float64, dim*nL)
-		for i := range w {
-			w[i] = rng.NormFloat64() * 0.01
-			gsq[i] = rng.Float64()
+		rows := make([][]float64, len(ix))
+		sl := newSlab(len(ix), nL)
+		for k := range ix {
+			rows[k] = sl.row()
+			for j, g := 0, acc(rows[k], nL); j < nL; j++ {
+				rows[k][j] = rng.NormFloat64() * 0.01
+				g[j] = rng.Float64()
+			}
 		}
 		b.Run(body.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				body.fn(w, gsq, nL, ix, vals, active, ga, 1e-4, 0.5)
+				body.fn(rows, nL, vals, active, ga, 1e-4, 0.5)
 			}
 			perCell := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(len(ix)*nActive)
 			b.ReportMetric(perCell, "ns/cell")

@@ -74,27 +74,38 @@ func TestAnalyzeBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// refScores is the row-at-a-time reference for scoreInto: bias plus, for
-// every in-range nonzero in index order, its weight row times its value.
+// refScores is the dense, row-at-a-time reference for scoreInto: it lays
+// the model's rows out in one dense feature-major matrix, with zero rows
+// for the features that have none, and returns bias plus, for every
+// in-range nonzero in index order, its weight row times its value.
 func refScores(c *Classifier, f textproc.Sparse) []float64 {
-	nL := len(c.labels)
+	nL, dim := len(c.labels), len(c.rows)
+	w := make([]float64, dim*nL)
+	for fi, row := range c.rows {
+		if row != nil {
+			copy(w[fi*nL:], row[:nL])
+		}
+	}
 	s := append([]float64(nil), c.bias...)
 	for k := 0; k < f.NNZ(); k++ {
 		fi := f.Index(k)
-		if fi >= c.dim {
+		if fi >= dim {
 			continue
 		}
 		for j := 0; j < nL; j++ {
-			s[j] += c.w[fi*nL+j] * f.Value(k)
+			s[j] += float64(w[fi*nL+j] * f.Value(k))
 		}
 	}
 	return s
 }
 
 // TestScoreIntoMatchesReference pins the four-rows-per-sweep scoring
-// kernel bit-identical to refScores: label counts 1-7, vectors with 0-9
-// nonzeros (every leftover count 0-3 after the blocks of four), with and
-// without indexes at or above the trained width.
+// kernel, which skips the features without a row, bit-identical to the
+// dense refScores: label counts 1-7, vectors with 0-9 nonzeros of either
+// sign (every leftover count 0-3 after the blocks of four), with and
+// without indexes at or above the trained width, over models where about
+// half the features have no row and a third of the biases are the +0 of
+// an untouched class, so the dense sums add -0 products to +0 scores.
 func TestScoreIntoMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for nLabels := 1; nLabels <= 7; nLabels++ {
@@ -103,25 +114,39 @@ func TestScoreIntoMatchesReference(t *testing.T) {
 		if err := c.Train(randExamples(rng, 5*nLabels, nLabels, dim)); err != nil {
 			t.Fatal(err)
 		}
-		// Dense random weights, so every product counts.
-		for i := range c.w {
-			c.w[i] = rng.NormFloat64()
-		}
-		for i := range c.bias {
-			c.bias[i] = rng.NormFloat64()
-		}
 		got := make([]float64, nLabels)
+		var g gathered
 		for trial := 0; trial < 200; trial++ {
-			span := c.dim
+			if trial%20 == 0 {
+				// Dense random weights in about half the rows, so every
+				// product of a present row counts.
+				sl := newSlab(len(c.rows), c.stride)
+				for fi := range c.rows {
+					c.rows[fi] = nil
+					if rng.Intn(2) == 0 {
+						c.rows[fi] = sl.row()
+						for j := 0; j < nLabels; j++ {
+							c.rows[fi][j] = rng.NormFloat64()
+						}
+					}
+				}
+				for i := range c.bias {
+					c.bias[i] = 0
+					if rng.Intn(3) > 0 {
+						c.bias[i] = rng.NormFloat64()
+					}
+				}
+			}
+			span := len(c.rows)
 			if trial%2 == 1 {
-				span = 2 * c.dim // about half the indexes out of range
+				span = 2 * len(c.rows) // about half the indexes out of range
 			}
 			f := map[int]float64{}
 			for nnz := trial / 2 % 10; len(f) < nnz; {
 				f[rng.Intn(span)] = rng.NormFloat64()
 			}
 			sf := vec(f)
-			c.scoreInto(sf, got)
+			c.scoreInto(sf, got, &g)
 			want := refScores(c, sf)
 			for j := range want {
 				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {

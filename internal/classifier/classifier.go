@@ -13,34 +13,51 @@
 //
 // # Representation
 //
-// Weights live in one dense flat matrix laid out feature-major:
-// w[fi*stride+class], where the class stride is at least the label count
-// and the columns past the label count are zero. Feature vectors are
-// textproc.Sparse (sorted slice-backed pairs), so a scoring pass walks the
-// vector's nonzeros and, per feature, a contiguous row of per-class
-// weights — no hashing, no branches, no bounds checks. The pass takes four
-// feature rows per sweep over the class dimension, so each score is loaded
-// and stored once per four products. Each score still adds its products
-// one at a time in feature order, exactly as a row-at-a-time pass does,
-// and floating-point results depend only on that order: the scores are
-// bit-identical.
+// A model keeps a weight row only for the features it has trained on.
+// Its feature -> row table gives each such feature a row of stride
+// per-class weights and the row's AdaGrad accumulators, where the class
+// stride is at least the label count and the columns past the label count
+// are zero; a feature no fit has written has no row. Rows come from
+// slabs, one per fit at most: before its first step a fit claims a row of
+// its own for every feature of the examples it visits, so a cold fit lays
+// out one slab holding a row for exactly the features of its pool, and a
+// warm fit one slab for the features new to the model and the shared rows
+// it copies. A slab keeps its rows' weights side by side and their
+// accumulators after them, so a scoring pass reads only weights; each
+// row's capacity runs on to the end of its accumulators (acc), so one
+// table entry locates both. A row never moves when new features arrive;
+// only a stride growth re-lays every row out.
+//
+// Feature vectors are textproc.Sparse (sorted slice-backed pairs), so a
+// scoring pass walks the vector's nonzeros, gathers the weight rows of
+// those that have one, and sweeps them in one kernel call, four rows per
+// pass over the class dimension, so each score is loaded and stored once
+// per four products. Skipping a feature without a row is exact: its dense
+// row would be zero, the skipped product 0·x is ±0 for finite x, adding
+// ±0 changes no score but −0, and no score is −0, because a score starts
+// from a bias AdaGrad never drives to −0 and a sum is −0 only when both
+// addends are. Each score still adds its products one at a time in
+// feature order, exactly as a row-at-a-time pass over a dense matrix
+// does, and floating-point results depend only on that order: the scores
+// are bit-identical.
 //
 // The sweep has two bodies, picked once at init: an AVX2 kernel on amd64
 // CPUs that have it (four classes per instruction, multiply then add,
 // never FMA), and a portable Go loop everywhere else and in -race builds.
 // They round every product and sum identically, so they are bit-identical
-// too (see sweep4AVX2; Kernel reports the choice).
+// too (see sweepAVX2Rows; Kernel reports the choice).
 //
-// The AdaGrad accumulators share the layout, and L2 is applied lazily:
-// only the features present in an example are regularised on its update,
-// exactly as the sparse-map implementation did. An update touches only
+// L2 is applied lazily: only the features present in an example are
+// regularised on its update, exactly as the sparse-map implementation
+// did. A training step gathers the rows of every nonzero of its example
+// and scores and updates through them, with one call of each kernel. An update touches only
 // the active set, the classes whose gradient reaches gradCutoff (1e-3):
 // about 6% of the classes of a paper-scale model with ~400 labels.
 //
 // The update has two bodies too, picked by the same check as the
 // sweep's: an AVX2 kernel that updates four active classes per
-// iteration (scalar-insert loads, then multiply, add, square root,
-// divide and subtract in the Go loop's order, never FMA), and the Go
+// iteration of each row (scalar-insert loads, then multiply, add, square
+// root, divide and subtract in the Go loop's order, never FMA), and the Go
 // loop. VSQRTPD and VDIVPD round like the SQRTSD and DIVSD the Go loop
 // compiles to, since IEEE 754 rounds square roots and quotients
 // correctly, and the four lanes write four distinct columns, so the
@@ -59,14 +76,14 @@
 // known label has vanished, Train reuses the existing weights and AdaGrad
 // state and runs only Config.WarmStartEpochs passes. New labels are
 // appended in first-seen order with zero weights. A first fit lays the
-// matrices out at exactly the label count, and a cold refit at the larger
-// of the label count and the stride of the model it replaces: a run's
-// first fit refits its verifier's clone on a pool that lacks most of the
+// rows out at exactly the label count, and a cold refit at the larger of
+// the label count and the stride of the model it replaces: a run's first
+// fit refits its verifier's clone on a pool that lacks most of the
 // verifier's labels, and its later fits add them back. New labels that fit
 // the class stride take its zero spare columns in place, and labels that
-// outgrow it re-lay the matrices out at strideGrowth times the stride, so
-// a run's growing vocabulary costs at most O(log labels) re-layouts, not
-// one per barrier. New feature rows append at the same stride. On the
+// outgrow it re-lay the rows out at strideGrowth times the stride, so a
+// run's growing vocabulary costs at most O(log labels) re-layouts, not one
+// per barrier. New feature rows are carved at the same stride. On the
 // first fit, or when a known label vanished, Train refits from scratch, so
 // stale classes can never linger.
 // Config.ColdStart disables the warm path entirely for callers that need
@@ -82,21 +99,21 @@
 //
 // Every verification run retrains its own copy of the verifier's four
 // models, so copies are frequent while most of them are only ever read:
-// a run's first fit is normally cold and allocates fresh buffers anyway.
-// Clone is therefore O(1). Parent and clone share the vocabulary, weights
-// and AdaGrad state and are both marked shared, and Train copies only what
-// it is about to write, only while the mark is set. A cold fit and a warm
-// fit that re-lays the matrices out already write into fresh buffers; a
-// warm fit of a shared model copies the vocabulary and bias vectors, and
-// the matrices too when they were not re-laid out, including when new
-// labels fit the stride (their spare columns are in the shared buffer). A
-// model nobody cloned trains in place.
+// a run's first fit is normally cold and lays out rows of its own anyway.
+// Clone is therefore O(1). Parent and clone share the vocabulary, the row
+// tables and every row in them, and the bias vectors, and are both marked
+// shared. A cold fit and a warm fit that re-lays the rows out write only
+// into rows of their own. A warm fit of a shared model copies the
+// vocabulary, the bias vectors and the row table, and copies only the rows
+// of the features its visits reach, so the rows of every other feature
+// stay shared; a per-feature mark, never passed to a clone, records which
+// rows the model owns. A model nobody cloned trains in place.
 //
 // # Batch scoring
 //
 // Algorithm 1 re-scores every remaining claim before every batch, and the
 // scheduler needs all of them at once. AnalyzeBatch scores N feature
-// vectors against the weight matrix in dense row-major blocks — one pooled
+// vectors against the weight rows in dense row-major blocks — one pooled
 // scores matrix per block, softmax+entropy fused into the normalisation
 // pass per row, and all top-k prediction lists carved from a single arena
 // allocation — producing results bit-identical to N sequential TopK and
@@ -184,27 +201,30 @@ type Classifier struct {
 	cfg      Config
 	labels   []string
 	labelIdx map[string]int
-	// dim is the feature-space width: weights exist for indexes [0, dim).
-	dim int
-	// w is the dense feature-major weight matrix, w[fi*stride+class];
-	// gsq is the AdaGrad accumulator with the same shape. Only classes
-	// [0, len(labels)) are ever read or written; the columns from there to
-	// stride stay zero, ready for labels a warm fit adds.
-	w      []float64
-	gsq    []float64
+	// rows is the feature -> row table over the feature-space width
+	// len(rows): rows[fi] is nil for a feature no fit has written, else
+	// the feature's stride per-class weights, whose AdaGrad accumulators
+	// acc(rows[fi], stride) holds. Only classes [0, len(labels)) are ever
+	// read or written; the columns from there to stride stay zero, ready
+	// for labels a warm fit adds.
+	rows   [][]float64
 	stride int
-	bias   []float64
-	gsqB   []float64
+	// own[fi] reports that rows[fi] is private to this model: it was
+	// carved or copied since the model was last shared, so a fit may
+	// write it in place. Clone never passes it on.
+	own  []bool
+	bias []float64
+	gsqB []float64
 
 	trained int  // the last fit's pool size
 	steps   int  // SGD updates the last fit made
 	rounds  int  // fits so far (drives the warm-start shuffle stream)
 	warm    bool // whether the last fit took the warm-start path
 
-	// shared is set on both sides of a Clone: labels, labelIdx, w, gsq,
-	// bias and gsqB may be read by another model, so Train copies them
-	// before writing. Atomic because concurrent Clones of one model all
-	// set it.
+	// shared is set on both sides of a Clone: labels, labelIdx, rows (the
+	// table and every row in it), bias and gsqB may be read by another
+	// model, so Train copies them before writing. Atomic because
+	// concurrent Clones of one model all set it.
 	shared atomic.Bool
 
 	// scratch pools per-goroutine softmax buffers for the scoring paths.
@@ -220,8 +240,8 @@ func New(cfg Config) *Classifier {
 }
 
 // Clone returns a copy of the model in O(1): the clone shares the parent's
-// label vocabulary, weights and AdaGrad state, and both models are marked
-// shared. Train copies a shared buffer before it writes to it, so training
+// label vocabulary, rows and biases, and both models are marked shared.
+// Train copies a shared buffer or row before it writes to it, so training
 // either model never perturbs the other (see "Copy-on-write clones" in the
 // package doc). The clone copies the warm-start round counter and starts
 // with an empty scratch pool. Clone must not run concurrently with Train on
@@ -233,9 +253,7 @@ func (c *Classifier) Clone() *Classifier {
 		cfg:      c.cfg,
 		labels:   c.labels,
 		labelIdx: c.labelIdx,
-		dim:      c.dim,
-		w:        c.w,
-		gsq:      c.gsq,
+		rows:     c.rows,
 		stride:   c.stride,
 		bias:     c.bias,
 		gsqB:     c.gsqB,
@@ -307,16 +325,15 @@ func (c *Classifier) train(examples []Example, appended bool) error {
 	if len(examples) == 0 {
 		return fmt.Errorf("classifier: no training examples")
 	}
-	maxIdx := -1
+	maxIdx, maxNNZ := -1, 0
 	fresh := make(map[string]bool, len(c.labels)+1)
 	for _, ex := range examples {
 		if ex.Label == "" {
 			return fmt.Errorf("classifier: empty label in training set")
 		}
 		fresh[ex.Label] = true
-		if m := ex.Features.MaxIndex(); m > maxIdx {
-			maxIdx = m
-		}
+		maxIdx = max(maxIdx, ex.Features.MaxIndex())
+		maxNNZ = max(maxNNZ, ex.Features.NNZ())
 	}
 	warm := !c.cfg.ColdStart && c.trained > 0
 	if warm {
@@ -331,43 +348,37 @@ func (c *Classifier) train(examples []Example, appended bool) error {
 	epochs := c.cfg.Epochs
 	if warm {
 		epochs = c.cfg.WarmStartEpochs
-		shared := c.shared.Load()
-		if shared {
-			// Copy before write: addLabels, grow and sgdStep write these
-			// in place (or append past a shared length).
+		if c.shared.Load() {
+			// Copy before write: addLabels, grow and claim write these
+			// in place (or append past a shared length). Each row stays
+			// shared unless claim copies it.
 			c.labels = slices.Clone(c.labels)
 			c.labelIdx = maps.Clone(c.labelIdx)
 			c.bias = slices.Clone(c.bias)
 			c.gsqB = slices.Clone(c.gsqB)
-			// Without spare capacity, new feature rows cannot append
-			// into the other model's buffers.
-			c.w, c.gsq = slices.Clip(c.w), slices.Clip(c.gsq)
+			c.rows = slices.Clone(c.rows)
+			c.own = make([]bool, len(c.rows))
 		}
 		c.addLabels(examples)
-		if !c.grow(maxIdx+1) && shared {
-			// Also when the new labels fit the stride: the columns they
-			// fill live in the buffer the other model reads.
-			c.w = slices.Clone(c.w)
-			c.gsq = slices.Clone(c.gsq)
-		}
+		c.grow(maxIdx + 1)
 	} else {
 		c.labels = nil
 		c.labelIdx = make(map[string]int, len(fresh))
 		c.addLabels(examples)
 		nL := len(c.labels)
-		c.dim = maxIdx + 1
 		// A refit keeps the stride of the model it replaces (a fresh
 		// model's is 0), so the labels a run's warm fits add back fill
-		// spare columns instead of re-laying the matrices out.
+		// spare columns instead of re-laying the rows out.
 		c.stride = max(nL, c.stride)
-		c.w = make([]float64, c.dim*c.stride)
-		c.gsq = make([]float64, c.dim*c.stride)
+		c.rows = make([][]float64, maxIdx+1)
+		c.own = make([]bool, maxIdx+1)
 		c.bias = make([]float64, nL)
 		c.gsqB = make([]float64, nL)
 		// Pooled scratch buffers of the old width are filtered out by the
 		// length check in getScratch and fall to the collector.
 	}
-	// Every buffer the fit writes is now private to this model.
+	// Every buffer the fit writes is now private to this model, or a row
+	// claim copies before the first step.
 	c.shared.Store(false)
 	old := c.trained
 	c.trained = len(examples)
@@ -375,9 +386,12 @@ func (c *Classifier) train(examples []Example, appended bool) error {
 	c.rounds++
 
 	nL := len(c.labels)
-	scores := make([]float64, nL)
-	active := make([]int32, 0, nL)
-	ga := make([]float64, 0, nL)
+	st := stepScratch{
+		scores: make([]float64, nL),
+		active: make([]int32, 0, nL),
+		ga:     make([]float64, 0, nL),
+		rows:   make([][]float64, 0, maxNNZ),
+	}
 
 	// Deterministic shuffled order via an LCG permutation per epoch; the
 	// stream advances with the round counter so warm-started retrains do
@@ -400,6 +414,7 @@ func (c *Classifier) train(examples []Example, appended bool) error {
 		order = append(order[:ReplaySample], order[old:]...)
 	}
 	c.steps = epochs * len(order)
+	c.claim(examples, order)
 
 	for epoch := 0; epoch < epochs; epoch++ {
 		// Fisher-Yates with the LCG.
@@ -409,7 +424,7 @@ func (c *Classifier) train(examples []Example, appended bool) error {
 			order[i], order[j] = order[j], order[i]
 		}
 		for _, idx := range order {
-			active, ga = c.sgdStep(examples[idx], scores, active, ga)
+			c.sgdStep(examples[idx], &st)
 		}
 	}
 	return nil
@@ -426,49 +441,110 @@ func (c *Classifier) addLabels(examples []Example) {
 	}
 }
 
+// claim gives every feature of the examples a fit visits (examples[i]
+// for i in order) a row this model owns, before the fit's first step: it
+// carves a zero row for a feature without one and copies a row still
+// shared with another model, all from one slab of exactly that many rows,
+// in the order the visits first reach them. A cold fit thus lays out a
+// row for exactly the features of its pool, in one allocation, and a warm
+// fit allocates only the rows of features new to the model and the
+// copies it needs. The steps then find every row they take in place.
+func (c *Classifier) claim(examples []Example, order []int) {
+	var claimed []int32
+	for _, i := range order {
+		ix, _ := examples[i].Features.Raw()
+		for _, fi := range ix {
+			if !c.own[fi] {
+				c.own[fi] = true
+				claimed = append(claimed, fi)
+			}
+		}
+	}
+	sl := newSlab(len(claimed), c.stride)
+	for _, fi := range claimed {
+		fresh := sl.row()
+		if row := c.rows[fi]; row != nil {
+			copy(fresh, row)
+			copy(acc(fresh, c.stride), acc(row, c.stride))
+		}
+		c.rows[fi] = fresh
+	}
+}
+
+// slab carves n zero rows at a stride from one allocation: the n rows'
+// weights side by side, then their n rows of accumulators, so a scoring
+// pass over neighbouring features reads only weights. A row never moves
+// once carved, except when a stride growth re-lays every row out.
+type slab struct {
+	buf             []float64
+	stride, n, next int
+}
+
+func newSlab(n, stride int) slab {
+	return slab{buf: make([]float64, 2*n*stride), stride: stride, n: n}
+}
+
+// row carves the slab's next row: stride weights whose capacity runs on
+// to the end of their accumulators (see acc).
+func (s *slab) row() []float64 {
+	st, i := s.stride, s.next
+	s.next++
+	return s.buf[i*st : (i+1)*st : (s.n+i+1)*st]
+}
+
+// acc returns the AdaGrad accumulators of the weight row w at the given
+// stride. A slab of n rows holds row i's weights at [i, i+1) strides and
+// its accumulators at [n+i, n+i+1), and row caps row i at the end of its
+// accumulators, so they are the last stride values of its capacity.
+func acc(w []float64, stride int) []float64 {
+	return w[cap(w)-stride : cap(w)]
+}
+
 // strideGrowth is the factor by which a warm fit widens the class stride
 // when its labels outgrow it. A run's barriers add labels at every batch,
-// so growing geometrically re-lays the matrices out O(log labels) times
-// per run instead of at every barrier, for at most this factor of spare
+// so growing geometrically re-lays the rows out O(log labels) times per
+// run instead of at every barrier, for at most this factor of spare
 // columns.
 const strideGrowth = 1.5
 
 // grow widens a warm model to the current label count and to at least
 // width features, appending zero bias and bias accumulators for the new
-// labels. When the labels fit the class stride and the feature rows fit
-// the matrices' capacity, the matrices are extended in place: the columns
-// and rows they gain are still zero. Otherwise they are re-laid out in one
-// fresh pair of buffers, each dimension that overflowed growing to
-// max(needed, strideGrowth × current); rows append at the end, and
-// everything new starts at zero. It reports whether the matrices now live
-// in fresh buffers.
-func (c *Classifier) grow(width int) bool {
+// labels and empty table entries for the new features. When the labels
+// fit the class stride, every row keeps its place: the columns the new
+// labels take are still zero. Otherwise the stride grows to
+// max(labels, strideGrowth × stride) and every row is re-laid out, in
+// index order into one fresh slab that holds them all, keeping its known
+// columns and zeroing the rest.
+func (c *Classifier) grow(width int) {
 	nL := len(c.labels)
 	oldL := len(c.bias)
 	c.bias = append(c.bias, make([]float64, nL-oldL)...)
 	c.gsqB = append(c.gsqB, make([]float64, nL-oldL)...)
-	width = max(width, c.dim)
-	stride, rows := c.stride, min(cap(c.w), cap(c.gsq))/c.stride
-	if nL <= stride && width <= rows {
-		n := width * stride
-		c.w, c.gsq = c.w[:n], c.gsq[:n]
-		c.dim = width
-		return false
+	if n := width - len(c.rows); n > 0 {
+		c.rows = append(c.rows, make([][]float64, n)...)
+		c.own = append(c.own, make([]bool, n)...)
 	}
-	if nL > stride {
-		stride = max(nL, int(strideGrowth*float64(stride)))
+	if nL <= c.stride {
+		return
 	}
-	if width > rows {
-		rows = max(width, int(strideGrowth*float64(rows)))
+	old := c.stride
+	c.stride = max(nL, int(strideGrowth*float64(old)))
+	n := 0
+	for _, row := range c.rows {
+		if row != nil {
+			n++
+		}
 	}
-	w := make([]float64, width*stride, rows*stride)
-	gsq := make([]float64, width*stride, rows*stride)
-	for fi := 0; fi < c.dim; fi++ {
-		copy(w[fi*stride:], c.w[fi*c.stride:][:oldL])
-		copy(gsq[fi*stride:], c.gsq[fi*c.stride:][:oldL])
+	sl := newSlab(n, c.stride)
+	for fi, row := range c.rows {
+		if row == nil {
+			continue
+		}
+		fresh := sl.row()
+		copy(fresh, row[:oldL])
+		copy(acc(fresh, c.stride), acc(row, old)[:oldL])
+		c.rows[fi], c.own[fi] = fresh, true
 	}
-	c.w, c.gsq, c.dim, c.stride = w, gsq, width, stride
-	return true
 }
 
 // gradCutoff is the smallest |gradient| for which sgdStep updates a class;
@@ -482,12 +558,31 @@ func (c *Classifier) grow(width int) bool {
 // unless its probability exceeds 0.999.
 const gradCutoff = 1e-3
 
-// sgdStep applies one AdaGrad update for a single example. scores is
-// caller-owned scratch (len == numLabels); active and ga are caller-owned
-// buffers (cap >= numLabels) for the active classes and their gradients,
-// returned for reuse.
-func (c *Classifier) sgdStep(ex Example, scores []float64, active []int32, ga []float64) ([]int32, []float64) {
-	c.scoreInto(ex.Features, scores)
+// stepScratch holds a fit's per-step buffers: the scores (len ==
+// numLabels), the active classes and their gradients (cap >= numLabels),
+// and the rows of the example's nonzeros.
+type stepScratch struct {
+	scores []float64
+	active []int32
+	ga     []float64
+	rows   [][]float64
+}
+
+// sgdStep applies one AdaGrad update for a single example. Every nonzero
+// of the example has a row of this model's own (claim), and a zero row
+// scores exactly as a missing one (see scoreInto), so the step sweeps
+// every nonzero's row with the example's values as they stand.
+func (c *Classifier) sgdStep(ex Example, st *stepScratch) {
+	ix, vals := ex.Features.Raw()
+	rows := st.rows[:0]
+	for _, fi := range ix {
+		rows = append(rows, c.rows[fi])
+	}
+	st.rows = rows
+
+	scores := st.scores
+	copy(scores, c.bias)
+	sweep(scores, rows, vals)
 	softmaxInPlace(scores)
 	target := c.labelIdx[ex.Label]
 	lr := c.cfg.LearningRate
@@ -500,7 +595,7 @@ func (c *Classifier) sgdStep(ex Example, scores []float64, active []int32, ga []
 	// explicitly, which by the Go spec forbids fusing it with an add into
 	// an FMA, so the updates round alike on every architecture (CI greps
 	// the arm64 assembly).
-	active, ga = active[:0], ga[:0]
+	active, ga := st.active[:0], st.ga[:0]
 	for class, p := range scores {
 		g := p
 		if class == target {
@@ -515,42 +610,45 @@ func (c *Classifier) sgdStep(ex Example, scores []float64, active []int32, ga []
 		c.gsqB[class] += float64(gb * gb)
 		c.bias[class] -= lr * gb / (math.Sqrt(c.gsqB[class]) + 1e-8)
 	}
+	st.active, st.ga = active, ga
+	adagradUpdate(rows, c.stride, vals, active, ga, l2, lr)
+}
 
-	ix, vals := ex.Features.Raw()
-	adagradUpdate(c.w, c.gsq, c.stride, ix, vals, active, ga, l2, lr)
-	return active, ga
+// gathered holds the weight rows, and their values, of the nonzeros of
+// one feature vector that have a row: the input of one sweep call. Its
+// buffers are reused from vector to vector.
+type gathered struct {
+	rows [][]float64
+	xs   []float64
 }
 
 // scoreInto fills scores (len == numLabels) with the linear scores of f:
 // bias plus the weight rows of f's nonzeros, each scaled by its value.
-// Indexes at or above the trained width carry zero weight and are dropped
-// up front. The class dimension is swept once per four rows by sweep4 (the
-// leftover zero to three take the single-row loop) without reordering any
-// class's sum, so the scores are bit-identical to a row-at-a-time sweep
+// Indexes at or above the trained width, and features without a row,
+// carry zero weight and are skipped. That is exact: the skipped product
+// 0·x is ±0 for a finite x, adding ±0 leaves every score but −0
+// unchanged, and no score is −0, since a score starts from a bias AdaGrad
+// never drives to −0 (x − y is −0 only for x = −0) and a sum of a
+// non-(−0) and anything is −0 only when both addends are −0. The rows
+// present are gathered into g and swept in one call, four rows per pass
+// over the class dimension, without reordering any class's sum, so the
+// scores are bit-identical to a row-at-a-time sweep over a dense matrix
 // (pinned by TestScoreIntoMatchesReference).
-func (c *Classifier) scoreInto(f textproc.Sparse, scores []float64) {
+func (c *Classifier) scoreInto(f textproc.Sparse, scores []float64, g *gathered) {
 	copy(scores, c.bias)
-	nL := len(scores)
 	ix, vals := f.Raw()
-	n := len(ix)
-	for n > 0 && int(ix[n-1]) >= c.dim {
-		n-- // indexes are sorted: the out-of-range ones form the tail
-	}
-	// Rows are resliced to len(scores): the spare columns past it are
-	// never read, and the compiler drops the bounds checks in the
-	// single-row loop below.
-	row := func(k int) []float64 { return c.w[int(ix[k])*c.stride:][:nL] }
-	k := 0
-	for ; k+4 <= n; k += 4 {
-		sweep4(scores, row(k), row(k+1), row(k+2), row(k+3),
-			vals[k], vals[k+1], vals[k+2], vals[k+3])
-	}
-	for ; k < n; k++ {
-		r, x := row(k), vals[k]
-		for j, wv := range r {
-			scores[j] += float64(wv * x)
+	table := c.rows
+	rows, xs := g.rows[:0], g.xs[:0]
+	for k, fi := range ix {
+		if int(fi) >= len(table) {
+			break // indexes are sorted: the out-of-range ones form the tail
+		}
+		if row := table[fi]; row != nil {
+			rows, xs = append(rows, row), append(xs, vals[k])
 		}
 	}
+	g.rows, g.xs = rows, xs
+	sweep(scores, rows, xs)
 }
 
 // softmaxInPlace turns linear scores into probabilities and returns the
@@ -581,22 +679,29 @@ func softmaxInPlace(scores []float64) float64 {
 	return math.Log(z) - float64(dot*inv)
 }
 
-// getScratch returns a pooled probability buffer of the current width.
-func (c *Classifier) getScratch() []float64 {
-	if buf, ok := c.scratch.Get().(*[]float64); ok && len(*buf) == len(c.labels) {
-		return *buf
-	}
-	return make([]float64, len(c.labels))
+// scoreBuf is the pooled scratch of the per-vector scoring paths: a
+// probability buffer of the model's width and the sweep's gathered rows.
+type scoreBuf struct {
+	probs []float64
+	g     gathered
 }
 
-func (c *Classifier) putScratch(buf []float64) {
-	c.scratch.Put(&buf)
+// getScratch returns a pooled scoring scratch of the current width.
+func (c *Classifier) getScratch() *scoreBuf {
+	if buf, ok := c.scratch.Get().(*scoreBuf); ok && len(buf.probs) == len(c.labels) {
+		return buf
+	}
+	return &scoreBuf{probs: make([]float64, len(c.labels))}
+}
+
+func (c *Classifier) putScratch(buf *scoreBuf) {
+	c.scratch.Put(buf)
 }
 
 // probsInto computes softmax probabilities for f into the caller's buffer,
 // returning the distribution's entropy as a by-product of normalisation.
-func (c *Classifier) probsInto(f textproc.Sparse, probs []float64) float64 {
-	c.scoreInto(f, probs)
+func (c *Classifier) probsInto(f textproc.Sparse, probs []float64, g *gathered) float64 {
+	c.scoreInto(f, probs, g)
 	return softmaxInPlace(probs)
 }
 
@@ -607,7 +712,9 @@ func (c *Classifier) Probs(f textproc.Sparse) []float64 {
 		return nil
 	}
 	probs := make([]float64, len(c.labels))
-	c.probsInto(f, probs)
+	buf := c.getScratch()
+	c.probsInto(f, probs, &buf.g)
+	c.putScratch(buf)
 	return probs
 }
 
@@ -617,11 +724,12 @@ func (c *Classifier) Probs(f textproc.Sparse) []float64 {
 const batchRows = 64
 
 // batchScratch holds AnalyzeBatch's reusable buffers: the row-major scores
-// block and the top-k selection index scratch. Pooled package-wide (reuse
+// block, the sweep's gathered rows and the top-k selection index scratch. Pooled package-wide (reuse
 // is capacity-based, so blocks migrate freely between models of different
 // label widths).
 type batchScratch struct {
 	scores []float64
+	g      gathered
 	sel    []int
 }
 
@@ -687,7 +795,7 @@ func (c *Classifier) AnalyzeBatch(fs []textproc.Sparse, k int) ([][]Prediction, 
 		buf := bs.scores[:rows*nL]
 		for i := 0; i < rows; i++ {
 			row := buf[i*nL : (i+1)*nL]
-			c.scoreInto(fs[base+i], row)
+			c.scoreInto(fs[base+i], row, &bs.g)
 			ents[base+i] = softmaxInPlace(row)
 		}
 		if kEff <= 0 {
@@ -723,10 +831,10 @@ func (c *Classifier) TopK(f textproc.Sparse, k int) []Prediction {
 	if len(c.labels) == 0 || k <= 0 {
 		return nil
 	}
-	probs := c.getScratch()
-	c.probsInto(f, probs)
-	preds := c.rankTopK(probs, k)
-	c.putScratch(probs)
+	buf := c.getScratch()
+	c.probsInto(f, buf.probs, &buf.g)
+	preds := c.rankTopK(buf.probs, k)
+	c.putScratch(buf)
 	return preds
 }
 
@@ -784,9 +892,9 @@ func (c *Classifier) Entropy(f textproc.Sparse) float64 {
 	if len(c.labels) == 0 {
 		return 1
 	}
-	probs := c.getScratch()
-	h := c.probsInto(f, probs)
-	c.putScratch(probs)
+	buf := c.getScratch()
+	h := c.probsInto(f, buf.probs, &buf.g)
+	c.putScratch(buf)
 	return h
 }
 
@@ -797,10 +905,10 @@ func (c *Classifier) ProbOf(f textproc.Sparse, label string) float64 {
 	if !ok || len(c.labels) == 0 {
 		return 0
 	}
-	probs := c.getScratch()
-	c.probsInto(f, probs)
-	p := probs[i]
-	c.putScratch(probs)
+	buf := c.getScratch()
+	c.probsInto(f, buf.probs, &buf.g)
+	p := buf.probs[i]
+	c.putScratch(buf)
 	return p
 }
 

@@ -15,7 +15,6 @@ import (
 	"github.com/repro/scrutinizer/internal/textproc"
 )
 
-// vec builds a slice-backed feature vector from map-literal syntax.
 // vec builds a sparse feature vector from index -> weight pairs.
 func vec(m map[int]float64) textproc.Sparse {
 	var b textproc.SparseBuilder
@@ -23,6 +22,43 @@ func vec(m map[int]float64) textproc.Sparse {
 		b.Add(i, x)
 	}
 	return b.Build()
+}
+
+// rowsOf copies a row table: nil for a feature without a row, else a
+// copy of its weights.
+func rowsOf(table [][]float64) [][]float64 {
+	out := make([][]float64, len(table))
+	for fi, row := range table {
+		out[fi] = slices.Clone(row)
+	}
+	return out
+}
+
+// accsOf copies c's accumulators: nil for a feature without a row, else
+// a copy of its row's accumulators.
+func accsOf(c *Classifier) [][]float64 {
+	out := make([][]float64, len(c.rows))
+	for fi, row := range c.rows {
+		if row != nil {
+			out[fi] = slices.Clone(acc(row, c.stride))
+		}
+	}
+	return out
+}
+
+// sameRows fails unless two row tables hold rows for the same features,
+// equal bit for bit.
+func sameRows(t *testing.T, what string, got, want [][]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d features, want %d", what, len(got), len(want))
+	}
+	for fi := range want {
+		if (got[fi] == nil) != (want[fi] == nil) || len(got[fi]) != len(want[fi]) {
+			t.Fatalf("%s: row %d holds %d values, want %d", what, fi, len(got[fi]), len(want[fi]))
+		}
+		sameScores(t, fmt.Sprintf("%s row %d", what, fi), got[fi], want[fi])
+	}
 }
 
 // separableSet builds a linearly separable 3-class problem on sparse
@@ -390,7 +426,7 @@ func TestWarmStartMatchesScratch(t *testing.T) {
 }
 
 // TestWarmStartGrowsFeatureSpace checks that a warm retrain tolerates new
-// feature indexes (the dense matrices grow in place).
+// feature indexes (the row table grows in place).
 func TestWarmStartGrowsFeatureSpace(t *testing.T) {
 	c := New(Config{Seed: 2, Epochs: 4})
 	if err := c.Train([]Example{
@@ -567,7 +603,7 @@ func TestCloneIndependence(t *testing.T) {
 		t.Run(fit.name, func(t *testing.T) {
 			parent := New(cfg)
 			trainAll(t, parent, base, fit.grown)
-			dim, nL, stride := parent.dim, parent.NumLabels(), parent.stride
+			dim, nL, stride := len(parent.rows), parent.NumLabels(), parent.stride
 			clone := parent.Clone()
 			if clone.TrainedOn() != parent.TrainedOn() || clone.NumLabels() != nL {
 				t.Fatalf("clone metadata: TrainedOn=%d/%d NumLabels=%d/%d",
@@ -578,10 +614,10 @@ func TestCloneIndependence(t *testing.T) {
 			ref := New(cfg)
 			trainAll(t, ref, base, fit.grown, fit.set)
 			if ref.WarmStarted() != fit.warm ||
-				fit.warm && ((ref.NumLabels() != nL) != fit.newLabels || (ref.dim != dim) != fit.wider ||
+				fit.warm && ((ref.NumLabels() != nL) != fit.newLabels || (len(ref.rows) != dim) != fit.wider ||
 					fit.newLabels && (ref.stride == stride) != fit.spare) {
 				t.Fatalf("fit shape: warm %v, labels %d -> %d, dim %d -> %d, stride %d -> %d",
-					ref.WarmStarted(), nL, ref.NumLabels(), dim, ref.dim, stride, ref.stride)
+					ref.WarmStarted(), nL, ref.NumLabels(), dim, len(ref.rows), stride, ref.stride)
 			}
 			want := viewOf(ref, probe)
 
@@ -729,14 +765,14 @@ func TestWarmStartLabelGrowth(t *testing.T) {
 	if err := c.Train(ab); err != nil {
 		t.Fatal(err)
 	}
-	oldW := append([]float64(nil), c.w...)
+	oldW, oldG := rowsOf(c.rows), accsOf(c)
 	oldBias := append([]float64(nil), c.bias...)
-	oldDim := c.dim
 
-	// The re-layout alone keeps every known weight in place under the
-	// wider stride and zeroes everything new, spare columns included. It
-	// writes in place, so it runs on a private model trained like c, never
-	// on a clone sharing c's buffers.
+	// The re-layout alone keeps every known weight and accumulator in
+	// place under the wider stride, zeroes everything new, spare columns
+	// included, and carves no row for a feature that had none. It writes
+	// in place, so it runs on a private model trained like c, never on a
+	// clone sharing c's rows.
 	relaid := New(Config{Seed: 4, Epochs: 6})
 	if err := relaid.Train(ab); err != nil {
 		t.Fatal(err)
@@ -744,21 +780,27 @@ func TestWarmStartLabelGrowth(t *testing.T) {
 	relaid.addLabels(abc)
 	relaid.grow(8)
 	stride := relaid.stride
-	if relaid.dim != 8 || stride < 3 || len(relaid.w) != 8*stride || len(relaid.gsq) != 8*stride {
-		t.Fatalf("re-layout shape: dim %d, stride %d, len(w) %d, len(gsq) %d",
-			relaid.dim, stride, len(relaid.w), len(relaid.gsq))
+	if len(relaid.rows) != 8 || stride < 3 {
+		t.Fatalf("re-layout shape: %d features, stride %d", len(relaid.rows), stride)
 	}
-	for fi := 0; fi < relaid.dim; fi++ {
+	for fi, w := range relaid.rows {
+		if fi >= len(oldW) || oldW[fi] == nil {
+			if w != nil {
+				t.Fatalf("re-layout carved a row for feature %d, which had none", fi)
+			}
+			continue
+		}
+		gsq := acc(w, stride)
+		if len(w) != stride || cap(w) < 2*stride {
+			t.Fatalf("row %d holds %d weights and capacity %d at stride %d", fi, len(w), cap(w), stride)
+		}
 		for cls := 0; cls < stride; cls++ {
-			want := 0.0
-			if fi < oldDim && cls < 2 {
-				want = oldW[fi*2+cls]
+			wantW, wantG := 0.0, 0.0
+			if cls < 2 {
+				wantW, wantG = oldW[fi][cls], oldG[fi][cls]
 			}
-			if got := relaid.w[fi*stride+cls]; got != want {
-				t.Fatalf("w[%d][%d] = %g after re-layout, want %g", fi, cls, got, want)
-			}
-			if cls >= 3 && relaid.gsq[fi*stride+cls] != 0 {
-				t.Fatalf("gsq[%d][%d] = %g in a spare column", fi, cls, relaid.gsq[fi*stride+cls])
+			if w[cls] != wantW || gsq[cls] != wantG {
+				t.Fatalf("row %d class %d = %g/%g after re-layout, want %g/%g", fi, cls, w[cls], gsq[cls], wantW, wantG)
 			}
 		}
 	}
@@ -791,71 +833,104 @@ func TestWarmStartLabelGrowth(t *testing.T) {
 	}
 }
 
+// wideExamples builds n examples over labels label00..label(nL-1), in
+// turn, each with the class feature and nnz random features below dim.
+func wideExamples(rng *rand.Rand, n, nL, dim, nnz int) []Example {
+	out := make([]Example, 0, n)
+	for i := 0; i < n; i++ {
+		f := map[int]float64{i % nL: 1}
+		for len(f) < 1+nnz {
+			f[rng.Intn(dim)] = rng.NormFloat64()
+		}
+		out = append(out, Example{Features: vec(f), Label: fmt.Sprintf("label%02d", i%nL)})
+	}
+	return out
+}
+
+// relabelled returns n examples that reuse the features of from, in turn,
+// under labels label00..label(nL-1), so they touch no feature from lacks.
+func relabelled(from []Example, n, nL int) []Example {
+	out := make([]Example, n)
+	for i := range out {
+		out[i] = Example{Features: from[i%len(from)].Features, Label: fmt.Sprintf("label%02d", i%nL)}
+	}
+	return out
+}
+
 // TestWarmGrowthInSpareColumnsAllocatesNoMatrix: a warm fit whose new
-// labels fit the class stride trains in the matrices it already has, both
+// labels fit the class stride trains in the rows it already has, both
 // after warm growth widened the stride and after a cold refit kept a wider
-// model's stride (a run's first fit of its verifier's clone). The bound is
-// a quarter of one weight matrix, so a re-layout (two matrices) fails it.
+// model's stride (a run's first fit of its verifier's clone): no row
+// moves, and the fit allocates less than a quarter of its rows' bytes, so
+// a re-layout (every row anew) fails it.
 func TestWarmGrowthInSpareColumnsAllocatesNoMatrix(t *testing.T) {
 	const dim = 3000
-	// fitInPlace runs fit and fails unless it trains warm into the
-	// matrices c already has, ending with labels labels.
+	// fitInPlace runs fit and fails unless it trains warm into the rows
+	// c already has, ending with labels labels.
 	fitInPlace := func(t *testing.T, c *Classifier, fit func() error, labels int) {
 		t.Helper()
-		w := &c.w[0]
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+		before := map[int]*float64{}
+		for fi, row := range c.rows {
+			if row != nil {
+				before[fi] = &row[0]
+			}
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
 		if err := fit(); err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		matrix := uint64(dim * c.stride * 8)
-		if got := after.TotalAlloc - before.TotalAlloc; got >= matrix/4 {
-			t.Errorf("warm fit into spare columns allocated %d B; one weight matrix is %d B", got, matrix)
+		runtime.ReadMemStats(&m1)
+		rowBytes := uint64(len(before) * 2 * c.stride * 8)
+		if got := m1.TotalAlloc - m0.TotalAlloc; got >= rowBytes/4 {
+			t.Errorf("warm fit into spare columns allocated %d B; its %d rows hold %d B", got, len(before), rowBytes)
 		}
-		if !c.WarmStarted() || c.NumLabels() != labels || c.dim != dim {
-			t.Fatalf("fit shape: warm %v, %d labels, dim %d", c.WarmStarted(), c.NumLabels(), c.dim)
+		if !c.WarmStarted() || c.NumLabels() != labels || len(c.rows) != dim {
+			t.Fatalf("fit shape: warm %v, %d labels, %d features", c.WarmStarted(), c.NumLabels(), len(c.rows))
 		}
-		if &c.w[0] != w {
-			t.Error("the weight matrix moved")
+		for fi, row := range c.rows {
+			if p, ok := before[fi]; !ok && row != nil || ok && &row[0] != p {
+				t.Fatalf("row %d moved or appeared", fi)
+			}
 		}
 	}
-	// The widest feature is in every first fit, so later fits add no rows.
+	// The widest feature is in every first fit, and later fits reuse
+	// the first fit's features, so they carve no rows.
 	widest := Example{Features: vec(map[int]float64{0: 1, dim - 1: 1}), Label: "label00"}
 
 	t.Run("after warm growth", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
-		pool := append(randExamples(rng, 40, 8, dim), widest)
+		pool := append(wideExamples(rng, 40, 8, dim, 30), widest)
 		c := New(Config{Seed: 2, Epochs: 2})
 		trainAll(t, c, pool)
-		pool = append(pool, randExamples(rng, 20, 10, dim)...)
+		pool = append(pool, relabelled(pool, 20, 10)...)
 		trainAll(t, c, pool) // 8 -> 10 labels: the stride grows to 12
-		pool = append(pool, randExamples(rng, 24, 12, dim)...)
+		pool = append(pool, relabelled(pool, 24, 12)...)
 		fitInPlace(t, c, func() error { return c.Train(pool) }, 12) // 10 -> 12 labels
 	})
 
 	t.Run("appended after a cold refit", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(37))
 		verifier := New(Config{Seed: 2, Epochs: 2})
-		trainAll(t, verifier, append(randExamples(rng, 48, 12, dim), widest))
+		trainAll(t, verifier, append(wideExamples(rng, 48, 12, dim, 30), widest))
 		// Six of the verifier's twelve labels: a cold refit that keeps
 		// the 12-column stride.
 		run := verifier.Clone()
-		pool := append(randExamples(rng, 24, 6, dim), widest)
+		pool := append(wideExamples(rng, 24, 6, dim, 30), widest)
 		trainAll(t, run, pool)
 		if run.WarmStarted() || run.stride != verifier.stride || run.stride != 12 {
 			t.Fatalf("refit: warm %v, stride %d, want cold at the verifier's %d", run.WarmStarted(), run.stride, verifier.stride)
 		}
 		for _, nL := range []int{9, 12} {
-			pool = append(pool, randExamples(rng, 2*nL, nL, dim)...)
+			pool = append(pool, relabelled(pool, 2*nL, nL)...)
 			fitInPlace(t, run, func() error { return run.TrainAppended(pool) }, nL)
 		}
 	})
 }
 
-// TestColdRefitKeepsStride: a cold refit lays the matrices out at the
-// stride of the model it replaces when its labels fit it, and at the label
-// count when they do not. The stride never enters the arithmetic, so the
+// TestColdRefitKeepsStride: a cold refit lays the rows out at the stride
+// of the model it replaces when its labels fit it, and at the label count
+// when they do not. The stride never enters the arithmetic, so the
 // refit scores bit-identically to a model laid out at its label count, its
 // spare columns stay zero, and under copy-on-write the parent it was
 // cloned from is untouched.
@@ -888,13 +963,20 @@ func TestColdRefitKeepsStride(t *testing.T) {
 	narrow := randExamples(rng, 40, 4, 32)
 	clone := parent.Clone()
 	trainAll(t, clone, narrow)
-	if clone.WarmStarted() || clone.NumLabels() != 4 || clone.stride != 12 || len(clone.w) != clone.dim*12 || len(clone.gsq) != clone.dim*12 {
-		t.Fatalf("refit shape: warm %v, %d labels, stride %d, len(w) %d, len(gsq) %d, dim %d; want cold, 4 labels at stride 12",
-			clone.WarmStarted(), clone.NumLabels(), clone.stride, len(clone.w), len(clone.gsq), clone.dim)
+	if clone.WarmStarted() || clone.NumLabels() != 4 || clone.stride != 12 {
+		t.Fatalf("refit shape: warm %v, %d labels, stride %d; want cold, 4 labels at stride 12",
+			clone.WarmStarted(), clone.NumLabels(), clone.stride)
 	}
-	for fi := 0; fi < clone.dim; fi++ {
+	for fi, w := range clone.rows {
+		if w == nil {
+			continue
+		}
+		if len(w) != 12 || cap(w) < 24 {
+			t.Fatalf("row %d holds %d weights and capacity %d at stride 12", fi, len(w), cap(w))
+		}
+		gsq := acc(w, 12)
 		for cls := clone.NumLabels(); cls < clone.stride; cls++ {
-			if clone.w[fi*clone.stride+cls] != 0 || clone.gsq[fi*clone.stride+cls] != 0 {
+			if w[cls] != 0 || gsq[cls] != 0 {
 				t.Fatalf("spare column %d of row %d is nonzero", cls, fi)
 			}
 		}
@@ -944,8 +1026,13 @@ func TestWarmStartLabelSwapRefitsCold(t *testing.T) {
 	if c.ProbOf(vec(map[int]float64{1: 1}), "b") != 0 {
 		t.Error("stale label b still scored")
 	}
-	if len(c.bias) != 2 || len(c.w) != c.dim*2 {
-		t.Errorf("stale class columns survived: len(bias) %d, len(w) %d, dim %d", len(c.bias), len(c.w), c.dim)
+	if len(c.bias) != 2 || c.stride != 2 {
+		t.Errorf("stale class columns survived: len(bias) %d, stride %d", len(c.bias), c.stride)
+	}
+	for fi, row := range c.rows {
+		if row != nil && (len(row) != 2 || cap(row) < 4) {
+			t.Errorf("row %d holds %d weights and capacity %d at stride 2", fi, len(row), cap(row))
+		}
 	}
 }
 
@@ -965,13 +1052,114 @@ func TestWarmGrowthDeterministic(t *testing.T) {
 		if warm := r > 0; m1.WarmStarted() != warm {
 			t.Fatalf("round %d: WarmStarted = %v, want %v", r, m1.WarmStarted(), warm)
 		}
-		if !reflect.DeepEqual(m1.labels, m2.labels) || m1.dim != m2.dim ||
-			!reflect.DeepEqual(m1.w, m2.w) || !reflect.DeepEqual(m1.gsq, m2.gsq) ||
+		if !reflect.DeepEqual(m1.labels, m2.labels) || !reflect.DeepEqual(m1.rows, m2.rows) || !reflect.DeepEqual(accsOf(m1), accsOf(m2)) ||
 			!reflect.DeepEqual(m1.bias, m2.bias) || !reflect.DeepEqual(m1.gsqB, m2.gsqB) {
 			t.Fatalf("round %d: models fed the same growth sequence diverged", r)
 		}
 	}
 	if m1.NumLabels() != 12 {
 		t.Errorf("NumLabels = %d after growth to 12", m1.NumLabels())
+	}
+}
+
+// featuresOf returns the distinct feature indexes the examples hold.
+func featuresOf(examples []Example) map[int]bool {
+	out := map[int]bool{}
+	for _, ex := range examples {
+		for k := 0; k < ex.Features.NNZ(); k++ {
+			out[ex.Features.Index(k)] = true
+		}
+	}
+	return out
+}
+
+// TestColdRefitHoldsPoolRows: a clone's cold refit on N examples holds
+// rows for exactly their distinct features, all carved from the one slab
+// the refit claimed, whatever its parent held; the parent keeps its own.
+func TestColdRefitHoldsPoolRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	parent := New(Config{Seed: 3, Epochs: 3})
+	trainAll(t, parent, wideExamples(rng, 200, 12, 2000, 20))
+	before := rowsOf(parent.rows)
+	for _, n := range []int{1, 10, 60} {
+		clone := parent.Clone()
+		// Labels the parent lacks, so the fit is cold.
+		pool := relabelled(wideExamples(rng, n, 4, 2000, 20), n, 4)
+		for i := range pool {
+			pool[i].Label = "refit-" + pool[i].Label
+		}
+		trainAll(t, clone, pool)
+		if clone.WarmStarted() {
+			t.Fatalf("%d examples: the refit warm-started", n)
+		}
+		want := featuresOf(pool)
+		held := 0
+		for fi, row := range clone.rows {
+			if (row != nil) != want[fi] {
+				t.Fatalf("%d examples: feature %d has a row %v, in the pool %v", n, fi, row != nil, want[fi])
+			}
+			if row != nil {
+				held++
+			}
+		}
+		if held != len(want) {
+			t.Fatalf("%d examples: %d rows for %d features", n, held, len(want))
+		}
+		// One slab of exactly held rows: their weights lie side by side.
+		lo, hi := ^uintptr(0), uintptr(0)
+		for _, row := range clone.rows {
+			if row != nil {
+				p := reflect.ValueOf(row).Pointer()
+				lo, hi = min(lo, p), max(hi, p)
+			}
+		}
+		if span := uintptr((held - 1) * clone.stride * 8); hi-lo != span {
+			t.Fatalf("%d examples: rows span %d bytes, want the %d of one slab", n, hi-lo, span)
+		}
+		sameRows(t, fmt.Sprintf("parent after a %d-example refit", n), parent.rows, before)
+	}
+}
+
+// TestSharedFitCopiesOnlyTakenRows: a warm fit of a shared clone leaves
+// its parent bit-identical, copies the row of every feature its pool
+// holds, and keeps sharing the row of every feature it does not, which
+// its steps never take.
+func TestSharedFitCopiesOnlyTakenRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	// Two pools over the same six labels: the clone retrains on base
+	// plus extra examples, never on aside, whose features lie in a range
+	// of their own.
+	base := wideExamples(rng, 60, 6, 500, 8)
+	aside := wideExamples(rng, 30, 6, 500, 8)
+	for i := range aside {
+		f := map[int]float64{}
+		for k := 0; k < aside[i].Features.NNZ(); k++ {
+			f[1000+aside[i].Features.Index(k)] = aside[i].Features.Value(k)
+		}
+		aside[i].Features = vec(f)
+	}
+	parent := New(Config{Seed: 9, Epochs: 3})
+	trainAll(t, parent, append(slices.Clone(base), aside...))
+	probe := randFeatures(rand.New(rand.NewSource(5)), 20, 1500)
+	wantView := viewOf(parent, probe)
+	wantW, wantG := rowsOf(parent.rows), accsOf(parent)
+
+	clone := parent.Clone()
+	set := append(slices.Clone(base), wideExamples(rng, 20, 6, 500, 8)...)
+	trainAll(t, clone, set)
+	if !clone.WarmStarted() {
+		t.Fatal("the clone's fit refit cold")
+	}
+	mustSameView(t, "parent after the clone's fit", wantView, viewOf(parent, probe))
+	sameRows(t, "parent weights", parent.rows, wantW)
+	sameRows(t, "parent accumulators", accsOf(parent), wantG)
+	taken := featuresOf(set)
+	for fi, row := range parent.rows {
+		if row == nil {
+			continue
+		}
+		if shared := &clone.rows[fi][0] == &row[0]; shared == taken[fi] {
+			t.Fatalf("feature %d: shared %v, taken by the clone's fit %v", fi, shared, taken[fi])
+		}
 	}
 }

@@ -35,63 +35,66 @@ func hasAVX2() bool {
 	return ebx7&(1<<5) != 0
 }
 
-// sweepAVX2 checks the row lengths the assembly trusts, then runs it.
-func sweepAVX2(scores, r0, r1, r2, r3 []float64, x0, x1, x2, x3 float64) {
-	n := len(scores)
-	if len(r0) < n || len(r1) < n || len(r2) < n || len(r3) < n {
-		panic(fmt.Sprintf("classifier: sweep rows of %d, %d, %d, %d weights for %d scores",
-			len(r0), len(r1), len(r2), len(r3), n))
+// sweepAVX2 checks what the assembly trusts, then runs it: a value per
+// row, and rows at least as long as the scores.
+func sweepAVX2(scores []float64, rows [][]float64, xs []float64) {
+	if len(xs) < len(rows) {
+		panic(fmt.Sprintf("classifier: sweep of %d rows with %d values", len(rows), len(xs)))
 	}
-	sweep4AVX2(scores, r0, r1, r2, r3, x0, x1, x2, x3)
+	for k, r := range rows {
+		if len(r) < len(scores) {
+			panic(fmt.Sprintf("classifier: sweep row %d of %d weights for %d scores", k, len(r), len(scores)))
+		}
+	}
+	sweepAVX2Rows(scores, rows, xs)
 }
 
-// sweep4AVX2 is the AVX2 body of sweepFunc, in sweep_amd64.s. It walks the
-// classes four at a time in YMM registers (eight per loop iteration), and
-// the last zero to three classes one at a time in the low lane.
+// sweepAVX2Rows is the AVX2 body of sweepFunc, in sweep_amd64.s. For each
+// group of four rows it walks the classes four at a time in YMM registers
+// (eight per loop iteration), and the last zero to three one at a time in
+// the low lane; a leftover row takes the same walk on its own.
 //
-// Its scores are bit-identical to sweep4Go's. For each class it performs
-// the same four multiplies and four adds on the same operands in the same
-// order: VMULPD rounds each product to float64, then VADDPD rounds each
-// sum, and it never uses FMA, which would skip the product's rounding.
-// IEEE 754 fixes the correctly rounded result of every one of these
-// operations, and packed AVX, scalar AVX and the SSE2 scalar instructions
-// Go compiles sweep4Go to all round under the same MXCSR, which Go
-// leaves at round-to-nearest without flush-to-zero or
-// denormals-are-zero. Only a NaN's payload may differ, when two NaN
-// operands meet. TestSweepMatchesGeneric and FuzzScoreSweep pin this.
+// Its scores are bit-identical to sweepGo's. For each class it performs
+// the same multiplies and adds on the same operands in the same order:
+// VMULPD rounds each product to float64, then VADDPD rounds each sum, and
+// it never uses FMA, which would skip the product's rounding. IEEE 754
+// fixes the correctly rounded result of every one of these operations,
+// and packed AVX, scalar AVX and the SSE2 scalar instructions Go compiles
+// sweepGo to all round under the same MXCSR, which Go leaves at
+// round-to-nearest without flush-to-zero or denormals-are-zero. Only a
+// NaN's payload may differ, when two NaN operands meet.
+// TestSweepMatchesGeneric and FuzzScoreSweep pin this.
 //
 //go:noescape
-func sweep4AVX2(scores, r0, r1, r2, r3 []float64, x0, x1, x2, x3 float64)
+func sweepAVX2Rows(scores []float64, rows [][]float64, xs []float64)
 
 // updateAVX2 checks what the assembly trusts, then runs it: ga packs one
-// gradient per active class, every active class is a column below the
-// stride (sgdStep's are below the label count, which is at most the
-// stride), and every nonzero's row ix[k] lies wholly inside both w and
-// gsq. The check walks ix and active once, which costs little next to the
-// len(ix)*len(active) cells the kernel updates.
-func updateAVX2(w, gsq []float64, stride int, ix []int32, vals []float64, active []int32, ga []float64, l2, lr float64) {
-	if len(ga) != len(active) || len(vals) < len(ix) {
-		panic(fmt.Sprintf("classifier: update of %d gradients for %d active classes, %d values for %d indexes",
-			len(ga), len(active), len(vals), len(ix)))
+// gradient per active class, every nonzero has a value, every active
+// class is a column below the stride (sgdStep's are below the label
+// count, which is at most the stride), and every row holds stride
+// weights and a capacity of at least two strides, so its accumulators
+// (acc) lie past its weights. The check walks the rows and active once,
+// which costs little next to the len(rows)*len(active) cells the kernel
+// updates.
+func updateAVX2(rows [][]float64, stride int, vals []float64, active []int32, ga []float64, l2, lr float64) {
+	if len(ga) != len(active) || len(vals) < len(rows) {
+		panic(fmt.Sprintf("classifier: update of %d gradients for %d active classes, %d values for %d rows",
+			len(ga), len(active), len(vals), len(rows)))
 	}
-	if len(ix) == 0 || len(active) == 0 {
+	if len(rows) == 0 || len(active) == 0 {
 		return
 	}
-	if stride <= 0 {
-		panic(fmt.Sprintf("classifier: update with stride %d", stride))
-	}
 	for _, cls := range active {
-		if uint(cls) >= uint(stride) {
+		if cls < 0 || int(cls) >= stride {
 			panic(fmt.Sprintf("classifier: update of class %d at stride %d", cls, stride))
 		}
 	}
-	rows := min(len(w), len(gsq)) / stride
-	for _, fi := range ix {
-		if uint(fi) >= uint(rows) {
-			panic(fmt.Sprintf("classifier: update of row %d in a matrix of %d rows", fi, rows))
+	for k, row := range rows {
+		if len(row) < stride || cap(row) < 2*stride {
+			panic(fmt.Sprintf("classifier: update of row %d of %d weights and capacity %d at stride %d", k, len(row), cap(row), stride))
 		}
 	}
-	adagradAVX2(w, gsq, stride, ix, vals, active, ga, l2, lr)
+	adagradAVX2(rows, stride, vals, active, ga, l2, lr)
 }
 
 // adagradAVX2 is the AVX2 body of updateFunc, in adagrad_amd64.s. For each
@@ -119,7 +122,7 @@ func updateAVX2(w, gsq []float64, stride int, ix []int32, vals []float64, active
 // TestUpdateBodiesTrainIdentically pin this.
 //
 //go:noescape
-func adagradAVX2(w, gsq []float64, stride int, ix []int32, vals []float64, active []int32, ga []float64, l2, lr float64)
+func adagradAVX2(rows [][]float64, stride int, vals []float64, active []int32, ga []float64, l2, lr float64)
 
 // cpuid executes CPUID with the given leaf (EAX) and subleaf (ECX).
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)

@@ -19,7 +19,7 @@ type sweepBody struct {
 // sweepBodies lists the bodies this build and CPU can run: always the Go
 // loop, plus the AVX2 kernel where it is available.
 func sweepBodies() []sweepBody {
-	bodies := []sweepBody{{"go", sweep4Go}}
+	bodies := []sweepBody{{"go", sweepGo}}
 	if avx2Sweep != nil {
 		bodies = append(bodies, sweepBody{"avx2", avx2Sweep})
 	}
@@ -29,21 +29,20 @@ func sweepBodies() []sweepBody {
 // withSweep runs f with scoreInto using body, then restores the body
 // chosen at init.
 func withSweep(body sweepFunc, f func()) {
-	defer func(prev sweepFunc) { sweep4 = prev }(sweep4)
-	sweep4 = body
+	defer func(prev sweepFunc) { sweep = prev }(sweep)
+	sweep = body
 	f()
 }
 
-// refSweep is the unfused reference of a sweep body. Each product is
-// explicitly converted to float64, which by the Go spec rounds it before
-// the add, so no compiler may fuse it into an FMA: this stays the unfused
-// reference under GOAMD64=v3 and on arm64 too.
-func refSweep(scores, r0, r1, r2, r3 []float64, x0, x1, x2, x3 float64) {
-	for j := range scores {
-		v := scores[j] + float64(r0[j]*x0)
-		v = v + float64(r1[j]*x1)
-		v = v + float64(r2[j]*x2)
-		scores[j] = v + float64(r3[j]*x3)
+// refSweep is the unfused, row-at-a-time reference of a sweep body. Each
+// product is explicitly converted to float64, which by the Go spec rounds
+// it before the add, so no compiler may fuse it into an FMA: this stays
+// the unfused reference under GOAMD64=v3 and on arm64 too.
+func refSweep(scores []float64, rows [][]float64, xs []float64) {
+	for k, r := range rows {
+		for j := range scores {
+			scores[j] = scores[j] + float64(r[j]*xs[k])
+		}
 	}
 }
 
@@ -94,21 +93,22 @@ func sameScores(t *testing.T, what string, got, want []float64) {
 
 // runSweep applies body to copies of the inputs, at the given offset, and
 // returns the scores.
-func runSweep(body sweepFunc, scores []float64, rows [4][]float64, xs [4]float64, off int) []float64 {
+func runSweep(body sweepFunc, scores []float64, rows [][]float64, xs []float64, off int) []float64 {
 	n := len(scores)
 	s := unaligned(n, off)
 	copy(s, scores)
-	var r [4][]float64
+	r := make([][]float64, len(rows))
 	for i := range rows {
 		r[i] = unaligned(n, off+2*i)
 		copy(r[i], rows[i])
 	}
-	body(s, r[0], r[1], r[2], r[3], xs[0], xs[1], xs[2], xs[3])
+	body(s, r, xs)
 	return s
 }
 
 // TestSweepMatchesGeneric pins every sweep body bit-identical to the
-// unfused reference: label counts 0-9 (every tail length, with and
+// row-at-a-time reference: 0-9 rows (every leftover count after the
+// groups of four) over label counts 0-9 (every tail length, with and
 // without a vector block), 63-65 (one class either side of a block of
 // eight) and 405 (the largest paper-scale model); rows at odd offsets;
 // values including signed zeros, subnormals, infinities, overflowing
@@ -119,35 +119,37 @@ func TestSweepMatchesGeneric(t *testing.T) {
 	counts := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 405}
 	for _, body := range sweepBodies() {
 		for _, n := range counts {
-			for trial := 0; trial < 40; trial++ {
-				scores := make([]float64, n)
-				var rows [4][]float64
-				for j := range scores {
-					scores[j] = sweepValue(rng)
-				}
-				for i := range rows {
-					rows[i] = make([]float64, n)
-					for j := range rows[i] {
-						rows[i][j] = sweepValue(rng)
+			for nRows := 0; nRows <= 9; nRows++ {
+				for trial := 0; trial < 6; trial++ {
+					scores := make([]float64, n)
+					for j := range scores {
+						scores[j] = sweepValue(rng)
 					}
+					rows := make([][]float64, nRows)
+					xs := make([]float64, nRows)
+					for i := range rows {
+						rows[i] = make([]float64, n)
+						for j := range rows[i] {
+							rows[i][j] = sweepValue(rng)
+						}
+						xs[i] = sweepValue(rng)
+					}
+					off := 1 + 2*(trial%3)
+					got := runSweep(body.fn, scores, rows, xs, off)
+					want := runSweep(refSweep, scores, rows, xs, off)
+					sameScores(t, fmt.Sprintf("%s, %d labels, %d rows, trial %d", body.name, n, nRows, trial), got, want)
 				}
-				var xs [4]float64
-				for i := range xs {
-					xs[i] = sweepValue(rng)
-				}
-				off := 1 + 2*(trial%3)
-				got := runSweep(body.fn, scores, rows, xs, off)
-				want := runSweep(refSweep, scores, rows, xs, off)
-				sameScores(t, fmt.Sprintf("%s, %d labels, trial %d", body.name, n, trial), got, want)
 			}
 		}
 	}
 }
 
-// FuzzScoreSweep checks every sweep body against the unfused reference on
-// arbitrary bit patterns: data holds five float64 per class (the score and
-// the four row weights), off misaligns the slices. The seed corpus is in
-// testdata/fuzz/FuzzScoreSweep.
+// FuzzScoreSweep checks every sweep body against the row-at-a-time
+// reference on arbitrary bit patterns: data holds five float64 per class
+// (the score and the weights of four rows), and off misaligns the slices
+// (off%4) and picks how many rows to sweep, 1-8 (the four rows and
+// values repeat), so groups of four and leftover rows both meet them. The
+// seed corpus is in testdata/fuzz/FuzzScoreSweep.
 func FuzzScoreSweep(f *testing.F) {
 	f.Add(make([]byte, 40*9), uint8(1), 1.0, -1.0, 0.5, 2.0)
 	f.Fuzz(func(t *testing.T, data []byte, off uint8, x0, x1, x2, x3 float64) {
@@ -159,17 +161,22 @@ func FuzzScoreSweep(f *testing.F) {
 			return math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 		}
 		scores := make([]float64, n)
-		var rows [4][]float64
-		for i := range rows {
-			rows[i] = make([]float64, n)
+		var four [4][]float64
+		for i := range four {
+			four[i] = make([]float64, n)
 		}
 		for j := 0; j < n; j++ {
 			scores[j] = word(5 * j)
-			for i := range rows {
-				rows[i][j] = word(5*j + 1 + i)
+			for i := range four {
+				four[i][j] = word(5*j + 1 + i)
 			}
 		}
-		xs := [4]float64{x0, x1, x2, x3}
+		fourX := [4]float64{x0, x1, x2, x3}
+		var rows [][]float64
+		var xs []float64
+		for i := 0; i < 1+int(off>>2)%8; i++ {
+			rows, xs = append(rows, four[i%4]), append(xs, fourX[i%4])
+		}
 		want := runSweep(refSweep, scores, rows, xs, int(off%4))
 		for _, body := range sweepBodies() {
 			got := runSweep(body.fn, scores, rows, xs, int(off%4))
@@ -236,18 +243,23 @@ func BenchmarkScorePaperShape(b *testing.B) {
 	for _, nL := range []int{100, 405} {
 		c := New(Config{})
 		c.labels = make([]string, nL)
-		c.dim, c.stride = dim, nL
-		c.w = make([]float64, dim*nL)
-		for i := range c.w {
-			c.w[i] = rng.NormFloat64() * 0.01
+		c.stride = nL
+		c.rows = make([][]float64, dim)
+		sl := newSlab(dim, nL)
+		for fi := range c.rows {
+			c.rows[fi] = sl.row()
+			for j := 0; j < nL; j++ {
+				c.rows[fi][j] = rng.NormFloat64() * 0.01
+			}
 		}
 		c.bias = make([]float64, nL)
 		scores := make([]float64, nL)
+		var g gathered
 		for _, body := range sweepBodies() {
 			b.Run(fmt.Sprintf("labels=%d/%s", nL, body.name), func(b *testing.B) {
 				withSweep(body.fn, func() {
 					for i := 0; i < b.N; i++ {
-						c.scoreInto(f, scores)
+						c.scoreInto(f, scores, &g)
 					}
 				})
 				perProduct := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64((dense+tfidf)*nL)

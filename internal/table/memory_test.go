@@ -53,3 +53,58 @@ func TestIndexBuildAllocsPerRelation(t *testing.T) {
 		}
 	}
 }
+
+// TestCorpusSharesHeaders: relations added to one corpus with the same
+// attributes share one attribute slice (and index map), while a relation
+// with other attributes, and one another corpus already holds, keep
+// their own.
+func TestCorpusSharesHeaders(t *testing.T) {
+	c := paperShapeCorpus(t, 8)
+	first := &relationOf(t, c, "R0").Attrs()[0]
+	for _, name := range c.Names() {
+		if &relationOf(t, c, name).Attrs()[0] != first {
+			t.Errorf("%s does not share R0's attributes", name)
+		}
+	}
+	other := table.MustNewRelation("other", "Index", []string{"1971", "1972"})
+	if err := c.Add(other); err != nil {
+		t.Fatal(err)
+	}
+	// A relation another corpus holds may be read there already: adding
+	// it to c must not swap its attributes.
+	r, err := table.ReadCSV("held", bytes.NewReader(relationCSV(t, paperShapeRelation(t))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := table.NewCorpus().Add(r); err != nil {
+		t.Fatal(err)
+	}
+	own := &r.Attrs()[0]
+	if err := c.Add(r); err != nil {
+		t.Fatal(err)
+	}
+	if &other.Attrs()[0] == first || &r.Attrs()[0] != own {
+		t.Error("a relation with other attributes, or one another corpus holds, took a shared header")
+	}
+	if v, err := c.Get("R3", relationOf(t, c, "R3").Keys()[0], "1971"); err != nil || v != mustGet(t, r, r.Keys()[0], "1971") {
+		t.Errorf("R3 reads %v, %v through the shared header; want the dump's %v", v, err, mustGet(t, r, r.Keys()[0], "1971"))
+	}
+}
+
+func relationOf(t *testing.T, c *table.Corpus, name string) *table.Relation {
+	t.Helper()
+	r, err := c.Relation(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func mustGet(t *testing.T, r *table.Relation, key, attr string) float64 {
+	t.Helper()
+	v, err := r.Get(key, attr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}

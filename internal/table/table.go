@@ -41,6 +41,8 @@ var ErrNotFound = errors.New("table: not found")
 type Relation struct {
 	name    string
 	keyAttr string
+	// attrs and attrIdx are never written after NewRelation, so relations
+	// with the same attributes may share them (see Corpus.Add).
 	attrs   []string
 	attrIdx map[string]int32
 	rowKeys []string
@@ -69,7 +71,7 @@ func NewRelation(name, keyAttr string, attrs []string) (*Relation, error) {
 	r := &Relation{
 		name:     name,
 		keyAttr:  keyAttr,
-		attrs:    append([]string(nil), attrs...),
+		attrs:    slices.Clip(append([]string(nil), attrs...)),
 		attrIdx:  make(map[string]int32, len(attrs)),
 		rowIdx:   make(map[string]int32),
 		metadata: make(map[string]string),
@@ -203,7 +205,8 @@ func (r *Relation) addKey(key string) error {
 }
 
 // growRow appends one row of NULL cells to the flat storage and returns
-// the index of its first cell.
+// the index of its first cell. Appending leaves spare capacity behind;
+// trim drops it once a relation is loaded.
 func (r *Relation) growRow() int {
 	base := len(r.cells)
 	r.cells = append(r.cells, make([]float64, len(r.attrs))...)
@@ -211,6 +214,22 @@ func (r *Relation) growRow() int {
 		r.mask = append(r.mask, 0)
 	}
 	return base
+}
+
+// trim reallocates the cells, the presence mask and the keys at their
+// length when appending rows left spare capacity behind them, so a loaded
+// relation holds its rows and no more. Only a relation nothing reads yet
+// may be trimmed: no Index shares its storage.
+func (r *Relation) trim() {
+	if cap(r.cells) > len(r.cells) {
+		r.cells = slices.Clip(slices.Clone(r.cells))
+	}
+	if cap(r.mask) > len(r.mask) {
+		r.mask = slices.Clip(slices.Clone(r.mask))
+	}
+	if cap(r.rowKeys) > len(r.rowKeys) {
+		r.rowKeys = slices.Clip(slices.Clone(r.rowKeys))
+	}
 }
 
 // own makes r's storage private before a write: while an Index shares it,
@@ -349,6 +368,7 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 // storage by header position, and its key is copied out of the CSV line:
 // encoding/csv slices every field of a record out of one string, so a key
 // left as read would keep its whole line alive for the relation's lifetime.
+// The relation is trimmed once read, so it keeps no spare cell capacity.
 func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 	cr := csv.NewReader(rd)
 	cr.FieldsPerRecord = -1
@@ -398,6 +418,7 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 			return nil, err
 		}
 	}
+	rel.trim()
 	return rel, nil
 }
 
@@ -464,25 +485,47 @@ digits:
 type Corpus struct {
 	byName map[string]*Relation
 	names  []string
-	gen    uint64                // mutation counter; see Generation
-	idx    atomic.Pointer[Index] // lazily built interned snapshot (index.go)
+	// headers holds, per attribute list (joined by NUL), the attribute
+	// slice and index map the relations added with that list share.
+	headers map[string]header
+	gen     uint64                // mutation counter; see Generation
+	idx     atomic.Pointer[Index] // lazily built interned snapshot (index.go)
+}
+
+// header is an attribute list and its index map, shared by the relations
+// of one corpus that have that list.
+type header struct {
+	attrs []string
+	idx   map[string]int32
 }
 
 // NewCorpus creates an empty corpus.
 func NewCorpus() *Corpus {
-	return &Corpus{byName: make(map[string]*Relation)}
+	return &Corpus{byName: make(map[string]*Relation), headers: make(map[string]header)}
 }
 
 // Add inserts a relation; duplicate names are rejected. A relation may be
 // held by several corpora; mutating it advances every holder's
 // generation, so Add must not race another Add or Remove of the same
-// relation.
+// relation. A relation no corpus held before is trimmed (its cells keep
+// no spare capacity), and shares the attribute slice and index map of the
+// first relation added to c with the same attributes, so a corpus of
+// relations over the same years holds one copy of them.
 func (c *Corpus) Add(r *Relation) error {
 	if r == nil {
 		return fmt.Errorf("table: nil relation")
 	}
 	if _, dup := c.byName[r.Name()]; dup {
 		return fmt.Errorf("table: duplicate relation %q in corpus", r.Name())
+	}
+	if len(r.owners) == 0 {
+		r.trim()
+		key := strings.Join(r.attrs, "\x00")
+		if h, ok := c.headers[key]; !ok {
+			c.headers[key] = header{r.attrs, r.attrIdx}
+		} else if slices.Equal(h.attrs, r.attrs) {
+			r.attrs, r.attrIdx = h.attrs, h.idx
+		}
 	}
 	c.byName[r.Name()] = r
 	c.names = append(c.names, r.Name())

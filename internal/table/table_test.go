@@ -371,3 +371,52 @@ func TestCorpusRemove(t *testing.T) {
 		t.Fatalf("re-add after remove: %v", err)
 	}
 }
+
+// TestLoadedRelationKeepsNoSlack: appending rows leaves spare capacity
+// behind the cells, the mask and the keys; a relation read from CSV, or
+// built row by row and then added to a corpus, keeps none of it, and its
+// cells read back unchanged.
+func TestLoadedRelationKeepsNoSlack(t *testing.T) {
+	attrs := make([]string, 87)
+	for i := range attrs {
+		attrs[i] = strconv.Itoa(1971 + i)
+	}
+	built := MustNewRelation("R", "Index", attrs)
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 24; k++ {
+		vals := make([]float64, len(attrs))
+		for i := range vals {
+			vals[i] = float64(rng.Intn(100000)) / 8
+		}
+		if err := built.AddRow("key"+strconv.Itoa(k), vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(built.cells) == len(built.cells) {
+		t.Fatal("appending rows left no spare capacity to trim; the test proves nothing")
+	}
+	var dump bytes.Buffer
+	if err := built.WriteCSV(&dump); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadCSV("R", bytes.NewReader(dump.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewCorpus().Add(built); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Relation{"read": read, "added": built} {
+		if cap(r.cells) != len(r.cells) || cap(r.mask) != len(r.mask) || cap(r.rowKeys) != len(r.rowKeys) {
+			t.Errorf("%s relation: %d/%d cells, %d/%d mask words, %d/%d keys (length/capacity)",
+				name, len(r.cells), cap(r.cells), len(r.mask), cap(r.mask), len(r.rowKeys), cap(r.rowKeys))
+		}
+		var again bytes.Buffer
+		if err := r.WriteCSV(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), dump.Bytes()) {
+			t.Errorf("%s relation: cells changed", name)
+		}
+	}
+}
